@@ -9,7 +9,7 @@ it against exact event-by-event simulation of the pre-limit Markov chain.
 
 from .params import (ModelParams, OfferedLoad, OverloadVerdict, ScaledSystem,
                      check_overload, offered_loads, scale)
-from .ftsp import (FluidState, FtspRates, QbdModel, FtspSummary, FtspMcStats,
+from .ftsp import (FluidState, FtspRates, FtspSummary, FtspMcStats,
                    asymptotic_variance, busy_period_moments, drift_rates,
                    ftsp_rates, ftsp_summary, is_positive_recurrent, pi_12,
                    pi_12_stationary, simulate_ftsp)

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .params import ModelParams, scale
 from .ftsp import (FluidState, asymptotic_variance, busy_period_moments,
                    ftsp_rates, ftsp_summary, pi_12)
 from .fluid import integrate_fluid, stationary_point
-from .diffusion import (bou_matrices, gaussian_queue_approx, psi_mix,
+from .diffusion import (PSI_CONVENTIONS, SIGMA2_METHODS, bou_matrices,
+                        gaussian_queue_approx, psi_mix,
                         steady_state_covariance)
 from .sim import replicate
 
@@ -32,9 +33,6 @@ __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
 
 _CONFIG_KEYS = {"params", "scales", "runs", "arrivals", "warmup", "seed",
                 "sigma2_method", "psi_convention", "start", "output"}
-
-_SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
-_PSI_CONVENTIONS = ("plus", "paper-sec10")
 
 
 def reference_params() -> ModelParams:
@@ -114,12 +112,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError("config.seed: need an integer")
         cfg.seed = raw["seed"]
     if "sigma2_method" in raw:
-        if raw["sigma2_method"] not in _SIGMA2_METHODS:
-            raise ValueError(f"config.sigma2_method: must be one of {_SIGMA2_METHODS}")
+        if raw["sigma2_method"] not in SIGMA2_METHODS:
+            raise ValueError(f"config.sigma2_method: must be one of {SIGMA2_METHODS}")
         cfg.sigma2_method = raw["sigma2_method"]
     if "psi_convention" in raw:
-        if raw["psi_convention"] not in _PSI_CONVENTIONS:
-            raise ValueError(f"config.psi_convention: must be one of {_PSI_CONVENTIONS}")
+        if raw["psi_convention"] not in PSI_CONVENTIONS:
+            raise ValueError(f"config.psi_convention: must be one of {PSI_CONVENTIONS}")
         cfg.psi_convention = raw["psi_convention"]
     if "start" in raw:
         if raw["start"] not in ("fluid", "empty"):
@@ -541,7 +539,7 @@ def _cmd_ftsp(cfg: ExperimentConfig, args) -> int:
     gamma = _parse_state(args.state)
     summary = ftsp_summary(cfg.params, gamma, sigma2_method=args.method)
     if args.json:
-        print(json.dumps(summary.to_dict(), indent=2))
+        print(json.dumps(asdict(summary), indent=2))
     else:
         print(summary)
     return 0
@@ -646,7 +644,7 @@ def main(argv=None) -> int:
     s = sub.add_parser("ftsp", help="fast-process summary at a fluid state")
     s.add_argument("--state", required=True, metavar="q1,q2,z12")
     s.add_argument("--method", default="poisson_numeric",
-                   choices=_SIGMA2_METHODS)
+                   choices=SIGMA2_METHODS)
     s.add_argument("--json", action="store_true")
 
     s = sub.add_parser("fluid", help="integrate the fluid trajectory")
@@ -658,9 +656,9 @@ def main(argv=None) -> int:
     s = sub.add_parser("diffusion", help="Gaussian steady-state approximation")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--sigma2-method", dest="sigma2_method", required=True,
-                   choices=_SIGMA2_METHODS)
+                   choices=SIGMA2_METHODS)
     s.add_argument("--psi-convention", dest="psi_convention", required=True,
-                   choices=_PSI_CONVENTIONS)
+                   choices=PSI_CONVENTIONS)
     s.add_argument("--scaled-threshold", action="store_true",
                    help="evaluate at the integer system's realized k_n/n")
     s.add_argument("--json", action="store_true")

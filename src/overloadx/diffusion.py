@@ -167,26 +167,6 @@ class GaussianApprox:
     psi_convention: str
 
 
-class _Sigma2Cache:
-    """sigma2(x) along a path, recomputed only when x moves more than tol."""
-
-    def __init__(self, p: ModelParams, method: str, tol: float = 1e-4):
-        self.p = p
-        self.method = method
-        self.tol = tol
-        self._state = None
-        self._value = None
-
-    def __call__(self, arr) -> float:
-        if (self._state is not None
-                and np.max(np.abs(arr - self._state)) <= self.tol):
-            return self._value
-        value = asymptotic_variance(self.p, FluidState(*arr), self.method)
-        self._state = np.array(arr)
-        self._value = value
-        return value
-
-
 def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
                     psi_convention: str):
     """Pointwise derivatives of the seven time changes along the path."""
@@ -194,8 +174,11 @@ def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
     q1, q2, z = path.q1, path.q2, path.z12
     pi = path.pi
     qs = q1 + q2
-    cache = _Sigma2Cache(p, sigma2_method)
-    sig = np.array([cache(s) for s in path.states])
+    # rows as Python floats: the FTSP's scalar arithmetic is several times
+    # slower on numpy scalars
+    sig = np.array([asymptotic_variance(p, FluidState(*s.tolist()),
+                                        sigma2_method)
+                    for s in path.states])
     psi = psi_mix(p, z, psi_convention)
     rows = {
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)

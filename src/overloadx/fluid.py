@@ -141,33 +141,8 @@ def _total_event_rate(p: ModelParams, gamma: FluidState) -> float:
             + p.mu11 * p.m1 + p.mu12 * gamma.z12 + p.mu22 * (p.m2 - gamma.z12))
 
 
-class _PiCache:
-    """Reuse pi12 while the state moves less than ``tol`` in sup norm.
-
-    pi12 is locally Lipschitz on the recurrence set, and the FTSP solve
-    dominates the integration cost for non-unit ratios.
-    """
-
-    def __init__(self, p: ModelParams, tol: float = 1e-4):
-        self.p = p
-        self.tol = tol
-        self._state = None
-        self._value = None
-
-    def __call__(self, gamma: FluidState) -> float:
-        arr = gamma.as_array()
-        if (self._state is not None
-                and np.max(np.abs(arr - self._state)) <= self.tol):
-            return self._value
-        value = pi_12(self.p, gamma)
-        self._state = arr
-        self._value = value
-        return value
-
-
 def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
-                    tol_manifold: float | None = None,
-                    pi_cache_tol: float = 1e-4) -> FluidPath:
+                    tol_manifold: float | None = None) -> FluidPath:
     """Integrate the fluid ODE over [0, T] with fixed step h.
 
     Per step: evaluate d = q1 - kappa - r q2.  Above the switching band use
@@ -197,7 +172,6 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     x0.validate(p)
     n_steps = int(round(T / h))
     r = float(p.r12)
-    cache = _PiCache(p, pi_cache_tol)
     t = np.linspace(0.0, n_steps * h, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
     pis = np.empty(n_steps + 1)
@@ -211,9 +185,11 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         q2 = max((qs - p.kappa12) / (1.0 + r), 0.0)
         return np.array([qs - q2, q2, arr[2]])
 
+    # FTSP rates are evaluated at Python floats: the many small scalar
+    # operations per call are several times slower on numpy scalars
     def classify(arr):
-        gamma = FluidState(*arr)
-        d = arr[0] - p.kappa12 - r * arr[1]
+        gamma = FluidState(*arr.tolist())
+        d = gamma.q1 - p.kappa12 - r * gamma.q2
         band = tol_manifold if tol_manifold is not None else \
             10.0 * h * _total_event_rate(p, gamma)
         d_plus, d_minus = drift_rates(ftsp_rates(p, gamma))
@@ -235,7 +211,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         on_manifold = pi is None
         if on_manifold:
             x = project_to_manifold(x)
-            pi = cache(FluidState(*x))
+            pi = pi_12(p, FluidState(*x.tolist()))
         states[i] = x
         pis[i] = pi
         regimes[i] = reg
@@ -245,12 +221,13 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
 
         if on_manifold:
             # advance the constrained pair (qs, z12); queues are recovered
-            # from the manifold and pi re-evaluated (through the cache) at
-            # every stage, keeping both the constraint and the order exact
+            # from the manifold and pi re-evaluated at every stage, keeping
+            # both the constraint and the order exact
             def f2(u):
-                q1s, q2s = queues_from_manifold(u[0])
-                stage = FluidState(q1s, q2s, min(max(u[1], 0.0), p.m2))
-                d = ode_rhs(p, stage, cache(stage))
+                qs, z = u.tolist()
+                q1s, q2s = queues_from_manifold(qs)
+                stage = FluidState(q1s, q2s, min(max(z, 0.0), p.m2))
+                d = ode_rhs(p, stage, pi_12(p, stage))
                 return np.array([d[0] + d[1], d[2]])
 
             u = np.array([x[0] + x[1], x[2]])

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+import scipy.linalg
 
 from .params import ModelParams
 
 __all__ = [
-    "FluidState", "FtspRates", "QbdModel", "FtspSummary", "FtspMcStats",
+    "FluidState", "FtspRates", "FtspSummary", "FtspMcStats",
     "BusyPeriodMoments", "ftsp_rates", "drift_rates", "is_positive_recurrent",
     "busy_period_moments", "pi_12", "pi_12_stationary", "asymptotic_variance",
     "simulate_ftsp", "ftsp_summary",
@@ -67,31 +66,17 @@ class FluidState:
 
 @dataclass(frozen=True)
 class FtspRates:
-    """Birth-death rates of the FTSP when r = 1.
-
-    In the positive region the walk moves up at ``lam1`` and down at ``mu1``;
-    in the non-positive region it moves away from the boundary (down) at
-    ``lam2`` and back toward it (up) at ``mu2``.
-    """
-
-    lam1: float
-    mu1: float
-    lam2: float
-    mu2: float
-
-    @property
-    def total_rate(self) -> float:
-        return self.lam1 + self.mu1  # identical in both regions
-
-
-@dataclass(frozen=True)
-class QbdModel:
-    """Lattice representation of the FTSP for rational r = j/k.
+    """Jump rates of the FTSP on the lattice of k*D, for r = j/k.
 
     The walk lives on the integer lattice of k*D (step 1/k in D units).
     ``pos_rates`` / ``neg_rates`` map signed lattice jumps to rates for the
     two regimes (origin state > 0, origin state <= 0).  Class-1 events jump
     +-k, class-2 events +-j.
+
+    For r = 1 both jumps are +-1 and the walk is a birth-death process, whose
+    rates are also available by name: in the positive region it moves up at
+    ``lam1`` and down at ``mu1``; in the non-positive region it moves away
+    from the boundary (down) at ``lam2`` and back toward it (up) at ``mu2``.
     """
 
     j: int
@@ -100,8 +85,30 @@ class QbdModel:
     neg_rates: dict
 
     @property
-    def step(self) -> float:
-        return 1.0 / self.k
+    def birth_death(self) -> bool:
+        """True when r = 1 (j = k = 1 in lowest terms)."""
+        return self.j == self.k == 1
+
+    def _bd_rate(self, rates: dict, jump: int) -> float:
+        if not self.birth_death:
+            raise ValueError("birth-death rates exist only for r = 1")
+        return rates[jump]
+
+    @property
+    def lam1(self) -> float:
+        return self._bd_rate(self.pos_rates, 1)
+
+    @property
+    def mu1(self) -> float:
+        return self._bd_rate(self.pos_rates, -1)
+
+    @property
+    def lam2(self) -> float:
+        return self._bd_rate(self.neg_rates, -1)
+
+    @property
+    def mu2(self) -> float:
+        return self._bd_rate(self.neg_rates, 1)
 
     @property
     def block_size(self) -> int:
@@ -128,36 +135,28 @@ class QbdModel:
             local[i, i] -= total
         return up, local, down
 
-    def truncated_generator(self, nmax: int):
-        """Sparse generator on lattice states -nmax..nmax.
+    def banded_generator(self, nmax: int) -> np.ndarray:
+        """Generator on lattice states -nmax..nmax, in ``solve_banded`` layout.
 
-        Jumps that would overshoot the truncation boundary are redirected to
-        the boundary state, preserving zero row sums; the stationary
+        Entry (row, col) sits at ``band[b + row - col, col]``, where the
+        half-bandwidth b is ``block_size`` (the largest jump).  Jumps that
+        would overshoot the truncation boundary are redirected to the
+        boundary state, preserving zero row sums; the stationary
         distribution has geometric tails, so the redirection washes out as
         nmax grows.
         """
+        b = self.block_size
         states = np.arange(-nmax, nmax + 1)
-        pos_mask = states > 0
-        rows, cols, vals = [], [], []
-        for regime_mask, rates in ((pos_mask, self.pos_rates),
-                                   (~pos_mask, self.neg_rates)):
-            src = states[regime_mask]
+        band = np.zeros((2 * b + 1, states.size))
+        for src, rates in ((states[states > 0], self.pos_rates),
+                           (states[states <= 0], self.neg_rates)):
             for jump, rate in rates.items():
                 dst = np.clip(src + jump, -nmax, nmax)
                 moved = dst != src
-                rows.append(src[moved] + nmax)
-                cols.append(dst[moved] + nmax)
-                vals.append(np.full(moved.sum(), rate))
-                # balance the diagonal for every attempted jump that moved
-                rows.append(src[moved] + nmax)
-                cols.append(src[moved] + nmax)
-                vals.append(np.full(moved.sum(), -rate))
-        size = 2 * nmax + 1
-        gen = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size))
-        gen.sum_duplicates()
-        return gen.tocsr()
+                s, d = src[moved], dst[moved]
+                band[b + s - d, d + nmax] += rate
+                band[b, s + nmax] -= rate
+        return band
 
 
 class BusyPeriodMoments(NamedTuple):
@@ -180,15 +179,6 @@ class FtspSummary:
     var_t2: float | None
     sigma2: float | None
     method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_plus": self.delta_plus, "delta_minus": self.delta_minus,
-            "recurrent": self.recurrent, "pi12": self.pi12,
-            "et1": self.et1, "et2": self.et2,
-            "var_t1": self.var_t1, "var_t2": self.var_t2,
-            "sigma2": self.sigma2, "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -225,12 +215,14 @@ def _pool2_rate(p: ModelParams, z12: float) -> float:
     return p.mu12 * z12 + p.mu22 * (p.m2 - z12)
 
 
-def ftsp_rates(p: ModelParams, gamma: FluidState):
-    """Jump rates of D(gamma, .); BD rates for r = 1, a QbdModel otherwise.
+def ftsp_rates(p: ModelParams, gamma: FluidState) -> FtspRates:
+    """Jump rates of D(gamma, .) on the lattice of k*D, r = j/k.
 
     The rates are the instantaneous transition rates of the pre-limit chain
     at state n*gamma (pools full, no class-2 agents in pool 1), divided by n
-    and classified by their effect on the queue difference.
+    and classified by their effect on the queue difference.  In the positive
+    regime every completion takes the head of queue 1; in the non-positive
+    regime pool-2 completions take the head of queue 2.
     """
     gamma.validate(p)
     pool2 = _pool2_rate(p, gamma.z12)
@@ -238,51 +230,32 @@ def ftsp_rates(p: ModelParams, gamma: FluidState):
     up1 = p.lambda1                                       # class-1 arrival
     up2 = p.theta2 * gamma.q2                             # class-2 abandonment
     down2 = p.lambda2                                     # class-2 arrival
-    if p.r == 1:
-        return FtspRates(
-            lam1=up1 + up2,
-            mu1=down1 + down2 + pool2,
-            lam2=down1 + down2,
-            mu2=up1 + up2 + pool2,
-        )
-    return _lattice(p, gamma)
-
-
-def _lattice(p: ModelParams, gamma: FluidState) -> QbdModel:
-    """QbdModel for any rational r (including r = 1, for cross-checks)."""
     j, k = p.r.numerator, p.r.denominator
-    pool2 = _pool2_rate(p, gamma.z12)
-    down1 = p.theta1 * gamma.q1 + p.mu11 * p.m1
-    pos, neg = {}, {}
-
-    def add(d, jump, rate):
-        if rate > 0.0:
-            d[jump] = d.get(jump, 0.0) + rate
-
-    # positive regime: every completion takes the head of queue 1
-    add(pos, +k, p.lambda1)
-    add(pos, -k, down1 + pool2)
-    add(pos, +j, p.theta2 * gamma.q2)
-    add(pos, -j, p.lambda2)
-    # non-positive regime: pool-2 completions take the head of queue 2
-    add(neg, +k, p.lambda1)
-    add(neg, -k, down1)
-    add(neg, +j, p.theta2 * gamma.q2 + pool2)
-    add(neg, -j, p.lambda2)
-    return QbdModel(j=j, k=k, pos_rates=pos, neg_rates=neg)
+    if j == k:
+        # r = 1: both classes jump by +-1, a birth-death walk
+        return FtspRates(1, 1, {1: up1 + up2, -1: down1 + down2 + pool2},
+                         {1: up1 + up2 + pool2, -1: down1 + down2})
+    pos = {k: up1, -k: down1 + pool2, j: up2, -j: down2}
+    neg = {k: up1, -k: down1, j: up2 + pool2, -j: down2}
+    return FtspRates(j, k, _nonzero(pos), _nonzero(neg))
 
 
-def drift_rates(model) -> tuple[float, float]:
+def _nonzero(rates: dict) -> dict:
+    return {jump: rate for jump, rate in rates.items() if rate > 0.0}
+
+
+def drift_rates(model: FtspRates) -> tuple[float, float]:
     """Regime drifts (delta_plus, delta_minus) in original D units.
 
     delta_plus is the mean velocity of D in the positive region;
     delta_minus the mean velocity in the non-positive region, so
     delta_minus > 0 means drift back toward the positive region.
     """
-    if isinstance(model, FtspRates):
-        return model.lam1 - model.mu1, model.mu2 - model.lam2
-    d_plus = sum(jump * rate for jump, rate in model.pos_rates.items()) / model.k
-    d_minus = sum(jump * rate for jump, rate in model.neg_rates.items()) / model.k
+    pos, neg = model.pos_rates, model.neg_rates
+    if model.birth_death:   # the sums below, spelled out for the hot path
+        return pos[1] - pos[-1], neg[1] - neg[-1]
+    d_plus = sum(jump * rate for jump, rate in pos.items()) / model.k
+    d_minus = sum(jump * rate for jump, rate in neg.items()) / model.k
     return d_plus, d_minus
 
 
@@ -317,14 +290,18 @@ def busy_period_moments(lam: float, mu: float) -> BusyPeriodMoments:
 def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     """Stationary probability that the FTSP is positive.
 
-    For r = 1 this is the alternating-renewal ratio E[T1]/(E[T1]+E[T2]) of
-    the two busy-period means; for general rational r it is the mass of the
-    QBD stationary distribution on lattice states > 0.  Degenerate states
-    (not positive recurrent) return exactly 0.0 or 1.0 according to the
-    escape direction.
+    In steady state the mean velocity of D vanishes,
+    pi * delta_plus + (1 - pi) * delta_minus = 0, so for every rational r
 
-    ``method``: "auto" (busy periods for r = 1, else matrix-geometric),
-    "matrix_geometric", or "truncated".
+        pi12 = delta_minus / (delta_minus - delta_plus).
+
+    Degenerate states (not positive recurrent) return exactly 0.0 or 1.0
+    according to the escape direction.
+
+    ``method``: "auto" (the zero-velocity identity above), or one of the
+    independent cross-check routes: "busy_period" (the alternating-renewal
+    ratio E[T1]/(E[T1]+E[T2]), r = 1 only), "matrix_geometric" or
+    "truncated" (the positive mass of the lattice stationary law).
     """
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
@@ -333,18 +310,17 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
         # unambiguous except at the measure-zero double-null boundary.
         return 1.0 if d_plus >= 0.0 else 0.0
     if method == "auto":
-        method = "busy_period" if isinstance(model, FtspRates) else "matrix_geometric"
+        return d_minus / (d_minus - d_plus)
     if method == "busy_period":
-        if not isinstance(model, FtspRates):
+        if not model.birth_death:
             raise ValueError("busy-period form only applies when r = 1")
         et1 = busy_period_moments(model.lam1, model.mu1).mean
         et2 = busy_period_moments(model.lam2, model.mu2).mean
         return et1 / (et1 + et2)
-    lattice = model if isinstance(model, QbdModel) else _lattice(p, gamma)
     if method == "matrix_geometric":
-        return _pi_matrix_geometric(lattice)
+        return _pi_matrix_geometric(model)
     if method == "truncated":
-        return _pi_truncated(lattice)
+        return _truncated_solve(model, tol=1e-10)
     raise ValueError(f"unknown pi12 method {method!r}")
 
 
@@ -361,35 +337,6 @@ def pi_12_stationary(p: ModelParams, z12_star: float) -> float:
     return num / den
 
 
-def _stationary_truncated(lattice: QbdModel, nmax: int) -> np.ndarray:
-    gen = lattice.truncated_generator(nmax)
-    size = 2 * nmax + 1
-    a = gen.T.tolil()
-    a[size - 1, :] = 1.0   # replace one balance equation by normalization
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    return spsolve(a.tocsr(), rhs)
-
-
-def _pi_truncated(lattice: QbdModel, tol: float = 1e-10,
-                  n0: int = 64, nmax_cap: int = 8192) -> float:
-    """Positive mass of the stationary law, truncation doubled to convergence."""
-    nmax = n0
-    prev = None
-    change = math.inf
-    while nmax <= nmax_cap:
-        dist = _stationary_truncated(lattice, nmax)
-        val = dist[nmax + 1:].sum()
-        if prev is not None:
-            change = abs(val - prev)
-            if change < tol:
-                return val
-        prev = val
-        nmax *= 2
-    raise RuntimeError("truncated stationary solve did not converge "
-                       f"(last radius {nmax // 2}, change {change:.2e})")
-
-
 def _mg_rate_matrix(a0, a1, a2, tol=1e-14, itmax=200000) -> np.ndarray:
     """Minimal solution R of A0 + R A1 + R^2 A2 = 0 by fixed-point iteration."""
     a1_inv = np.linalg.inv(a1)
@@ -402,7 +349,7 @@ def _mg_rate_matrix(a0, a1, a2, tol=1e-14, itmax=200000) -> np.ndarray:
     raise RuntimeError("matrix-geometric iteration did not converge")
 
 
-def _pi_matrix_geometric(lattice: QbdModel) -> float:
+def _pi_matrix_geometric(lattice: FtspRates) -> float:
     """Positive mass via level-geometric stationary structure.
 
     Level l holds lattice states {l*b+1, ..., l*b+b}; levels >= 0 are the
@@ -432,6 +379,92 @@ def _pi_matrix_geometric(lattice: QbdModel) -> float:
     w_neg = pim1 @ np.linalg.solve(eye - rm, np.ones(b))
     w_pos = pi0 @ np.linalg.solve(eye - rp, np.ones(b))
     return float(w_pos / (w_pos + w_neg))
+
+
+# ---------------------------------------------------------------------------
+# truncated lattice solves
+# ---------------------------------------------------------------------------
+
+def _pin(band: np.ndarray, row: int) -> np.ndarray:
+    """Replace equation ``row`` of a banded system by x[row] = rhs[row]."""
+    b = (band.shape[0] - 1) // 2
+    cols = np.arange(max(row - b, 0), min(row + b + 1, band.shape[1]))
+    band[b + row - cols, cols] = 0.0
+    band[b, row] = 1.0
+    return band
+
+
+def _stationary_banded(gen: np.ndarray, anchor: int) -> np.ndarray:
+    """Stationary law from a banded generator, pinned at index ``anchor``.
+
+    Solves G^T x = 0 with the balance equation of ``anchor`` replaced by
+    x[anchor] = 1, which keeps the system banded, then normalizes.
+    """
+    b = (gen.shape[0] - 1) // 2
+    # G^T in band layout: row b + d of it is row b - d of G shifted by d
+    band_t = np.zeros_like(gen)
+    for d in range(-b, b + 1):
+        band_t[b + d] = np.roll(gen[b - d], -d)
+    rhs = np.zeros(gen.shape[1])
+    rhs[anchor] = 1.0
+    x = scipy.linalg.solve_banded((b, b), _pin(band_t, anchor), rhs,
+                                  overwrite_ab=True)
+    return x / x.sum()
+
+
+def _stationary_truncated(lattice: FtspRates, nmax: int) -> np.ndarray:
+    """Stationary law on lattice states -nmax..nmax at one fixed radius.
+
+    A recurrent walk is pinned at state 0.  A transient one piles its mass
+    at the boundary it drifts to and is pinned there, so that the
+    unnormalized solution decays away from the pin instead of overflowing.
+    """
+    d_plus, d_minus = drift_rates(lattice)
+    anchor = nmax                      # index of lattice state 0
+    if d_plus >= 0.0:
+        anchor = 2 * nmax
+    elif d_minus <= 0.0:
+        anchor = 0
+    return _stationary_banded(lattice.banded_generator(nmax), anchor)
+
+
+def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False,
+                     n0: int = 64, nmax_cap: int = 8192) -> float:
+    """pi12 (or sigma2) of a recurrent walk on a truncated lattice.
+
+    The truncation radius is doubled until the value changes by less than
+    ``tol``.  At each radius the banded generator G is built once.  It gives
+    the stationary law pi, pinned at state 0, and pi12 is its mass on the
+    states > 0.  For ``sigma2`` it also gives the Poisson equation
+    G g = -fbar, with fbar = 1{state > 0} - pi12 and g(0) = 0; then
+    sigma2 = 2 sum_i pi_i fbar_i g_i.
+    """
+    nmax = n0
+    prev = None
+    change = math.inf
+    while nmax <= nmax_cap:
+        gen = lattice.banded_generator(nmax)
+        dist = _stationary_banded(gen, nmax)
+        val = dist[nmax + 1:].sum()
+        if sigma2:
+            fbar = np.full(dist.size, -val)
+            fbar[nmax + 1:] += 1.0
+            rhs = -fbar
+            rhs[nmax] = 0.0
+            b = (gen.shape[0] - 1) // 2
+            g = scipy.linalg.solve_banded((b, b), _pin(gen, nmax), rhs,
+                                          overwrite_ab=True)
+            val = float(2.0 * np.sum(dist * fbar * g))
+        if prev is not None:
+            change = abs(val - prev)
+            if change < tol:
+                return val
+        prev = val
+        nmax *= 2
+    what = ("Poisson-equation truncation" if sigma2
+            else "truncated stationary solve")
+    raise RuntimeError(f"{what} did not converge "
+                       f"(last radius {nmax // 2}, change {change:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +502,7 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
     if not (d_plus < 0.0 and d_minus > 0.0):
         raise ValueError("asymptotic variance requires a positive recurrent state")
     if method in ("paper_r1", "regenerative"):
-        if not isinstance(model, FtspRates):
+        if not model.birth_death:
             raise ValueError(f"{method} requires r = 1")
         bp1 = busy_period_moments(model.lam1, model.mu1)
         bp2 = busy_period_moments(model.lam2, model.mu2)
@@ -480,48 +513,12 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
         var_y = (1.0 - pi) ** 2 * bp1.variance + pi ** 2 * bp2.variance
         return var_y / cycle
     if method == "poisson_numeric":
-        lattice = model if isinstance(model, QbdModel) else _lattice(p, gamma)
-        return _sigma2_poisson(lattice, tol=tol)
+        return _truncated_solve(model, tol=tol, sigma2=True)
     if method == "monte_carlo":
         stats = simulate_ftsp(p, gamma, horizon=horizon, seed=seed,
                               batch_length=batch_length)
         return stats.sigma2
     raise ValueError(f"unknown sigma2 method {method!r}")
-
-
-def _sigma2_poisson_at(lattice: QbdModel, nmax: int) -> float:
-    size = 2 * nmax + 1
-    gen = lattice.truncated_generator(nmax)
-    dist = _stationary_truncated(lattice, nmax)
-    f = np.zeros(size)
-    f[nmax + 1:] = 1.0
-    fbar = f - dist @ f
-    # solve G g = -fbar, anchored by g(0) = 0 (state 0 is index nmax)
-    gg = gen.tolil()
-    rhs = -fbar.copy()
-    gg[:, nmax] = 0.0
-    gg[nmax, :] = 0.0
-    gg[nmax, nmax] = 1.0
-    rhs[nmax] = 0.0
-    g = spsolve(gg.tocsr(), rhs)
-    return float(2.0 * np.sum(dist * fbar * g))
-
-
-def _sigma2_poisson(lattice: QbdModel, tol: float = 1e-6,
-                    n0: int = 64, nmax_cap: int = 8192) -> float:
-    nmax = n0
-    prev = None
-    change = math.inf
-    while nmax <= nmax_cap:
-        val = _sigma2_poisson_at(lattice, nmax)
-        if prev is not None:
-            change = abs(val - prev)
-            if change < tol:
-                return val
-        prev = val
-        nmax *= 2
-    raise RuntimeError("Poisson-equation truncation did not converge "
-                       f"(last radius {nmax // 2}, change {change:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +563,7 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
         raise ValueError("horizon must be positive")
     model = ftsp_rates(p, gamma)
     rng = np.random.default_rng(seed)
-    bd_recurrent = (isinstance(model, FtspRates)
+    bd_recurrent = (model.birth_death
                     and model.mu1 > model.lam1 and model.mu2 > model.lam2)
     if bd_recurrent:
         spent = 0.0
@@ -609,8 +606,7 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
             sigma2_cycles = float(y_c.var(ddof=1) / tau.mean())
     else:
         # general rational r, or a transient state: walk the lattice directly
-        lattice = model if isinstance(model, QbdModel) else _lattice(p, gamma)
-        total_pos, pos_time_at, n_cycles = _simulate_lattice(lattice, horizon, rng)
+        total_pos, pos_time_at, n_cycles = _simulate_walk(model, horizon, rng)
         sigma2_cycles = None
 
     n_batches = int(horizon // batch_length)
@@ -628,8 +624,8 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
                        n_cycles=n_cycles, horizon=horizon, seed=seed)
 
 
-def _simulate_lattice(lattice: QbdModel, horizon: float,
-                      rng: np.random.Generator):
+def _simulate_walk(lattice: FtspRates, horizon: float,
+                   rng: np.random.Generator):
     """Event-by-event walk on the k*D lattice; used for r != 1."""
     pos_jumps = sorted(lattice.pos_rates.items())
     neg_jumps = sorted(lattice.neg_rates.items())
@@ -693,7 +689,7 @@ def ftsp_summary(p: ModelParams, gamma: FluidState,
     recurrent = d_plus < 0.0 and d_minus > 0.0
     pi = pi_12(p, gamma)
     et1 = et2 = vt1 = vt2 = None
-    if isinstance(model, FtspRates) and recurrent:
+    if model.birth_death and recurrent:
         bp1 = busy_period_moments(model.lam1, model.mu1)
         bp2 = busy_period_moments(model.lam2, model.mu2)
         et1, vt1 = bp1.mean, bp1.variance

@@ -37,6 +37,8 @@ def _as_ratio(value) -> Fraction:
             raise ValueError(
                 f"ratio must be written as 'j/k' with integer j, k; got {value!r}"
             ) from None
+        if den == 0:
+            raise ValueError(f"ratio denominator must be non-zero; got {value!r}")
         return Fraction(num, den)
     raise TypeError(f"cannot interpret {value!r} as an exact ratio")
 
@@ -80,8 +82,12 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "r12", _as_ratio(self.r12))
         object.__setattr__(self, "r21", _as_ratio(self.r21))
-        for name in ("lambda1", "lambda2", "theta1", "theta2",
-                     "mu11", "mu12", "mu21", "mu22", "m1", "m2"):
+        rates = ("lambda1", "lambda2", "theta1", "theta2",
+                 "mu11", "mu12", "mu21", "mu22", "m1", "m2")
+        for name in rates + ("kappa12", "kappa21"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in rates:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.r12 <= 0 or self.r21 <= 0:

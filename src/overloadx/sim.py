@@ -138,13 +138,17 @@ class QuantityEstimate:
 
 @dataclass
 class SimEstimate:
-    """Cross-replication summary: mean, sample std, 95% t half-width."""
+    """Cross-replication summary: mean, sample std, 95% t half-width.
+
+    ``runs`` keeps the per-replication RunStats the summary was built from.
+    """
 
     n: int
     replications: int
     base_seed: int
     t_multiplier: float
     quantities: dict = field(default_factory=dict)
+    runs: list = field(default_factory=list, repr=False)
 
     def __getitem__(self, name: str) -> QuantityEstimate:
         return self.quantities[name]
@@ -487,14 +491,13 @@ def aggregate_runs(stats: list, base_seed: int = -1) -> SimEstimate:
         raise ValueError("need at least two replications for an interval")
     tmult = float(scipy.stats.t.ppf(0.975, R - 1))
     est = SimEstimate(n=stats[0].n, replications=R, base_seed=base_seed,
-                      t_multiplier=tmult)
+                      t_multiplier=tmult, runs=stats)
     for name in QUANTITIES:
         vals = np.array([s.value(name) for s in stats])
         mean = float(vals.mean())
         sd = float(vals.std(ddof=1))
         est.quantities[name] = QuantityEstimate(
             mean=mean, std=sd, halfwidth=tmult * sd / math.sqrt(R))
-    est.runs = stats
     return est
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from overloadx.params import scale
-from overloadx.ftsp import (FluidState, _lattice, _stationary_truncated,
+from overloadx.ftsp import (FluidState, _stationary_truncated,
                             asymptotic_variance, busy_period_moments,
                             drift_rates, ftsp_rates, pi_12, simulate_ftsp)
 from overloadx.fluid import stationary_point
@@ -330,7 +330,7 @@ def test_criterion_8_recurrence_criterion(base_params):
         if min(abs(d_plus), abs(d_minus)) < 0.05:
             continue   # null-recurrent boundary band
         drift_rec = d_plus < 0.0 and d_minus > 0.0
-        lattice = _lattice(p, g)
+        lattice = ftsp_rates(p, g)
         if drift_rec:
             pi = pi_12(p, g, "matrix_geometric")
         else:

@@ -174,3 +174,18 @@ def test_main_echo_config(tmp_path, capsys):
     cfg = parse_config(echoed)
     assert cfg.scales == [25, 100]
     assert cfg.params.r12 == Fraction(1, 1)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda", [float("nan"), 0.9]),
+    ("theta", [float("inf"), 0.2]),
+    ("r12", "1/0"),
+])
+def test_main_rejects_bad_params(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["params"][key] = value
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))   # NaN / Infinity as JSON extensions
+    assert main(["--config", str(cfg_file), "stationary"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

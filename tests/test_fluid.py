@@ -126,7 +126,7 @@ def test_step_halving_order(base_params):
     x0 = FluidState(base_params.kappa12 + q2, q2, sp.z12 + 0.1)
     sols = {}
     for h in (4e-3, 2e-3, 1e-3):
-        path = integrate_fluid(base_params, x0, T=2.0, h=h, pi_cache_tol=0.0)
+        path = integrate_fluid(base_params, x0, T=2.0, h=h)
         sols[h] = path.states[-1]
     ref = sols[1e-3]
     err4 = np.max(np.abs(sols[4e-3] - ref))

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from overloadx.ftsp import (FluidState, FtspRates, QbdModel,
-                            _busy_period_batch, _lattice,
-                            asymptotic_variance, busy_period_moments,
-                            drift_rates, ftsp_rates, ftsp_summary,
-                            is_positive_recurrent, pi_12, pi_12_stationary,
-                            simulate_ftsp)
+from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
+                            _stationary_truncated, asymptotic_variance,
+                            busy_period_moments, drift_rates, ftsp_rates,
+                            ftsp_summary, is_positive_recurrent, pi_12,
+                            pi_12_stationary, simulate_ftsp)
 
 from conftest import random_admissible_params
 
@@ -67,7 +66,9 @@ def test_drifts_at_stationary_state(base_params):
 
 
 def test_drift_null_at_symmetric_rates():
-    r = FtspRates(lam1=2.0, mu1=2.0, lam2=1.0, mu2=3.0)
+    r = FtspRates(j=1, k=1, pos_rates={1: 2.0, -1: 2.0},
+                  neg_rates={1: 3.0, -1: 1.0})
+    assert (r.lam1, r.mu1, r.lam2, r.mu2) == (2.0, 2.0, 1.0, 3.0)
     d_plus, _ = drift_rates(r)
     assert d_plus == 0.0
 
@@ -77,7 +78,9 @@ def test_lattice_drift_vs_jump_weighted_sum(base_params):
     p = replace(base_params, r12=Fraction(2), r21=Fraction(2))
     g = FluidState(0.9, 0.3, 0.25)
     model = ftsp_rates(p, g)
-    assert isinstance(model, QbdModel)
+    assert (model.j, model.k) == (2, 1) and not model.birth_death
+    with pytest.raises(ValueError):
+        model.lam1   # the birth-death view is only defined for r = 1
     pool2 = p.mu12 * g.z12 + p.mu22 * (p.m2 - g.z12)
     down1 = p.theta1 * g.q1 + p.mu11 * p.m1
     expect_plus = (p.lambda1 - (down1 + pool2)
@@ -152,9 +155,10 @@ def test_pi12_degenerate_values(base_params):
 
 def test_pi12_matches_zero_velocity_identity(base_params):
     # in steady state the mean displacement rate vanishes:
-    # pi * delta_plus + (1 - pi) * delta_minus = 0
+    # pi * delta_plus + (1 - pi) * delta_minus = 0; the lattice routes
+    # solve for the stationary law itself and must reproduce it
     rng = np.random.default_rng(17)
-    for ratio in ("1/1", "3/2"):
+    for ratio in ("1/1", "3/2", "5/3", "7/4", "2/1"):
         p = replace(base_params, r12=Fraction(*map(int, ratio.split("/"))),
                     r21=Fraction(*map(int, ratio.split("/"))))
         done = 0
@@ -164,8 +168,10 @@ def test_pi12_matches_zero_velocity_identity(base_params):
             d_plus, d_minus = drift_rates(ftsp_rates(p, g))
             if not (d_plus < -0.05 and d_minus > 0.05):
                 continue
-            pi = pi_12(p, g)
-            assert pi == pytest.approx(d_minus / (d_minus - d_plus), abs=1e-7)
+            identity = d_minus / (d_minus - d_plus)
+            assert pi_12(p, g) == identity
+            for method in ("matrix_geometric", "truncated"):
+                assert pi_12(p, g, method) == pytest.approx(identity, abs=1e-10)
             done += 1
 
 
@@ -207,7 +213,7 @@ def test_sigma2_poisson_matches_regenerative(base_params):
 
 def test_sigma2_poisson_bd_encoding_agreement(base_params):
     """General-lattice Poisson solve vs an independent tridiagonal solve."""
-    lattice = _lattice(base_params, XSTAR)
+    lattice = ftsp_rates(base_params, XSTAR)
     assert lattice.j == lattice.k == 1
     s_lattice = asymptotic_variance(base_params, XSTAR, "poisson_numeric")
 
@@ -341,7 +347,6 @@ def test_pi12_locally_lipschitz(base_params):
 
 def test_recurrence_equivalence_small(base_params):
     # drift test vs an independent classification of the stationary mass
-    from overloadx.ftsp import _stationary_truncated
     rng = np.random.default_rng(11)
     p32 = replace(base_params, r12=Fraction(3, 2), r21=Fraction(3, 2))
     checked = 0
@@ -352,20 +357,30 @@ def test_recurrence_equivalence_small(base_params):
             continue   # skip the null-recurrent boundary band
         drift_rec = d_plus < 0.0 and d_minus > 0.0
         nmax = 2048
-        dist = _stationary_truncated(_lattice(p32, g), nmax)
+        dist = _stationary_truncated(ftsp_rates(p32, g), nmax)
         mass = dist[nmax + 1:].sum()
         assert drift_rec == (1e-3 < mass < 1.0 - 1e-3), (g, d_plus, d_minus, mass)
         checked += 1
 
 
 def test_lattice_generator_invariants(base_params):
-    # zero row sums and nonnegative off-diagonal rates at several ratios
-    for ratio in (Fraction(1), Fraction(3, 2), Fraction(2, 1)):
+    # zero row sums and nonnegative off-diagonal rates at several ratios,
+    # on the banded generator the truncated solves use
+    for ratio in (Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4),
+                  Fraction(2, 1)):
         p = replace(base_params, r12=ratio, r21=ratio)
-        lattice = _lattice(p, FluidState(0.7, 0.5, 0.3))
+        lattice = ftsp_rates(p, FluidState(0.7, 0.5, 0.3))
         assert all(v >= 0 for v in lattice.pos_rates.values())
         assert all(v >= 0 for v in lattice.neg_rates.values())
-        gen = lattice.truncated_generator(64).toarray()
+        band = lattice.banded_generator(64)
+        b = lattice.block_size
+        assert band.shape == (2 * b + 1, 129)
+        # unpack: entry (row, col) sits at band[b + row - col, col]
+        gen = np.zeros((129, 129))
+        for row in range(129):
+            for col in range(max(row - b, 0), min(row + b + 1, 129)):
+                gen[row, col] = band[b + row - col, col]
+        assert np.abs(band).sum() == pytest.approx(np.abs(gen).sum(), rel=1e-15)
         assert np.max(np.abs(gen.sum(axis=1))) < 1e-12
         off_diag = gen - np.diag(np.diag(gen))
         assert off_diag.min() >= 0.0

@@ -154,3 +154,27 @@ def test_config_dict_rejects_unknown_and_float_ratio(base_params):
     d2["r12"] = 0.5
     with pytest.raises(ValueError, match="r12"):
         ModelParams.from_config_dict(d2)
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("lambda", [float("nan"), 0.9], "lambda1"),
+    ("theta", [float("inf"), 0.2], "theta1"),
+    ("mu", [[1.0, 0.8], [0.8, float("-inf")]], "mu22"),
+    ("kappa12", float("nan"), "kappa12"),
+])
+def test_params_reject_non_finite(base_params, key, value, field):
+    d = base_params.to_config_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams.from_config_dict(d)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(base_params, **{field: math.inf})
+
+
+def test_ratio_rejects_zero_denominator(base_params):
+    d = base_params.to_config_dict()
+    d["r12"] = "1/0"
+    with pytest.raises(ValueError, match="r12.*denominator"):
+        ModelParams.from_config_dict(d)
+    with pytest.raises(ValueError, match="denominator"):
+        replace(base_params, r21="3/0")
