@@ -111,7 +111,7 @@ def ode_rhs(p: ModelParams, gamma: FluidState, pi: float) -> np.ndarray:
     return np.array([dq1, dq2, dz])
 
 
-def stationary_point(p: ModelParams) -> StationaryPoint:
+def stationary_point(p: ModelParams, check: bool = True) -> StationaryPoint:
     """Unique stationary point of the fluid ODE, in closed form.
 
     Solving the three zero conditions together with the manifold relation
@@ -121,7 +121,9 @@ def stationary_point(p: ModelParams) -> StationaryPoint:
               - r theta1 (lambda2 - m2 mu22)] / (r theta1 mu22 + theta2 mu12)
 
     capped at m2, and the queue lengths follow from the per-queue balance.
-    kappa = 0 recovers the plain fixed-ratio form.
+    kappa = 0 recovers the plain fixed-ratio form.  With ``check``, raises
+    ``ValueError`` when a queue length comes out negative: the point lies
+    outside S.
     """
     r = float(p.r12)
     num = (p.theta2 * (p.lambda1 - p.m1 * p.mu11 - p.theta1 * p.kappa12)
@@ -131,6 +133,10 @@ def stationary_point(p: ModelParams) -> StationaryPoint:
     z = max(z, 0.0)
     q1 = (p.lambda1 - p.m1 * p.mu11 - p.mu12 * z) / p.theta1
     q2 = (p.lambda2 - p.mu22 * (p.m2 - z)) / p.theta2
+    for name, q in (("q1", q1), ("q2", q2)):
+        if check and q < 0.0:
+            raise ValueError(f"stationary point outside the state space: "
+                             f"{name} = {q!r} < 0")
     pi_star = pi_12_stationary(p, z)
     return StationaryPoint(z12=z, q1=q1, q2=q2, pi_star=pi_star,
                            in_A=0.0 < z < p.m2)

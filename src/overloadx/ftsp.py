@@ -337,15 +337,22 @@ def pi_12_stationary(p: ModelParams, z12_star: float) -> float:
     return num / den
 
 
-def _mg_rate_matrix(a0, a1, a2, tol=1e-14, itmax=200000) -> np.ndarray:
-    """Minimal solution R of A0 + R A1 + R^2 A2 = 0 by fixed-point iteration."""
-    a1_inv = np.linalg.inv(a1)
-    r = np.zeros_like(a0)
+def _mg_rate_matrix(a0, a1, a2, tol=1e-14, itmax=64) -> np.ndarray:
+    """Minimal solution R of A0 + R A1 + R^2 A2 = 0 by logarithmic reduction.
+
+    Latouche & Ramaswami (1993): G, the minimal solution of
+    A2 + A1 G + A0 G^2 = 0, sums first passages over 2^k levels, k = 0, 1,
+    ..., until a term falls below ``tol``; then R = -A0 (A1 + A0 G)^-1.
+    """
+    up, down = np.linalg.solve(-a1, a0), np.linalg.solve(-a1, a2)
+    g, t = down, up
     for _ in range(itmax):
-        r_next = -(a0 + r @ r @ a2) @ a1_inv
-        if np.max(np.abs(r_next - r)) < tol:
-            return r_next
-        r = r_next
+        u = np.eye(len(a1)) - up @ down - down @ up
+        up, down = np.linalg.solve(u, up @ up), np.linalg.solve(u, down @ down)
+        term = t @ down
+        g, t = g + term, t @ up
+        if np.max(np.abs(term)) < tol:
+            return -a0 @ np.linalg.inv(a1 + a0 @ g)
     raise RuntimeError("matrix-geometric iteration did not converge")
 
 

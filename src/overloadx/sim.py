@@ -23,11 +23,13 @@ permitting), then idle.  Arrivals enter service immediately when an
 own-pool agent is idle; cross-pool entry on arrival follows the same
 rule as freed agents.
 
-``run`` simulates until a target number of arrivals, discards a warm-up
-prefix (measured in arrivals, which is proportional to elapsed time at the
-constant total arrival rate), and accumulates time-weighted statistics over
-the remainder.  ``replicate`` aggregates independent-stream runs into
-t-based confidence intervals.
+One event loop, ``_simulate``, applies these rules for ``run`` (stopped at
+a number of arrivals, after a warm-up prefix also measured in arrivals,
+which is proportional to elapsed time at the constant total arrival rate)
+and for ``indicator_integral`` (stopped at a time).  ``step`` and
+``apply_event`` are its oracle, one event at a time.  A seed's uniforms
+come in blocks of 2**15, of which the first 2**15 - 2 are used.
+``replicate`` aggregates independent-stream runs into t-based intervals.
 """
 
 from __future__ import annotations
@@ -163,12 +165,14 @@ def init_state(sys: ScaledSystem, mode: str = "fluid") -> SimState:
 
     Fluid mode fills both pools (Z11 = m1n, Z12 + Z22 = m2n) and rounds the
     stationary point of the system's realized threshold offset k12n / n.
+    At small n that offset can put the point outside S; its negative queue
+    starts empty.
     """
     if mode == "empty":
         return SimState(0, 0, 0, 0, 0, 0)
     if mode == "fluid":
         p_eff = sys.parent.with_kappa12(sys.kappa_eff)
-        sp = stationary_point(p_eff)
+        sp = stationary_point(p_eff, check=False)
         n = sys.n
         z12 = min(int(math.floor(n * sp.z12 + 0.5)), sys.m2n)
         return SimState(
@@ -189,20 +193,22 @@ def _d21_positive(sys: ScaledSystem, q1: int, q2: int) -> bool:
     return num * q2 - den * sys.k21n - den * q1 > 0
 
 
+def _event_rates(sys: ScaledSystem, s: SimState) -> tuple:
+    """The rates of the events at state ``s``, in ``_EVENTS`` order."""
+    p = sys.parent
+    return (float(sys.lambda1n), float(sys.lambda2n),
+            p.theta1 * s.q1, p.theta2 * s.q2, p.mu11 * s.z11,
+            p.mu12 * s.z12, p.mu21 * s.z21, p.mu22 * s.z22)
+
+
 def step(sys: ScaledSystem, state: SimState, rng: np.random.Generator):
     """One transition of the CTMC; returns (new_state, event_name, dt).
 
-    Reference implementation of the event logic; ``run`` uses an inlined
-    copy of the same rules for speed, and the two are held together by an
-    equivalence test on a shared uniform stream.
+    Reference implementation of the event logic.  ``_simulate``, the event
+    loop of ``run`` and ``indicator_integral``, inlines the same rules for
+    speed; tests hold the two together on a shared uniform stream.
     """
-    p = sys.parent
-    rates = (
-        float(sys.lambda1n), float(sys.lambda2n),
-        p.theta1 * state.q1, p.theta2 * state.q2,
-        p.mu11 * state.z11, p.mu12 * state.z12,
-        p.mu21 * state.z21, p.mu22 * state.z22,
-    )
+    rates = _event_rates(sys, state)
     total = sum(rates)
     dt = -math.log(1.0 - rng.random()) / total
     u = rng.random() * total
@@ -285,7 +291,7 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
 
     The first ``warmup_fraction`` of arrivals (a proxy for elapsed time) is
     discarded.  Runs are deterministic given the seed.  ``uniforms`` is a
-    testing hook: a pre-drawn uniform stream consumed two per event.
+    testing hook: a pre-drawn stream consumed two per event, to its last pair.
     """
     if horizon_arrivals < 1:
         raise ValueError("horizon must be at least one arrival")
@@ -294,181 +300,196 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup fraction must lie in [0, 1)")
     state = init_state(sys, start)
+    init_sys = state.in_system()
+    measured, _ = _simulate(sys, state, _uniform_pairs(seed, uniforms),
+                            math.ceil(warmup_fraction * horizon_arrivals),
+                            horizon_arrivals)
+    return RunStats(
+        n=sys.n, seed=seed if isinstance(seed, int) else -1,
+        start_mode=start, warmup_fraction=warmup_fraction,
+        initial_in_system=init_sys, **measured)
+
+
+def _uniform_pairs(seed, uniforms=None):
+    """A run's uniforms as iterators of (holding, category) pairs.
+
+    Seeded: one block of 2**15 draws at a time, its last two unused.
+    A supplied ``uniforms`` stream is one block, used to its last full pair.
+    """
+    if uniforms is not None:
+        it = iter(np.asarray(uniforms, dtype=float).tolist())
+        yield zip(it, it)
+        raise RuntimeError("uniform stream exhausted")
+    rng = np.random.default_rng(seed)
+    while True:
+        it = iter(rng.random(1 << 15)[:-2].tolist())
+        yield zip(it, it)
+
+
+def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
+              stop_arrivals: int, t_stop: float = math.inf):
+    """The event loop behind ``run`` and ``indicator_integral``.
+
+    Advances ``state`` in place by the rules of ``apply_event``, inlined, one
+    event per uniform pair from the iterators ``blocks`` yields.  Warm-up
+    runs to ``warm_arrivals`` arrivals with no time-weighted sums; then
+    measurement runs to ``stop_arrivals`` arrivals (-1: no limit), or stops
+    before the first event at or after ``t_stop``, the state holding from
+    ``state.clock`` on.  Returns the ``RunStats`` fields it measured and the
+    measured time with D12 > 0.
+    """
     p = sys.parent
     lam1n, lam2n = float(sys.lambda1n), float(sys.lambda2n)
+    lam12 = lam1n + lam2n
     m1n, m2n = sys.m1n, sys.m2n
     th1, th2 = p.theta1, p.theta2
     mu11, mu12, mu21, mu22 = p.mu11, p.mu12, p.mu21, p.mu22
     r12n, r12d = p.r12.numerator, p.r12.denominator
     r21n, r21d = p.r21.numerator, p.r21.denominator
-    k12, k21 = sys.k12n, sys.k21n
+    c12, c21 = r12d * sys.k12n, r21d * sys.k21n
     q1, q2 = state.q1, state.q2
     z11, z12, z21, z22 = state.z11, state.z12, state.z21, state.z22
-    init_sys = state.in_system()
-
-    if uniforms is None:
-        rng = np.random.default_rng(seed)
-        buf = rng.random(1 << 15)
-    else:
-        rng = None
-        buf = uniforms
-    bi = 0
-
-    warm_arrivals = math.ceil(warmup_fraction * horizon_arrivals)
-    arrivals = 0
-    arr1 = arr2 = 0
-    ab1 = ab2 = sv1 = sv2 = 0
-    events = 0
-    violations = 0
-    t = 0.0
-    t0 = None
-    T = 0.0
-    s_q1 = s_q2 = s_qs = s_z = s_d = 0.0
+    t = t0 = state.clock
+    arr1 = arr2 = ab1 = ab2 = sv1 = sv2 = violations = 0
+    T = t_pos = t_short = s_q1 = s_q2 = s_qs = s_z = s_d = 0.0
     s2_q1 = s2_q2 = s2_qs = s2_z = s2_d = 0.0
-    t_pos = t_short = 0.0
     log = math.log
+    measure = warm_arrivals == 0
+    stop = stop_arrivals if measure else warm_arrivals
+    pairs = next(blocks)
 
-    while arrivals < horizon_arrivals:
-        r_ab1 = th1 * q1
-        r_ab2 = th2 * q2
-        r_s11 = mu11 * z11
-        r_s12 = mu12 * z12
-        r_s21 = mu21 * z21
-        r_s22 = mu22 * z22
-        total = lam1n + lam2n + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22
-        if bi >= buf.size - 2:
-            if rng is None:
-                raise RuntimeError("uniform stream exhausted")
-            buf = rng.random(1 << 15)
-            bi = 0
-        dt = -log(1.0 - buf[bi]) / total
-        u = buf[bi + 1] * total
-        bi += 2
-        events += 1
-        if z12 > 0 and z21 > 0:
-            violations += 1
+    while True:
+        for ua, ub in pairs:
+            r_ab1 = th1 * q1
+            r_ab2 = th2 * q2
+            r_s11 = mu11 * z11
+            r_s12 = mu12 * z12
+            r_s21 = mu21 * z21
+            r_s22 = mu22 * z22
+            total = lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22
+            dt = -log(1.0 - ua) / total
+            u = ub * total
+            d12s = r12d * q1 - c12 - r12n * q2   # r12d * D12, exact
+            pos12 = d12s > 0
+            if measure:
+                if t + dt >= t_stop:
+                    break
+                T += dt
+                qs = q1 + q2
+                d = d12s / r12d
+                s_q1 += q1 * dt
+                s_q2 += q2 * dt
+                s_qs += qs * dt
+                s_z += z12 * dt
+                s_d += d * dt
+                s2_q1 += q1 * q1 * dt
+                s2_q2 += q2 * q2 * dt
+                s2_qs += qs * qs * dt
+                s2_z += z12 * z12 * dt
+                s2_d += d * d * dt
+                if pos12:
+                    t_pos += dt
+                if z11 < m1n or z12 + z22 < m2n:
+                    t_short += dt
+            t += dt
+            if z21 > 0 and z12 > 0:
+                violations += 1
 
-        d12s = r12d * q1 - r12d * k12 - r12n * q2   # r12d * D12, exact
-        pos12 = d12s > 0
-        measuring = arrivals >= warm_arrivals
-        if measuring:
-            if t0 is None:
-                t0 = t
-            T += dt
-            qs = q1 + q2
-            d = d12s / r12d
-            s_q1 += q1 * dt
-            s_q2 += q2 * dt
-            s_qs += qs * dt
-            s_z += z12 * dt
-            s_d += d * dt
-            s2_q1 += q1 * q1 * dt
-            s2_q2 += q2 * q2 * dt
-            s2_qs += qs * qs * dt
-            s2_z += z12 * z12 * dt
-            s2_d += d * d * dt
-            if pos12:
-                t_pos += dt
-            if z11 < m1n or z12 + z22 < m2n:
-                t_short += dt
-        t += dt
-
-        if u < lam1n:
-            arrivals += 1
-            arr1 += 1
-            if z11 + z21 < m1n:
-                z11 += 1
-            elif z12 + z22 < m2n and z21 == 0 and pos12:
-                z12 += 1
-            else:
-                q1 += 1
-        elif u < lam1n + lam2n:
-            arrivals += 1
-            arr2 += 1
-            if z12 + z22 < m2n:
-                z22 += 1
-            elif (z11 + z21 < m1n and z12 == 0
-                  and r21n * q2 - r21d * k21 - r21d * q1 > 0):
-                z21 += 1
-            else:
-                q2 += 1
-        else:
-            u -= lam1n + lam2n
-            if u < r_ab1:
-                q1 -= 1
-                ab1 += 1
-            elif u < r_ab1 + r_ab2:
-                q2 -= 1
-                ab2 += 1
-            else:
-                u -= r_ab1 + r_ab2
-                if u < r_s11 + r_s21:
-                    if u < r_s11:
-                        z11 -= 1
-                        sv1 += 1
-                    else:
-                        z21 -= 1
-                        sv2 += 1
-                    if (r21n * q2 - r21d * k21 - r21d * q1 > 0
-                            and z12 == 0 and q2 > 0):
-                        z21 += 1
-                        q2 -= 1
-                    elif q1 > 0:
+            if u < lam12:
+                if u < lam1n:
+                    arr1 += 1
+                    if z11 + z21 < m1n:
                         z11 += 1
-                        q1 -= 1
-                    elif q2 > 0 and z12 == 0:
-                        z21 += 1
-                        q2 -= 1
-                else:
-                    u -= r_s11 + r_s21
-                    if u < r_s12:
-                        z12 -= 1
-                        sv1 += 1
+                    elif z12 + z22 < m2n and z21 == 0 and pos12:
+                        z12 += 1
                     else:
-                        z22 -= 1
-                        sv2 += 1
-                    if (r12d * q1 - r12d * k12 - r12n * q2 > 0
-                            and z21 == 0 and q1 > 0):
-                        z12 += 1
-                        q1 -= 1
-                    elif q2 > 0:
+                        q1 += 1
+                else:
+                    arr2 += 1
+                    if z12 + z22 < m2n:
                         z22 += 1
-                        q2 -= 1
-                    elif q1 > 0 and z21 == 0:
-                        z12 += 1
-                        q1 -= 1
+                    elif (z11 + z21 < m1n and z12 == 0
+                          and r21n * q2 - c21 - r21d * q1 > 0):
+                        z21 += 1
+                    else:
+                        q2 += 1
+                if arr1 + arr2 == stop:
+                    break
+            else:
+                u -= lam12
+                r_ab = r_ab1 + r_ab2
+                if u < r_ab1:
+                    q1 -= 1
+                    ab1 += 1
+                elif u < r_ab:
+                    q2 -= 1
+                    ab2 += 1
+                else:
+                    u -= r_ab
+                    r_p1 = r_s11 + r_s21
+                    if u < r_p1:
+                        if u < r_s11:
+                            z11 -= 1
+                            sv1 += 1
+                        else:
+                            z21 -= 1
+                            sv2 += 1
+                        # freed pool-1 agent
+                        if (r21n * q2 - c21 - r21d * q1 > 0
+                                and z12 == 0 and q2 > 0):
+                            z21 += 1
+                            q2 -= 1
+                        elif q1 > 0:
+                            z11 += 1
+                            q1 -= 1
+                        elif q2 > 0 and z12 == 0:
+                            z21 += 1
+                            q2 -= 1
+                    else:
+                        if u - r_p1 < r_s12:
+                            z12 -= 1
+                            sv1 += 1
+                        else:
+                            z22 -= 1
+                            sv2 += 1
+                        # freed pool-2 agent; the queues, so D12, are unchanged
+                        if pos12 and z21 == 0 and q1 > 0:
+                            z12 += 1
+                            q1 -= 1
+                        elif q2 > 0:
+                            z22 += 1
+                            q2 -= 1
+                        elif q1 > 0 and z21 == 0:
+                            z12 += 1
+                            q1 -= 1
+        else:
+            pairs = next(blocks)
+            continue
+        if measure:
+            break
+        measure, t0, stop = True, t, stop_arrivals   # warm-up is over
+        if arr1 + arr2 == stop:
+            break
 
+    state.q1, state.q2, state.clock = q1, q2, t
+    state.z11, state.z12, state.z21, state.z22 = z11, z12, z21, z22
     degenerate = T <= 0.0
-    if degenerate:
-        nan = float("nan")
-        means = dict(mean_q1=nan, mean_q2=nan, mean_qs=nan, mean_z12=nan,
-                     std_q1=nan, std_q2=nan, std_qs=nan, std_z12=nan,
-                     mean_d=nan, std_d=nan, frac_d_positive=nan,
-                     frac_pool_shortfall=nan)
-        t0 = t
-    else:
-        def std_of(s, s2):
-            return math.sqrt(max(s2 / T - (s / T) ** 2, 0.0))
+    T = math.nan if degenerate else T   # nan: every statistic is nan
 
-        means = dict(
-            mean_q1=s_q1 / T, mean_q2=s_q2 / T, mean_qs=s_qs / T,
-            mean_z12=s_z / T,
-            std_q1=std_of(s_q1, s2_q1), std_q2=std_of(s_q2, s2_q2),
-            std_qs=std_of(s_qs, s2_qs), std_z12=std_of(s_z, s2_z),
-            mean_d=s_d / T, std_d=std_of(s_d, s2_d),
-            frac_d_positive=t_pos / T,
-            frac_pool_shortfall=t_short / T,
-        )
-    final = SimState(q1, q2, z11, z12, z21, z22, t).in_system()
-    return RunStats(
-        n=sys.n, seed=seed if isinstance(seed, int) else -1,
-        start_mode=start, warmup_fraction=warmup_fraction,
-        window_start=t0 if t0 is not None else t, window_end=t,
-        degenerate=degenerate, events=events, one_way_violations=violations,
-        arrivals=(arr1, arr2), services=(sv1, sv2), abandonments=(ab1, ab2),
-        initial_in_system=init_sys, final_in_system=final,
-        **means,
-    )
+    def std_of(s, s2):
+        return math.sqrt(max(s2 / T - (s / T) ** 2, 0.0))
+
+    return dict(
+        window_start=t0, window_end=t, degenerate=degenerate,
+        events=arr1 + arr2 + ab1 + ab2 + sv1 + sv2,
+        one_way_violations=violations, arrivals=(arr1, arr2),
+        services=(sv1, sv2), abandonments=(ab1, ab2),
+        final_in_system=state.in_system(),
+        mean_q1=s_q1 / T, mean_q2=s_q2 / T, mean_qs=s_qs / T,
+        mean_z12=s_z / T, std_q1=std_of(s_q1, s2_q1),
+        std_q2=std_of(s_q2, s2_q2), std_qs=std_of(s_qs, s2_qs),
+        std_z12=std_of(s_z, s2_z), mean_d=s_d / T, std_d=std_of(s_d, s2_d),
+        frac_d_positive=t_pos / T, frac_pool_shortfall=t_short / T), t_pos
 
 
 def _replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -533,16 +554,9 @@ def difference_jump_rates(sys: ScaledSystem, state: SimState) -> dict:
     fast-process rates: at a pools-full state n*gamma the values divided by n
     must reproduce the per-regime jump rates exactly.
     """
-    p = sys.parent
-    r12 = p.r12
-    events = {
-        "arr1": float(sys.lambda1n), "arr2": float(sys.lambda2n),
-        "ab1": p.theta1 * state.q1, "ab2": p.theta2 * state.q2,
-        "s11": p.mu11 * state.z11, "s12": p.mu12 * state.z12,
-        "s21": p.mu21 * state.z21, "s22": p.mu22 * state.z22,
-    }
+    r12 = sys.parent.r12
     out: dict = {}
-    for event, rate in events.items():
+    for event, rate in zip(_EVENTS, _event_rates(sys, state)):
         if rate <= 0.0:
             continue
         nxt = apply_event(
@@ -560,40 +574,13 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
 
     The diffusion-scale cumulative routing-indicator fluctuation; its
     variance across replications is the empirical counterpart of the
-    fast-process time change gamma3.
+    fast-process time change gamma3.  The events come from ``_simulate``
+    with a seeded stream, stopped at ``t_end``.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     state = init_state(sys, start)
-    rng = np.random.default_rng(seed)
-    p = sys.parent
-    r12n, r12d = p.r12.numerator, p.r12.denominator
-    integral = 0.0
-    t = 0.0
-    buf = rng.random(1 << 13)
-    bi = 0
-    while t < t_end:
-        rates = (
-            float(sys.lambda1n), float(sys.lambda2n),
-            p.theta1 * state.q1, p.theta2 * state.q2,
-            p.mu11 * state.z11, p.mu12 * state.z12,
-            p.mu21 * state.z21, p.mu22 * state.z22,
-        )
-        total = sum(rates)
-        if bi >= buf.size - 2:
-            buf = rng.random(1 << 13)
-            bi = 0
-        dt = -math.log(1.0 - buf[bi]) / total
-        u = buf[bi + 1] * total
-        bi += 2
-        pos = r12d * state.q1 - r12d * sys.k12n - r12n * state.q2 > 0
-        seg = min(dt, t_end - t)
-        integral += ((1.0 if pos else 0.0) - pi_ref) * seg
-        t += dt
-        idx = 0
-        acc = rates[0]
-        while u >= acc and idx < 7:
-            idx += 1
-            acc += rates[idx]
-        apply_event(sys, state, _EVENTS[idx])
-    return math.sqrt(sys.n) * integral
+    _, t_pos = _simulate(sys, state, _uniform_pairs(seed), 0, -1, t_end)
+    if _d12_positive(sys, state.q1, state.q2):
+        t_pos += t_end - state.clock
+    return math.sqrt(sys.n) * (t_pos - pi_ref * t_end)

@@ -180,6 +180,7 @@ def test_main_echo_config(tmp_path, capsys):
     ("lambda", [float("nan"), 0.9]),
     ("theta", [float("inf"), 0.2]),
     ("r12", "1/0"),
+    ("kappa12", 5),   # stationary point outside S: q2 < 0
 ])
 def test_main_rejects_bad_params(tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))

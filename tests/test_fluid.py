@@ -42,6 +42,13 @@ def test_stationary_point_capped(base_params):
     assert not sp.in_A
 
 
+def test_stationary_point_outside_state_space(base_params):
+    # a large threshold offset stops sharing (z = 0) while class 2 alone is
+    # underloaded, so the balance gives a negative queue
+    with pytest.raises(ValueError, match=r"q2 = -0\.49999"):
+        stationary_point(replace(base_params, kappa12=5.0))
+
+
 def test_ode_rhs_vanishes_at_stationary_point(base_params):
     sp = stationary_point(base_params)
     rhs = ode_rhs(base_params, sp.as_state(), sp.pi_star)

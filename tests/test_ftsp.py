@@ -7,10 +7,11 @@ import pytest
 import scipy.linalg
 
 from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
-                            _stationary_truncated, asymptotic_variance,
-                            busy_period_moments, drift_rates, ftsp_rates,
-                            ftsp_summary, is_positive_recurrent, pi_12,
-                            pi_12_stationary, simulate_ftsp)
+                            _mg_rate_matrix, _stationary_truncated,
+                            asymptotic_variance, busy_period_moments,
+                            drift_rates, ftsp_rates, ftsp_summary,
+                            is_positive_recurrent, pi_12, pi_12_stationary,
+                            simulate_ftsp)
 
 from conftest import random_admissible_params
 
@@ -173,6 +174,17 @@ def test_pi12_matches_zero_velocity_identity(base_params):
             for method in ("matrix_geometric", "truncated"):
                 assert pi_12(p, g, method) == pytest.approx(identity, abs=1e-10)
             done += 1
+
+
+def test_mg_rate_matrix_birth_death_and_non_convergence():
+    # scalar levels: R = lambda / mu for the walk with up rate lambda and
+    # down rate mu; too few doublings must raise, not return a partial R
+    lam, mu = 0.6, 1.0
+    blocks = (np.array([[lam]]), np.array([[-lam - mu]]), np.array([[mu]]))
+    assert _mg_rate_matrix(*blocks)[0, 0] == pytest.approx(lam / mu,
+                                                           rel=1e-14)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _mg_rate_matrix(*blocks, itmax=2)
 
 
 def test_pi12_stationary_closed_form(base_params):

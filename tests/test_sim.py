@@ -3,12 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from overloadx.params import scale
 from overloadx.ftsp import FluidState, FtspRates, ftsp_rates
+from overloadx.fluid import stationary_point
 from overloadx.sim import (SimState, aggregate_runs, apply_event,
                            difference_jump_rates, indicator_integral,
                            init_state, replicate, run, step)
+
+from conftest import random_admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,18 @@ def test_init_state_empty(sys100):
     assert (st.q1, st.q2, st.z11, st.z12, st.z21, st.z22) == (0,) * 6
     with pytest.raises(ValueError):
         init_state(sys100, "warm")
+
+
+def test_init_state_outside_state_space(base_params):
+    # at n = 3 the realized offset ceil(3 * 1.05) / 3 = 4/3 puts the
+    # stationary point outside S (q2 < 0): the fluid start leaves Q2 empty
+    p = replace(base_params, kappa12=1.05)
+    sys3 = scale(p, 3)
+    assert stationary_point(p).q2 > 0.0
+    with pytest.raises(ValueError, match="q2"):
+        stationary_point(p.with_kappa12(sys3.kappa_eff))
+    st = init_state(sys3, "fluid")
+    assert st.q2 == 0 and st.q1 > 0
 
 
 def test_routing_cross_assignment_on_completion(sys100):
@@ -128,32 +144,91 @@ def test_run_warmup_defaults(sys100):
         run(sys100, 100, warmup_fraction=1.0, seed=2)
 
 
+class _Replay:
+    """A pre-drawn uniform stream with the ``random()`` method ``step`` calls."""
+
+    def __init__(self, u):
+        self.u = u
+        self.i = 0
+
+    def random(self):
+        v = self.u[self.i]
+        self.i += 1
+        return float(v)
+
+
+def _step_run(sysn, uniforms, arrivals, start):
+    """Drive the reference ``step`` until ``arrivals`` arrivals.
+
+    Returns the final state, the event names and the time integrals of Q1,
+    Q2 and Z12 with their total time.
+    """
+    replay = _Replay(uniforms)
+    st = init_state(sysn, start)
+    events = []
+    area = np.zeros(3)
+    T = 0.0
+    while arrivals > 0:
+        q = (st.q1, st.q2, st.z12)
+        st, event, dt = step(sysn, st, replay)
+        st.check_invariants(sysn)
+        events.append(event)
+        arrivals -= event in ("arr1", "arr2")
+        area += np.multiply(q, dt)
+        T += dt
+    return st, events, area, T
+
+
+def _assert_run_matches_step(sysn, uniforms, arrivals, start="fluid"):
+    stats = run(sysn, arrivals, warmup_fraction=0.0, start=start,
+                uniforms=uniforms)
+    st, events, area, T = _step_run(sysn, uniforms, arrivals, start)
+    assert stats.events == len(events)
+    assert stats.window_end == st.clock
+    assert stats.final_in_system == st.in_system()
+    count = {e: events.count(e) for e in ("arr1", "arr2", "ab1", "ab2",
+                                          "s11", "s12", "s21", "s22")}
+    assert stats.arrivals == (count["arr1"], count["arr2"])
+    assert stats.abandonments == (count["ab1"], count["ab2"])
+    assert stats.services == (count["s11"] + count["s12"],
+                              count["s21"] + count["s22"])
+    for got, want in zip((stats.mean_q1, stats.mean_q2, stats.mean_z12),
+                         area / T):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert stats.conservation_residual() == (0, 0)
+    assert stats.one_way_violations == 0
+
+
 def test_step_equivalent_to_run_loop(sys100):
-    # drive the reference single-step implementation and the inlined loop
+    # drive the reference single-step implementation and the event loop
     # with one shared uniform stream; they must visit the same states
-    rng = np.random.default_rng(31)
-    uniforms = rng.random(60000)
-    stats = run(sys100, 2000, warmup_fraction=0.0, seed=0, uniforms=uniforms)
+    uniforms = np.random.default_rng(31).random(60000)
+    _assert_run_matches_step(sys100, uniforms, 2000)
 
-    class Replay:
-        def __init__(self, u):
-            self.u = u
-            self.i = 0
 
-        def random(self):
-            v = self.u[self.i]
-            self.i += 1
-            return float(v)
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(param_seed=strategies.integers(0, 2**32 - 1),
+       ratio=strategies.sampled_from(["1/1", "3/2"]),
+       n=strategies.sampled_from([25, 100]),
+       start=strategies.sampled_from(["fluid", "empty"]),
+       stream_seed=strategies.integers(0, 2**32 - 1))
+def test_event_loop_matches_step_property(param_seed, ratio, n, start,
+                                          stream_seed):
+    p = random_admissible_params(np.random.default_rng(param_seed), 1,
+                                 ratio=ratio)[0]
+    uniforms = np.random.default_rng(stream_seed).random(20000)
+    _assert_run_matches_step(scale(p, n), uniforms, 1000, start)
 
-    replay = Replay(uniforms)
-    st = init_state(sys100, "fluid")
-    arrivals = 0
-    while arrivals < 2000:
-        st, event, _ = step(sys100, st, replay)
-        st.check_invariants(sys100)
-        if event in ("arr1", "arr2"):
-            arrivals += 1
-    assert st.in_system() == stats.final_in_system
+
+def test_supplied_stream_used_to_last_pair(sys100):
+    uniforms = np.random.default_rng(8).random(20000)
+    stats = run(sys100, 1000, warmup_fraction=0.1, uniforms=uniforms)
+    exact = uniforms[:2 * stats.events]
+    assert run(sys100, 1000, warmup_fraction=0.1, uniforms=exact) == stats
+    assert run(sys100, 1000, warmup_fraction=0.1,
+               uniforms=exact.tolist()) == stats
+    with pytest.raises(RuntimeError, match="exhausted"):
+        run(sys100, 1000, warmup_fraction=0.1, uniforms=exact[:-1])
 
 
 def test_replicate_reference_scale(base_params, sys100):
@@ -195,7 +270,6 @@ def test_indicator_integral_basic(base_params):
 def test_run_general_ratio(base_params):
     # 3:2 ratio exercises the exact integer difference tests (j != k)
     from fractions import Fraction
-    from overloadx.fluid import stationary_point
     p = replace(base_params, r12=Fraction(3, 2), r21=Fraction(3, 2))
     sysn = scale(p, 50)
     assert sysn.k12n == 5
