@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .params import ModelParams, scale
+from .params import ModelParams, check_overload, scale
 from .ftsp import (FluidState, asymptotic_variance, busy_period_moments,
                    ftsp_rates, ftsp_summary, pi_12)
 from .fluid import integrate_fluid, stationary_point
@@ -564,7 +564,19 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _require_overload(p: ModelParams) -> None:
+    """Raise ``ValueError`` unless ``p`` passes the overload test."""
+    v = check_overload(p)
+    if not v.overloaded:
+        where = "inside" if v.stationary_in_S else "outside"
+        raise ValueError(
+            f"parameters are not in the overloaded regime: condition 1 "
+            f"margin {v.margin1:.6g}, condition 2 margin {v.margin2:.6g}, "
+            f"stationary fluid point {where} the state space")
+
+
 def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
+    _require_overload(cfg.params)
     approx = gaussian_queue_approx(
         cfg.params, args.n, sigma2_method=args.sigma2_method,
         psi_convention=args.psi_convention,
@@ -599,6 +611,7 @@ def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
+    _require_overload(cfg.params)
     sysn = scale(cfg.params, args.n)
     est = replicate(sysn, args.runs, args.arrivals, base_seed=args.seed,
                     warmup_fraction=args.warmup, start=args.start)
@@ -616,6 +629,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_validate(cfg: ExperimentConfig, args) -> int:
+    _require_overload(cfg.params)
     report = validate_command(cfg, quick=args.quick)
     rendered = emit_report(
         report,

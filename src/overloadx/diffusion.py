@@ -292,6 +292,22 @@ def solve_lyapunov(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_continuous_lyapunov(M, -np.asarray(V))
 
 
+def _drift_entries(p: ModelParams):
+    """Entries of :func:`sde_drift_matrix` as Python floats.
+
+    Returns ``(a11, a12, a22)``, where a11 and a12 are constants and
+    ``a22(pi)`` is a function; the (2,1) entry is zero.
+    """
+    p1, p2 = queue_split(p)
+    a12 = p.mu22 - p.mu12
+    mu12 = p.mu12
+
+    def a22(pi):
+        return -(a12 * pi + mu12)
+
+    return -(p1 * p.theta1 + p2 * p.theta2), a12, a22
+
+
 def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
     """Instantaneous drift matrix of the diffusion-scale pair.
 
@@ -304,11 +320,13 @@ def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
     which differs from the M22 entry of :func:`bou_matrices` (that one is
     kept in its reference form, for reproducing that arithmetic chain).
     """
-    p1, p2 = queue_split(p)
-    return np.array([
-        [-(p1 * p.theta1 + p2 * p.theta2), p.mu22 - p.mu12],
-        [0.0, -((p.mu22 - p.mu12) * pi + p.mu12)],
-    ])
+    a11, a12, a22 = _drift_entries(p)
+    return np.array([[a11, a12], [0.0, a22(pi)]])
+
+
+# Rows of the path converted to Python floats at a time in
+# transient_covariance: whole-path lists would raise the peak memory.
+_CHUNK = 1024
 
 
 def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
@@ -325,10 +343,15 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     * covariance rate: phi12' - phi22' (the two shared pool-2 streams enter
       the queue equation negatively and the z12 equation with opposite signs).
 
+    Sigma stays symmetric, so the steps carry its three distinct entries as
+    Python floats; ``sigma0`` enters through its symmetric part, which is
+    also the part checked for positive semidefiniteness.
+
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (sigma0 + sigma0.T))
+    sym0 = 0.5 * (sigma0 + sigma0.T)
+    eig = np.linalg.eigvalsh(sym0)
     if np.any(eig < -1e-12):
         raise ValueError("initial covariance must be positive semidefinite")
     rows, _, _ = _integrand_rows(p, path, sigma2_method, psi_convention)
@@ -345,25 +368,42 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     n = len(t)
     out = np.empty((n, 2, 2))
     out[0] = sigma0
-    sig = sigma0.copy()
+    flat = out.reshape(n, 4)
+    a11, a12, a22 = _drift_entries(p)
 
-    def rhs(sigma_mat, a_mat, v_mat):
-        return a_mat @ sigma_mat + sigma_mat @ a_mat.T + v_mat
+    def rhs(s11, s12, s22, b22, w11, w12, w22):
+        # entries (1,1), (1,2), (2,2) of A Sigma + Sigma A^T + V, summed in
+        # that order, for A = [[a11, a12], [0, b22]] and symmetric Sigma
+        return (2.0 * (a11 * s11 + a12 * s12) + w11,
+                a11 * s12 + a12 * s22 + b22 * s12 + w12,
+                2.0 * (b22 * s22) + w22)
 
-    for i in range(n - 1):
-        h = t[i + 1] - t[i]
-        a0 = sde_drift_matrix(p, pis[i])
-        a1 = sde_drift_matrix(p, pis[i + 1])
-        am = sde_drift_matrix(p, 0.5 * (pis[i] + pis[i + 1]))
-        v0 = np.array([[v11[i], v12[i]], [v12[i], v22[i]]])
-        v1 = np.array([[v11[i + 1], v12[i + 1]], [v12[i + 1], v22[i + 1]]])
-        vm = 0.5 * (v0 + v1)
-        k1 = rhs(sig, a0, v0)
-        k2 = rhs(sig + 0.5 * h * k1, am, vm)
-        k3 = rhs(sig + 0.5 * h * k2, am, vm)
-        k4 = rhs(sig + h * k3, a1, v1)
-        sig = sig + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = sig
+    s11, s12, s22 = sym0[[0, 0, 1], [0, 1, 1]].tolist()
+    for lo in range(0, n - 1, _CHUNK):
+        hi = min(lo + _CHUNK, n - 1)
+        tt, pp, x11, x12, x22 = (a[lo:hi + 1].tolist()
+                                 for a in (t, pis, v11, v12, v22))
+        steps = []
+        for i in range(hi - lo):
+            h = tt[i + 1] - tt[i]
+            h2, h6 = 0.5 * h, h / 6.0
+            b0, b1 = a22(pp[i]), a22(pp[i + 1])
+            bm = a22(0.5 * (pp[i] + pp[i + 1]))
+            v0 = x11[i], x12[i], x22[i]
+            v1 = x11[i + 1], x12[i + 1], x22[i + 1]
+            vm = [0.5 * (e0 + e1) for e0, e1 in zip(v0, v1)]
+            k1 = rhs(s11, s12, s22, b0, *v0)
+            k2 = rhs(s11 + h2 * k1[0], s12 + h2 * k1[1], s22 + h2 * k1[2],
+                     bm, *vm)
+            k3 = rhs(s11 + h2 * k2[0], s12 + h2 * k2[1], s22 + h2 * k2[2],
+                     bm, *vm)
+            k4 = rhs(s11 + h * k3[0], s12 + h * k3[1], s22 + h * k3[2],
+                     b1, *v1)
+            s11, s12, s22 = (
+                s + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                for s, c1, c2, c3, c4 in zip((s11, s12, s22), k1, k2, k3, k4))
+            steps.append((s11, s12, s12, s22))
+        flat[lo + 1:hi + 1] = steps
     return t, out
 
 

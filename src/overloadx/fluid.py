@@ -99,16 +99,32 @@ class FluidPath:
         return [_REGIME_NAMES[int(c)] for c in self.regime]
 
 
+def _rhs_on_floats(p: ModelParams):
+    """The fluid right-hand side as a function of Python floats.
+
+    Returns ``rhs(q1, q2, z12, pi) -> (dq1, dq2, dz12)``.  This is the one
+    definition of the ODE: :func:`ode_rhs` wraps it and the integrator's
+    stages call it directly.
+    """
+    m2, mu12, mu22 = p.m2, p.mu12, p.mu22
+    net1 = p.lambda1 - p.m1 * p.mu11
+    lambda2, theta1, theta2 = p.lambda2, p.theta1, p.theta2
+
+    def rhs(q1, q2, z12, pi):
+        z22 = m2 - z12
+        pool2 = z12 * mu12 + z22 * mu22
+        return (net1 - pi * pool2 - theta1 * q1,
+                lambda2 - (1.0 - pi) * pool2 - theta2 * q2,
+                pi * z22 * mu22 - (1.0 - pi) * z12 * mu12)
+
+    return rhs
+
+
 def ode_rhs(p: ModelParams, gamma: FluidState, pi: float) -> np.ndarray:
     """Right-hand side of the fluid ODE for a given indicator mean pi."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    z22 = p.m2 - gamma.z12
-    pool2 = gamma.z12 * p.mu12 + z22 * p.mu22
-    dq1 = p.lambda1 - p.m1 * p.mu11 - pi * pool2 - p.theta1 * gamma.q1
-    dq2 = p.lambda2 - (1.0 - pi) * pool2 - p.theta2 * gamma.q2
-    dz = pi * z22 * p.mu22 - (1.0 - pi) * gamma.z12 * p.mu12
-    return np.array([dq1, dq2, dz])
+    return np.array(_rhs_on_floats(p)(gamma.q1, gamma.q2, gamma.z12, pi))
 
 
 def stationary_point(p: ModelParams, check: bool = True) -> StationaryPoint:
@@ -142,11 +158,6 @@ def stationary_point(p: ModelParams, check: bool = True) -> StationaryPoint:
                            in_A=0.0 < z < p.m2)
 
 
-def _total_event_rate(p: ModelParams, gamma: FluidState) -> float:
-    return (p.lambda1 + p.lambda2 + p.theta1 * gamma.q1 + p.theta2 * gamma.q2
-            + p.mu11 * p.m1 + p.mu12 * gamma.z12 + p.mu22 * (p.m2 - gamma.z12))
-
-
 def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     tol_manifold: float | None = None) -> FluidPath:
     """Integrate the fluid ODE over [0, T] with fixed step h.
@@ -170,6 +181,9 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     constraint exact without losing the integrator's order.  Queue mass is
     conserved because the difference coordinate mixes orders of magnitude
     faster than the total queue moves.
+
+    The steps run on Python floats, one coordinate at a time; the FTSP's
+    scalar arithmetic is several times slower on numpy scalars.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -183,85 +197,76 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     pis = np.empty(n_steps + 1)
     regimes = np.empty(n_steps + 1, dtype=np.int8)
     in_a = np.empty(n_steps + 1, dtype=bool)
-    x = x0.as_array()
     escape = 10.0 * h
-
-    def project_to_manifold(arr):
-        qs = arr[0] + arr[1]
-        q2 = max((qs - p.kappa12) / (1.0 + r), 0.0)
-        return np.array([qs - q2, q2, arr[2]])
-
-    # FTSP rates are evaluated at Python floats: the many small scalar
-    # operations per call are several times slower on numpy scalars
-    def classify(arr):
-        gamma = FluidState(*arr.tolist())
-        d = gamma.q1 - p.kappa12 - r * gamma.q2
-        band = tol_manifold if tol_manifold is not None else \
-            10.0 * h * _total_event_rate(p, gamma)
-        d_plus, d_minus = drift_rates(ftsp_rates(p, gamma))
-        recurrent = d_plus < 0.0 and d_minus > 0.0
-        if d > band:
-            return 1.0, REGIME_PI_ONE, recurrent
-        if d < -band:
-            return 0.0, REGIME_PI_ZERO, recurrent
-        if recurrent:
-            return None, REGIME_AP, True   # pi evaluated after projection
-        return (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP, False
+    rhs = _rhs_on_floats(p)
+    kappa, m2 = p.kappa12, p.m2
+    # terms of the total event rate, which sets the default band
+    arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
+    theta1, theta2, mu12, mu22 = p.theta1, p.theta2, p.mu12, p.mu22
+    h2, h6, band_per_rate = 0.5 * h, h / 6.0, 10.0 * h
 
     def queues_from_manifold(qs):
-        q2 = max((qs - p.kappa12) / (1.0 + r), 0.0)
+        q2 = max((qs - kappa) / (1.0 + r), 0.0)
         return qs - q2, q2
 
+    def reduced_rhs(qs, z):
+        # queues from the manifold and pi re-evaluated at every stage keep
+        # both the constraint and the order exact
+        q1s, q2s = queues_from_manifold(qs)
+        z = min(max(z, 0.0), m2)
+        dq1, dq2, dz = rhs(q1s, q2s, z, pi_12(p, FluidState(q1s, q2s, z)))
+        return dq1 + dq2, dz
+
+    q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
     for i in range(n_steps + 1):
-        pi, reg, rec = classify(x)
-        on_manifold = pi is None
-        if on_manifold:
-            x = project_to_manifold(x)
-            pi = pi_12(p, FluidState(*x.tolist()))
-        states[i] = x
+        d = q1 - kappa - r * q2
+        band = tol_manifold if tol_manifold is not None else band_per_rate * (
+            arrivals + theta1 * q1 + theta2 * q2 + pool1 + mu12 * z
+            + mu22 * (m2 - z))
+        d_plus, d_minus = drift_rates(ftsp_rates(p, FluidState(q1, q2, z)))
+        recurrent = d_plus < 0.0 and d_minus > 0.0
+        on_manifold = False
+        if d > band:
+            pi, regime = 1.0, REGIME_PI_ONE
+        elif d < -band:
+            pi, regime = 0.0, REGIME_PI_ZERO
+        elif recurrent:
+            on_manifold, regime = True, REGIME_AP
+            q1, q2 = queues_from_manifold(q1 + q2)
+            pi = pi_12(p, FluidState(q1, q2, z))
+        else:
+            pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
+        states[i] = q1, q2, z
         pis[i] = pi
-        regimes[i] = reg
-        in_a[i] = rec
+        regimes[i] = regime
+        in_a[i] = recurrent
         if i == n_steps:
             break
 
         if on_manifold:
-            # advance the constrained pair (qs, z12); queues are recovered
-            # from the manifold and pi re-evaluated at every stage, keeping
-            # both the constraint and the order exact
-            def f2(u):
-                qs, z = u.tolist()
-                q1s, q2s = queues_from_manifold(qs)
-                stage = FluidState(q1s, q2s, min(max(z, 0.0), p.m2))
-                d = ode_rhs(p, stage, pi_12(p, stage))
-                return np.array([d[0] + d[1], d[2]])
-
-            u = np.array([x[0] + x[1], x[2]])
-            k1 = f2(u)
-            k2 = f2(u + 0.5 * h * k1)
-            k3 = f2(u + 0.5 * h * k2)
-            k4 = f2(u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            q1_new, q2_new = queues_from_manifold(max(u[0], 0.0))
-            x_new = np.array([q1_new, q2_new, u[1]])
+            qs = q1 + q2
+            k1s, k1z = reduced_rhs(qs, z)
+            k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
+            k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
+            k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
+            qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+            z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            q1_new, q2_new = queues_from_manifold(max(qs, 0.0))
         else:
-            def f(arr):
-                return ode_rhs(p, FluidState(*arr), pi)
-
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        overshoot = max(-x_new[0], -x_new[1], -x_new[2], x_new[2] - p.m2, 0.0)
+            k1 = rhs(q1, q2, z, pi)
+            k2 = rhs(q1 + h2 * k1[0], q2 + h2 * k1[1], z + h2 * k1[2], pi)
+            k3 = rhs(q1 + h2 * k2[0], q2 + h2 * k2[1], z + h2 * k2[2], pi)
+            k4 = rhs(q1 + h * k3[0], q2 + h * k3[1], z + h * k3[2], pi)
+            q1_new, q2_new, z_new = (
+                x + h6 * (a + 2.0 * b + 2.0 * c + e)
+                for x, a, b, c, e in zip((q1, q2, z), k1, k2, k3, k4))
+        overshoot = max(-q1_new, -q2_new, -z_new, z_new - m2, 0.0)
         if overshoot > escape:
             raise RuntimeError(
                 f"state escaped the fluid state space by {overshoot:.3g} "
                 f"at t = {t[i]:.6g} (more than 10h); reduce the step size")
-        x_new[0] = max(x_new[0], 0.0)
-        x_new[1] = max(x_new[1], 0.0)
-        x_new[2] = min(max(x_new[2], 0.0), p.m2)
-        x = x_new
+        q1, q2 = max(q1_new, 0.0), max(q2_new, 0.0)
+        z = min(max(z_new, 0.0), m2)
 
     return FluidPath(t=t, states=states, pi=pis, regime=regimes, in_A=in_a,
                      h=h, params=p)

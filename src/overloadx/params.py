@@ -194,17 +194,21 @@ class OverloadVerdict:
 
     Condition 1: theta1*qa1 > mu12*m2*(1-rho2)^+  (pool 2 gets overloaded once
     it helps).  Condition 2: qa1 > r12*qa2 (class 1 is the one needing help).
-    Margins are left-hand side minus right-hand side.
+    Margins are left-hand side minus right-hand side.  Neither condition
+    involves the threshold offset kappa12; a large offset can stop sharing
+    and leave the stationary fluid point with a negative queue, so the
+    verdict also requires that point to lie in S (``stationary_in_S``).
     """
 
     cond1: bool
     cond2: bool
     margin1: float
     margin2: float
+    stationary_in_S: bool
 
     @property
     def overloaded(self) -> bool:
-        return self.cond1 and self.cond2
+        return self.cond1 and self.cond2 and self.stationary_in_S
 
 
 @dataclass(frozen=True)
@@ -244,17 +248,21 @@ def offered_loads(p: ModelParams) -> OfferedLoad:
 
 
 def check_overload(p: ModelParams) -> OverloadVerdict:
-    """Check the two overload conditions; returns a verdict, never raises."""
+    """Check the two overload conditions and that the stationary fluid point
+    lies in S; returns a verdict, never raises."""
+    from .fluid import stationary_point   # fluid imports this module
     ol = offered_loads(p)
     lhs1 = p.theta1 * ol.qa1
     rhs1 = p.mu12 * p.m2 * max(1.0 - ol.rho2, 0.0)
     lhs2 = ol.qa1
     rhs2 = float(p.r12) * ol.qa2
+    sp = stationary_point(p, check=False)
     return OverloadVerdict(
         cond1=lhs1 > rhs1,
         cond2=lhs2 > rhs2,
         margin1=lhs1 - rhs1,
         margin2=lhs2 - rhs2,
+        stationary_in_S=sp.q1 >= 0.0 and sp.q2 >= 0.0,
     )
 
 

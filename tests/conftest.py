@@ -39,10 +39,7 @@ def random_admissible_params(rng: np.random.Generator, count: int,
         )
         if not check_overload(p).overloaded:
             continue
-        try:
-            sp = stationary_point(p)
-        except ValueError:
-            continue   # stationary point outside S
+        sp = stationary_point(p)
         if not (interior_margin < sp.z12 < p.m2 - interior_margin):
             continue
         if sp.q1 <= 0.01 or sp.q2 <= 0.01:

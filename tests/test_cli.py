@@ -190,3 +190,27 @@ def test_main_rejects_bad_params(tmp_path, capsys, key, value):
     assert main(["--config", str(cfg_file), "stationary"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffusion", "--n", "100", "--sigma2-method", "paper_r1",
+     "--psi-convention", "paper-sec10"],
+    ["simulate", "--n", "25", "--runs", "2", "--arrivals", "2000"],
+    ["validate", "--quick"],
+])
+def test_main_gates_on_overload(tmp_path, capsys, argv):
+    # kappa12 = 5 passes both overload conditions (margins 0.22 and 1.5),
+    # but its stationary point has q2 < 0
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    bad["params"]["kappa12"] = 5
+    paths = {}
+    for name, cfg in (("bad", bad), ("reference", BASE_CONFIG)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    assert main(["--config", str(paths["bad"])] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "margin 0.22" in err and "margin 1.5" in err
+    # validate exits 2 when a statistical check misses
+    assert main(["--config", str(paths["reference"])] + argv) in (0, 2)
+    assert "error:" not in capsys.readouterr().err

@@ -221,6 +221,58 @@ def test_transient_covariance_relaxation(base_params):
         assert eig.min() > -1e-10
 
 
+def reference_transient_covariance(p, path, sigma0, T=None):
+    """RK4 of dSigma/dt = A Sigma + Sigma A^T + V on 2x2 numpy matrices,
+    with A from sde_drift_matrix: the oracle of the float loop."""
+    from overloadx.diffusion import _integrand_rows
+    rows, _, _ = _integrand_rows(p, path, "regenerative", "plus")
+    v11 = (rows["gamma1"] + rows["gamma12"] + rows["gamma22"]
+           + rows["phi12"] + rows["phi22"])
+    v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
+    v12 = rows["phi12"] - rows["phi22"]
+    n = len(path.t) if T is None else int(np.sum(path.t <= T + 1e-12))
+
+    def rhs(s, a, v):
+        return a @ s + s @ a.T + v
+
+    out = [np.asarray(sigma0, dtype=float)]
+    for i in range(n - 1):
+        h = path.t[i + 1] - path.t[i]
+        pi0, pi1 = path.pi[i], path.pi[i + 1]
+        a0, a1 = sde_drift_matrix(p, pi0), sde_drift_matrix(p, pi1)
+        am = sde_drift_matrix(p, 0.5 * (pi0 + pi1))
+        v0, v1 = (np.array([[v11[j], v12[j]], [v12[j], v22[j]]])
+                  for j in (i, i + 1))
+        vm = 0.5 * (v0 + v1)
+        s = out[-1]
+        k1 = rhs(s, a0, v0)
+        k2 = rhs(s + 0.5 * h * k1, am, vm)
+        k3 = rhs(s + 0.5 * h * k2, am, vm)
+        k4 = rhs(s + h * k3, a1, v1)
+        out.append(s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return path.t[:n], np.array(out)
+
+
+@pytest.mark.parametrize("sigma0, T", [
+    (np.zeros((2, 2)), None),
+    (np.array([[0.5, -0.1], [-0.1, 0.2]]), None),
+    (np.zeros((2, 2)), 1.3),
+])
+def test_transient_covariance_matches_reference_loop(base_params, sigma0, T):
+    # an off-manifold start: pi, and with it A(t) and V(t), vary along the
+    # path; its 2501 points span three of the float loop's 1024-row chunks
+    path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
+                           T=2.5, h=1e-3)
+    assert np.ptp(path.pi) > 0.5
+    t, cc = transient_covariance(base_params, path, sigma0, T,
+                                 sigma2_method="regenerative",
+                                 psi_convention="plus")
+    t_ref, ref = reference_transient_covariance(base_params, path, sigma0, T)
+    assert np.array_equal(t, t_ref)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(cc, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
 def test_transient_covariance_rejects_indefinite_start(base_params, stationary_path):
     with pytest.raises(ValueError):
         transient_covariance(base_params, stationary_path,

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from overloadx.ftsp import FluidState
-from overloadx.fluid import (REGIME_AP, integrate_fluid, ode_rhs,
-                             stationary_point, time_to_stationarity)
+from overloadx.ftsp import FluidState, drift_rates, ftsp_rates, pi_12
+from overloadx.fluid import (REGIME_AP, REGIME_PI_ONE, REGIME_PI_ZERO,
+                             integrate_fluid, ode_rhs, stationary_point,
+                             time_to_stationarity)
 
 from conftest import random_admissible_params
 
@@ -14,6 +15,98 @@ from conftest import random_admissible_params
 def xstar_array(p):
     sp = stationary_point(p)
     return np.array([sp.q1, sp.q2, sp.z12])
+
+
+def reference_integrate(p, x0, T, h, tol_manifold=None):
+    """The fixed-step RK4 of integrate_fluid written on numpy arrays with
+    the public ode_rhs and pi_12: the oracle of the float loop."""
+    n_steps = int(round(T / h))
+    r = float(p.r12)
+
+    def on_manifold(qs):
+        q2 = max((qs - p.kappa12) / (1.0 + r), 0.0)
+        return qs - q2, q2
+
+    def rk4(f, u):
+        k1 = f(u)
+        k2 = f(u + 0.5 * h * k1)
+        k3 = f(u + 0.5 * h * k2)
+        k4 = f(u + h * k3)
+        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def f_reduced(u):
+        q1, q2 = on_manifold(u[0])
+        g = FluidState(q1, q2, min(max(u[1], 0.0), p.m2))
+        d = ode_rhs(p, g, pi_12(p, g))
+        return np.array([d[0] + d[1], d[2]])
+
+    x = x0.as_array()
+    rows = []
+    for i in range(n_steps + 1):
+        g = FluidState(*x.tolist())
+        d = g.q1 - p.kappa12 - r * g.q2
+        rate = (p.lambda1 + p.lambda2 + p.theta1 * g.q1 + p.theta2 * g.q2
+                + p.mu11 * p.m1 + p.mu12 * g.z12 + p.mu22 * (p.m2 - g.z12))
+        band = tol_manifold if tol_manifold is not None else 10.0 * h * rate
+        d_plus, d_minus = drift_rates(ftsp_rates(p, g))
+        rec = d_plus < 0.0 and d_minus > 0.0
+        if d > band:
+            pi, reg = 1.0, REGIME_PI_ONE
+        elif d < -band:
+            pi, reg = 0.0, REGIME_PI_ZERO
+        else:
+            pi, reg = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
+        if reg == REGIME_AP and rec:
+            x = np.array([*on_manifold(x[0] + x[1]), x[2]])
+            pi = pi_12(p, FluidState(*x.tolist()))
+        rows.append((*x, pi, reg, rec))
+        if i == n_steps:
+            break
+        if reg == REGIME_AP and rec:
+            u = rk4(f_reduced, np.array([x[0] + x[1], x[2]]))
+            x_new = np.array([*on_manifold(max(u[0], 0.0)), u[1]])
+        else:
+            x_new = rk4(lambda a: ode_rhs(p, FluidState(*a), pi), x)
+        if max(-x_new[0], -x_new[1], -x_new[2], x_new[2] - p.m2) > 10.0 * h:
+            raise RuntimeError("state escaped the fluid state space")
+        x = np.array([max(x_new[0], 0.0), max(x_new[1], 0.0),
+                      min(max(x_new[2], 0.0), p.m2)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("ratio, x0, T, h, tol", [
+    # off-manifold start: pi1 steps, then the manifold
+    ("1/1", (1.0, 0.2, 0.0), 3.0, 1e-2, None),
+    # starts below the band: pi0 steps
+    ("1/1", (0.0, 1.5, 0.9), 3.0, 1e-2, None),
+    # on the manifold from the start, with a fixed band
+    ("1/1", (0.65, 0.55, 0.3), 1.0, 1e-2, 0.05),
+    # a wide band around a transient FTSP: drift-sign pi off the manifold
+    ("1/1", (0.0, 12.0, 0.5), 1.0, 1e-2, 100.0),
+    ("3/2", (1.0, 0.2, 0.0), 2.0, 1e-2, None),
+    ("3/2", (0.9, 0.5, 0.3), 2.0, 2e-3, None),
+])
+def test_integrate_matches_reference_loop(base_params, ratio, x0, T, h, tol):
+    p = replace(base_params, r12=ratio, r21=ratio)
+    path = integrate_fluid(p, FluidState(*x0), T=T, h=h, tol_manifold=tol)
+    ref = reference_integrate(p, FluidState(*x0), T=T, h=h, tol_manifold=tol)
+    assert np.array_equal(path.states, ref[:, :3])
+    assert np.array_equal(path.pi, ref[:, 3])
+    assert np.array_equal(path.regime, ref[:, 4].astype(np.int8))
+    assert np.array_equal(path.in_A, ref[:, 5].astype(bool))
+    n = len(ref)
+    assert np.array_equal(path.t, np.linspace(0.0, (n - 1) * h, n))
+
+
+def test_integrate_escape_matches_reference_loop(base_params):
+    # every rate 100 times the reference: one pi = 1 step of 0.1 from
+    # q1 = 0.5 drives q1 below zero by far more than 10h
+    p = replace(base_params, lambda1=130.0, lambda2=90.0, theta1=20.0,
+                theta2=20.0, mu11=100.0, mu12=80.0, mu21=80.0, mu22=100.0)
+    x0 = FluidState(0.5, 0.0, 0.5)
+    for integrate in (reference_integrate, integrate_fluid):
+        with pytest.raises(RuntimeError, match="escaped"):
+            integrate(p, x0, T=1.0, h=0.1, tol_manifold=0.0)
 
 
 def test_stationary_point_reference(base_params):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies
 
 from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             _mg_rate_matrix, _stationary_truncated,
@@ -12,6 +13,8 @@ from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             drift_rates, ftsp_rates, ftsp_summary,
                             is_positive_recurrent, pi_12, pi_12_stationary,
                             simulate_ftsp)
+
+from overloadx.fluid import stationary_point
 
 from conftest import random_admissible_params
 
@@ -176,6 +179,40 @@ def test_pi12_matches_zero_velocity_identity(base_params):
             done += 1
 
 
+def _admissible_state(param_seed, ratio, offsets):
+    """Parameters from the conftest box and a recurrent state near x*."""
+    p = random_admissible_params(np.random.default_rng(param_seed), 1,
+                                 ratio=ratio)[0]
+    sp = stationary_point(p)
+    g = FluidState(sp.q1 + offsets[0], sp.q2 + offsets[1],
+                   sp.z12 + offsets[2])
+    assume(g.q1 >= 0.0 and g.q2 >= 0.0 and 0.0 <= g.z12 <= p.m2)
+    assume(is_positive_recurrent(p, g))
+    return p, g
+
+
+_OFFSETS = strategies.tuples(*[strategies.floats(-0.1, 0.1)] * 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(param_seed=strategies.integers(0, 2**32 - 1),
+       ratio=strategies.sampled_from(["1/1", "3/2", "5/3", "2/1"]),
+       offsets=_OFFSETS)
+def test_pi12_routes_agree_property(param_seed, ratio, offsets):
+    p, g = _admissible_state(param_seed, ratio, offsets)
+    auto = pi_12(p, g, "auto")
+    for method in ("matrix_geometric", "truncated"):
+        assert pi_12(p, g, method) == pytest.approx(auto, abs=1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(param_seed=strategies.integers(0, 2**32 - 1), offsets=_OFFSETS)
+def test_sigma2_poisson_matches_regenerative_property(param_seed, offsets):
+    p, g = _admissible_state(param_seed, "1/1", offsets)
+    assert asymptotic_variance(p, g, "poisson_numeric") == pytest.approx(
+        asymptotic_variance(p, g, "regenerative"), rel=1e-6)
+
+
 def test_mg_rate_matrix_birth_death_and_non_convergence():
     # scalar levels: R = lambda / mu for the walk with up rate lambda and
     # down rate mu; too few doublings must raise, not return a partial R
@@ -197,7 +234,6 @@ def test_pi12_stationary_closed_form(base_params):
 
 
 def test_pi12_consistency_with_stationary_point(base_params):
-    from overloadx.fluid import stationary_point
     sp = stationary_point(base_params)
     assert pi_12(base_params, sp.as_state()) == pytest.approx(sp.pi_star, abs=1e-10)
 

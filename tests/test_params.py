@@ -37,6 +37,18 @@ def test_check_overload_reference_case(base_params):
     assert v.margin2 == pytest.approx(1.5)
 
 
+def test_check_overload_requires_stationary_point_in_S(base_params):
+    assert check_overload(base_params).stationary_in_S
+    # kappa12 enters neither condition; at 5 sharing stops and the
+    # stationary point has q2 = -0.5 < 0
+    v = check_overload(replace(base_params, kappa12=5.0))
+    assert v.cond1 and v.cond2
+    assert v.margin1 == pytest.approx(0.22)
+    assert v.margin2 == pytest.approx(1.5)
+    assert not v.stationary_in_S
+    assert not v.overloaded
+
+
 def test_check_overload_underloaded_fails(base_params):
     p = replace(base_params, lambda1=0.9)
     v = check_overload(p)
