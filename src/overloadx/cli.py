@@ -16,23 +16,20 @@ import math
 import sys as _sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .params import ModelParams, check_overload, scale
-from .ftsp import (FluidState, asymptotic_variance, busy_period_moments,
-                   ftsp_rates, ftsp_summary, pi_12)
+from .ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
+                   busy_period_moments, ftsp_rates, ftsp_summary)
 from .fluid import integrate_fluid, stationary_point
-from .diffusion import (PSI_CONVENTIONS, SIGMA2_METHODS, bou_matrices,
-                        gaussian_queue_approx, psi_mix,
-                        steady_state_covariance)
-from .sim import replicate
+from .diffusion import (PSI_CONVENTIONS, bou_matrices, gaussian_queue_approx,
+                        psi_mix, steady_state_covariance)
+from .sim import START_MODES, replicate
 
 __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
            "validate_command", "emit_report", "main"]
 
 
 _CONFIG_KEYS = {"params", "scales", "runs", "arrivals", "warmup", "seed",
-                "sigma2_method", "psi_convention", "start", "output"}
+                "start", "output"}
 
 
 def reference_params() -> ModelParams:
@@ -45,14 +42,14 @@ def reference_params() -> ModelParams:
 
 @dataclass
 class ExperimentConfig:
+    """Run settings; the one place where each setting and its default live."""
+
     params: ModelParams
     scales: list = field(default_factory=lambda: [25, 100, 400])
     runs: int = 5
     arrivals: int = 300000
     warmup: float | None = None
     seed: int = 42
-    sigma2_method: str = "poisson_numeric"
-    psi_convention: str = "plus"
     start: str = "fluid"
     output: dict = field(default_factory=dict)
 
@@ -64,8 +61,6 @@ class ExperimentConfig:
             "arrivals": self.arrivals,
             "warmup": self.warmup,
             "seed": self.seed,
-            "sigma2_method": self.sigma2_method,
-            "psi_convention": self.psi_convention,
             "start": self.start,
         }
         if self.output:
@@ -73,14 +68,23 @@ class ExperimentConfig:
         return d
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config; errors carry the offending path."""
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON config; errors carry the offending path.
+
+    ``overrides`` holds config keys set by command-line flags.  They are
+    laid over the text's keys (``output`` key by key) before validation.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config: top level must be an object")
+    for key, value in (overrides or {}).items():
+        if key == "output":   # a malformed file value is kept, to be reported
+            out = raw.get("output", {})
+            value = {**out, **value} if isinstance(out, dict) else out
+        raw[key] = value
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"config: unknown keys {sorted(unknown)}")
@@ -111,17 +115,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(raw["seed"], int):
             raise ValueError("config.seed: need an integer")
         cfg.seed = raw["seed"]
-    if "sigma2_method" in raw:
-        if raw["sigma2_method"] not in SIGMA2_METHODS:
-            raise ValueError(f"config.sigma2_method: must be one of {SIGMA2_METHODS}")
-        cfg.sigma2_method = raw["sigma2_method"]
-    if "psi_convention" in raw:
-        if raw["psi_convention"] not in PSI_CONVENTIONS:
-            raise ValueError(f"config.psi_convention: must be one of {PSI_CONVENTIONS}")
-        cfg.psi_convention = raw["psi_convention"]
     if "start" in raw:
-        if raw["start"] not in ("fluid", "empty"):
-            raise ValueError("config.start: must be 'fluid' or 'empty'")
+        if raw["start"] not in START_MODES:
+            raise ValueError(f"config.start: must be one of {START_MODES}")
         cfg.start = raw["start"]
     if "output" in raw:
         out = raw["output"]
@@ -520,11 +516,36 @@ def _parse_state(text: str) -> FluidState:
     return FluidState(*(float(x) for x in parts))
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig(params=reference_params())
-    with open(path) as fh:
-        return parse_config(fh.read())
+def _given_settings(args) -> dict:
+    """The config keys set by the setting flags given on the command line."""
+    names = {"simulate": ("runs", "arrivals", "seed", "start", "warmup"),
+             "validate": ("csv", "markdown")}.get(args.command, ())
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return {"output": given} if args.command == "validate" and given else given
+
+
+def _load_config(args) -> ExperimentConfig:
+    """The config file, or the reference scenario, with the given setting
+    flags laid over it."""
+    if args.config is None:
+        text = json.dumps({"params": reference_params().to_config_dict()})
+    else:
+        with open(args.config) as fh:
+            text = fh.read()
+    return parse_config(text, _given_settings(args))
+
+
+def _write_or_print(csv_path: str | None, text: str, wrote: str,
+                    shown: str | None = None) -> int:
+    """Write ``text`` to ``csv_path`` and print ``wrote``; without a path,
+    print ``shown`` (by default ``text`` itself)."""
+    if csv_path:
+        with open(csv_path, "w") as fh:
+            fh.write(text)
+        print(wrote)
+    else:
+        print(text if shown is None else shown, end="")
+    return 0
 
 
 def _cmd_stationary(cfg: ExperimentConfig, args) -> int:
@@ -554,14 +575,8 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
         lines.append(f"{path.t[i]:.6f},{path.states[i,0]:.9f},"
                      f"{path.states[i,1]:.9f},{path.states[i,2]:.9f},"
                      f"{path.pi[i]:.9f},{names[i]}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(path.t)} rows to {args.csv}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(args.csv, "\n".join(lines) + "\n",
+                           f"wrote {len(path.t)} rows to {args.csv}")
 
 
 def _require_overload(p: ModelParams) -> None:
@@ -576,65 +591,53 @@ def _require_overload(p: ModelParams) -> None:
 
 
 def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
-    _require_overload(cfg.params)
-    approx = gaussian_queue_approx(
-        cfg.params, args.n, sigma2_method=args.sigma2_method,
-        psi_convention=args.psi_convention,
-        threshold_scheme="proportional" if args.scaled_threshold else None)
-    model = bou_matrices(cfg.params, sigma2_method=args.sigma2_method,
+    p, n = cfg.params, args.n
+    _require_overload(p)
+    if args.scaled_threshold:
+        p = p.with_kappa12(scale(p, n).kappa_eff)
+    sp = stationary_point(p)
+    model = bou_matrices(p, sigma2_method=args.sigma2_method,
                          psi_convention=args.psi_convention)
     cov = steady_state_covariance(model)
+    rt = math.sqrt(n)
     out = {
-        "n": args.n, "kappa_eff": approx.kappa_eff,
+        "n": n, "kappa_eff": p.kappa12,
         "sigma2_method": args.sigma2_method,
         "psi_convention": args.psi_convention,
-        "mean_q1": approx.mean_q1, "mean_q2": approx.mean_q2,
-        "mean_z12": approx.mean_z12,
-        "std_q1": approx.std_q1, "std_q2": approx.std_q2,
-        "std_qs": approx.std_qs, "std_z12": approx.std_z12,
+        "mean_q1": n * sp.q1, "mean_q2": n * sp.q2, "mean_z12": n * sp.z12,
+        "std_q1": rt * cov.std_q1, "std_q2": rt * cov.std_q2,
+        "std_qs": rt * cov.std_qs, "std_z12": rt * math.sqrt(cov.var_z),
         "var_qs_hat": cov.var_qs, "var_z_hat": cov.var_z,
         "cov_qz_hat": cov.cov_qz,
         "M": model.M.tolist(), "S": model.S.tolist(),
     }
-    if args.csv:
-        lines = ["name,value"]
-        for k, v in out.items():
-            if isinstance(v, list):
-                v = json.dumps(v).replace(",", ";")
-            lines.append(f"{k},{v}")
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.csv}")
-    else:
-        print(json.dumps(out, indent=2))
-    return 0
+    lines = ["name,value"]
+    for k, v in out.items():
+        if isinstance(v, list):
+            v = json.dumps(v).replace(",", ";")
+        lines.append(f"{k},{v}")
+    return _write_or_print(args.csv, "\n".join(lines) + "\n",
+                           f"wrote {args.csv}",
+                           shown=json.dumps(out, indent=2) + "\n")
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     _require_overload(cfg.params)
-    sysn = scale(cfg.params, args.n)
-    est = replicate(sysn, args.runs, args.arrivals, base_seed=args.seed,
-                    warmup_fraction=args.warmup, start=args.start)
+    est = replicate(scale(cfg.params, args.n), cfg.runs, cfg.arrivals,
+                    base_seed=cfg.seed, warmup_fraction=cfg.warmup,
+                    start=cfg.start)
     lines = ["quantity,mean,std,halfwidth"]
     for name, q in est.quantities.items():
         lines.append(f"{name},{q.mean:.6f},{q.std:.6f},{q.halfwidth:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.csv}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(args.csv, "\n".join(lines) + "\n",
+                           f"wrote {args.csv}")
 
 
 def _cmd_validate(cfg: ExperimentConfig, args) -> int:
     _require_overload(cfg.params)
     report = validate_command(cfg, quick=args.quick)
-    rendered = emit_report(
-        report,
-        csv_path=args.csv or cfg.output.get("csv"),
-        md_path=args.markdown or cfg.output.get("markdown"))
+    rendered = emit_report(report, csv_path=cfg.output.get("csv"),
+                           md_path=cfg.output.get("markdown"))
     print(rendered["markdown"])
     return 0 if report.passed else 2
 
@@ -644,7 +647,7 @@ def _cmd_echo_config(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overloadx",
         description="Overloaded two-class two-pool service system: fluid, "
@@ -675,29 +678,35 @@ def main(argv=None) -> int:
                    choices=PSI_CONVENTIONS)
     s.add_argument("--scaled-threshold", action="store_true",
                    help="evaluate at the integer system's realized k_n/n")
-    s.add_argument("--json", action="store_true")
     s.add_argument("--csv")
 
-    s = sub.add_parser("simulate", help="replicated pre-limit simulation")
+    s = sub.add_parser("simulate", help="replicated pre-limit simulation",
+                       description="--runs, --arrivals, --start, --warmup "
+                                   "and --seed override the config keys "
+                                   "of the same name")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--runs", type=int, default=5)
-    s.add_argument("--arrivals", type=int, default=300000)
-    s.add_argument("--start", default="fluid", choices=("fluid", "empty"))
-    s.add_argument("--warmup", type=float, default=None)
-    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--runs", type=int)
+    s.add_argument("--arrivals", type=int)
+    s.add_argument("--start", choices=START_MODES)
+    s.add_argument("--warmup", type=float)
+    s.add_argument("--seed", type=int)
     s.add_argument("--csv")
 
     s = sub.add_parser("validate", help="reproduce the reference scenario")
-    s.add_argument("--csv", help="CSV report path")
-    s.add_argument("--markdown", help="Markdown report path")
+    s.add_argument("--csv", help="CSV report path (config output.csv)")
+    s.add_argument("--markdown",
+                   help="Markdown report path (config output.markdown)")
     s.add_argument("--quick", action="store_true",
                    help="smoke mode: one tenth of the arrivals")
 
     sub.add_parser("echo-config", help="print the parsed config as JSON")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args)
         handler = {
             "stationary": _cmd_stationary, "ftsp": _cmd_ftsp,
             "fluid": _cmd_fluid, "diffusion": _cmd_diffusion,

@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 PSI_CONVENTIONS = ("plus", "paper-sec10")
-SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
 
 
 def psi_mix(p: ModelParams, z12, convention: str = "plus"):
@@ -168,17 +167,21 @@ class GaussianApprox:
 
 
 def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
-                    psi_convention: str):
-    """Pointwise derivatives of the seven time changes along the path."""
+                    psi_convention: str, stop: int | None = None):
+    """Pointwise derivatives of the seven time changes along the path.
+
+    Each row is an array over the first ``stop`` points (all by default).
+    """
     p1, p2 = queue_split(p)
-    q1, q2, z = path.q1, path.q2, path.z12
-    pi = path.pi
+    states = path.states[:stop]
+    q1, q2, z = states[:, 0], states[:, 1], states[:, 2]
+    pi = path.pi[:stop]
     qs = q1 + q2
     # rows as Python floats: the FTSP's scalar arithmetic is several times
     # slower on numpy scalars
     sig = np.array([asymptotic_variance(p, FluidState(*s.tolist()),
                                         sigma2_method)
-                    for s in path.states])
+                    for s in states])
     psi = psi_mix(p, z, psi_convention)
     rows = {
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)
@@ -205,9 +208,7 @@ def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
     if path.pi is None or len(path.pi) != len(path.t):
         raise ValueError("path must carry a pi value per step")
     rows, psi, sig = _integrand_rows(p, path, sigma2_method, psi_convention)
-    cum = {name: _cumtrapz(vals if isinstance(vals, np.ndarray)
-                           else np.full_like(path.t, vals), path.t)
-           for name, vals in rows.items()}
+    cum = {name: _cumtrapz(vals, path.t) for name, vals in rows.items()}
     return TimeChanges(t=path.t, gamma1=cum["gamma1"], phi12=cum["phi12"],
                        phi22=cum["phi22"], gamma12=cum["gamma12"],
                        gamma22=cum["gamma22"], gamma2=cum["gamma2"],
@@ -354,18 +355,14 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     eig = np.linalg.eigvalsh(sym0)
     if np.any(eig < -1e-12):
         raise ValueError("initial covariance must be positive semidefinite")
-    rows, _, _ = _integrand_rows(p, path, sigma2_method, psi_convention)
-    g1 = np.broadcast_to(rows["gamma1"], path.t.shape)
-    v11 = g1 + rows["gamma12"] + rows["gamma22"] + rows["phi12"] + rows["phi22"]
+    # the path is cut at T before the integrands cost a sigma2 solve each
+    n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
+    t, pis = path.t[:n], path.pi[:n]
+    rows, _, _ = _integrand_rows(p, path, sigma2_method, psi_convention, n)
+    v11 = (rows["gamma1"] + rows["gamma12"] + rows["gamma22"] + rows["phi12"]
+           + rows["phi22"])
     v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
     v12 = rows["phi12"] - rows["phi22"]
-    pis = path.pi
-    t = path.t
-    if T is not None:
-        keep = t <= T + 1e-12
-        t = t[keep]
-        v11, v22, v12, pis = v11[keep], v22[keep], v12[keep], pis[keep]
-    n = len(t)
     out = np.empty((n, 2, 2))
     out[0] = sigma0
     flat = out.reshape(n, 4)

@@ -233,7 +233,7 @@ def ftsp_rates(p: ModelParams, gamma: FluidState) -> FtspRates:
     up1 = p.lambda1                                       # class-1 arrival
     up2 = p.theta2 * q2                                   # class-2 abandonment
     down2 = p.lambda2                                     # class-2 arrival
-    j, k = p.r.as_integer_ratio()
+    j, k = p.r12.as_integer_ratio()
     if j == k:
         # r = 1: both classes jump by +-1, a birth-death walk
         return FtspRates(1, 1, {1: up1 + up2, -1: down1 + down2 + pool2},
@@ -480,6 +480,9 @@ def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False,
 # ---------------------------------------------------------------------------
 # asymptotic variance
 # ---------------------------------------------------------------------------
+
+SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
+
 
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
                         method: str = "poisson_numeric", *,

@@ -97,15 +97,6 @@ class ModelParams:
         if self.kappa12 < 0 or self.kappa21 < 0:
             raise ValueError("threshold offsets must be non-negative")
 
-    @property
-    def r(self) -> Fraction:
-        """The active sharing ratio r12 (class 1 receiving help)."""
-        return self.r12
-
-    @property
-    def kappa(self) -> float:
-        return self.kappa12
-
     def with_kappa12(self, kappa: float) -> "ModelParams":
         return replace(self, kappa12=kappa)
 
@@ -233,9 +224,6 @@ class ScaledSystem:
     def kappa_eff(self) -> float:
         """Realized fluid-scale threshold offset k12n / n."""
         return self.k12n / self.n
-
-    def total_service_capacity(self) -> float:
-        return self.parent.mu11 * self.m1n + self.parent.mu22 * self.m2n
 
 
 def offered_loads(p: ModelParams) -> OfferedLoad:

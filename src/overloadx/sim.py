@@ -53,6 +53,8 @@ __all__ = [
 
 _EVENTS = ("arr1", "arr2", "ab1", "ab2", "s11", "s12", "s21", "s22")
 
+START_MODES = ("fluid", "empty")
+
 QUANTITIES = ("mean_q1", "mean_q2", "mean_qs", "mean_z12",
               "std_q1", "std_q2", "std_qs", "std_z12", "frac_d_positive")
 
@@ -155,10 +157,6 @@ class SimEstimate:
     def __getitem__(self, name: str) -> QuantityEstimate:
         return self.quantities[name]
 
-    def ci(self, name: str) -> tuple[float, float]:
-        q = self.quantities[name]
-        return q.mean - q.halfwidth, q.mean + q.halfwidth
-
 
 def init_state(sys: ScaledSystem, mode: str = "fluid") -> SimState:
     """Initial CTMC state: all-empty, or the rounded stationary fluid point.
@@ -168,19 +166,19 @@ def init_state(sys: ScaledSystem, mode: str = "fluid") -> SimState:
     At small n that offset can put the point outside S; its negative queue
     starts empty.
     """
+    if mode not in START_MODES:
+        raise ValueError(f"unknown start mode {mode!r}; choose from {START_MODES}")
     if mode == "empty":
         return SimState(0, 0, 0, 0, 0, 0)
-    if mode == "fluid":
-        p_eff = sys.parent.with_kappa12(sys.kappa_eff)
-        sp = stationary_point(p_eff, check=False)
-        n = sys.n
-        z12 = min(int(math.floor(n * sp.z12 + 0.5)), sys.m2n)
-        return SimState(
-            q1=max(int(math.floor(n * sp.q1 + 0.5)), 0),
-            q2=max(int(math.floor(n * sp.q2 + 0.5)), 0),
-            z11=sys.m1n, z12=z12, z21=0, z22=sys.m2n - z12,
-        ).check_invariants(sys)
-    raise ValueError(f"unknown start mode {mode!r}")
+    p_eff = sys.parent.with_kappa12(sys.kappa_eff)
+    sp = stationary_point(p_eff, check=False)
+    n = sys.n
+    z12 = min(int(math.floor(n * sp.z12 + 0.5)), sys.m2n)
+    return SimState(
+        q1=max(int(math.floor(n * sp.q1 + 0.5)), 0),
+        q2=max(int(math.floor(n * sp.q2 + 0.5)), 0),
+        z11=sys.m1n, z12=z12, z21=0, z22=sys.m2n - z12,
+    ).check_invariants(sys)
 
 
 def _d12_positive(sys: ScaledSystem, q1: int, q2: int) -> bool:

@@ -1,12 +1,16 @@
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from overloadx.cli import (ExperimentConfig, build_chain_rows, emit_report,
-                           main, parse_config, reference_params,
+import overloadx.cli
+from overloadx.cli import (ExperimentConfig, _parser, build_chain_rows,
+                           emit_report, main, parse_config, reference_params,
                            validate_command)
+from overloadx.diffusion import bou_matrices
 
 
 BASE_CONFIG = {
@@ -143,7 +147,7 @@ def test_main_fluid_csv(tmp_path, capsys):
 
 def test_main_diffusion(capsys):
     code = main(["diffusion", "--n", "100", "--sigma2-method", "paper_r1",
-                 "--psi-convention", "paper-sec10", "--json"])
+                 "--psi-convention", "paper-sec10"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mean_q1"] == pytest.approx(65.56, abs=0.01)
@@ -214,3 +218,123 @@ def test_main_gates_on_overload(tmp_path, capsys, argv):
     # validate exits 2 when a statistical check misses
     assert main(["--config", str(paths["reference"])] + argv) in (0, 2)
     assert "error:" not in capsys.readouterr().err
+
+
+def test_main_diffusion_scaled_threshold_one_parameter_set(capsys):
+    # means, stds, M, S and the *_hat covariances all at kappa_eff
+    code = main(["diffusion", "--n", "25", "--sigma2-method", "paper_r1",
+                 "--psi-convention", "paper-sec10", "--scaled-threshold"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kappa_eff"] == pytest.approx(3 / 25)   # ceil(0.1 * 25) / 25
+    assert out["std_qs"] ** 2 / 25 == pytest.approx(out["var_qs_hat"],
+                                                    rel=1e-12)
+    model = bou_matrices(reference_params().with_kappa12(out["kappa_eff"]),
+                         sigma2_method="paper_r1",
+                         psi_convention="paper-sec10")
+    assert out["M"] == model.M.tolist()
+    assert out["S"] == model.S.tolist()
+
+
+SIM_SETTINGS = {"runs": 3, "arrivals": 2000, "seed": 7, "start": "empty",
+                "warmup": 0.4}
+
+
+def _write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture
+def replicate_settings(monkeypatch):
+    """The settings of each ``replicate`` call the CLI makes."""
+    real = overloadx.cli.replicate
+    calls = []
+
+    def recording(sysn, R, horizon_arrivals, base_seed, warmup_fraction,
+                  start):
+        calls.append({"runs": R, "arrivals": horizon_arrivals,
+                      "seed": base_seed, "start": start,
+                      "warmup": warmup_fraction})
+        return real(sysn, R, horizon_arrivals, base_seed, warmup_fraction,
+                    start)
+
+    monkeypatch.setattr(overloadx.cli, "replicate", recording)
+    return calls
+
+
+def test_main_simulate_uses_config_settings(tmp_path, capsys,
+                                            replicate_settings):
+    path = _write_config(tmp_path, {**BASE_CONFIG, **SIM_SETTINGS})
+    assert main(["--config", path, "simulate", "--n", "25"]) == 0
+    assert replicate_settings == [SIM_SETTINGS]
+
+
+@pytest.mark.parametrize("flag, value, key, expected", [
+    ("--runs", "2", "runs", 2),
+    ("--arrivals", "3000", "arrivals", 3000),
+    ("--seed", "5", "seed", 5),
+    ("--start", "fluid", "start", "fluid"),
+    ("--warmup", "0.1", "warmup", 0.1),
+])
+def test_main_simulate_flag_overrides_config(tmp_path, capsys,
+                                             replicate_settings,
+                                             flag, value, key, expected):
+    path = _write_config(tmp_path, {**BASE_CONFIG, **SIM_SETTINGS})
+    assert main(["--config", path, "simulate", "--n", "25", flag, value]) == 0
+    assert replicate_settings == [{**SIM_SETTINGS, key: expected}]
+
+
+def test_main_validate_flags_override_config_output(tmp_path, capsys):
+    cfg = {**BASE_CONFIG, "scales": [25], "runs": 2, "arrivals": 20000,
+           "output": {"csv": str(tmp_path / "cfg.csv"),
+                      "markdown": str(tmp_path / "cfg.md")}}
+    path = _write_config(tmp_path, cfg)
+    code = main(["--config", path, "validate", "--quick",
+                 "--csv", str(tmp_path / "flag.csv")])
+    assert code in (0, 2)
+    assert (tmp_path / "flag.csv").exists()
+    assert not (tmp_path / "cfg.csv").exists()
+    assert (tmp_path / "cfg.md").exists()
+
+
+def test_main_validate_flag_keeps_malformed_config_output(tmp_path, capsys):
+    path = _write_config(tmp_path, {**BASE_CONFIG, "output": 5})
+    code = main(["--config", path, "validate", "--csv",
+                 str(tmp_path / "flag.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config.output:")
+
+
+def test_main_runs_flag_fails_like_config_key(tmp_path, capsys):
+    assert main(["simulate", "--n", "25", "--runs", "1"]) == 1
+    flag_err = capsys.readouterr().err
+    path = _write_config(tmp_path, {**BASE_CONFIG, "runs": 1})
+    assert main(["--config", path, "simulate", "--n", "25"]) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err.startswith("error: config.runs:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma2_method", "poisson_numeric"),
+    ("psi_convention", "plus"),
+])
+def test_main_rejects_unread_convention_keys(tmp_path, capsys, key, value):
+    path = _write_config(tmp_path, {**BASE_CONFIG, key: value})
+    assert main(["--config", path, "echo-config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: unknown keys") and key in err
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block uses real flags
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("overloadx ")]
+    assert len(lines) == 7
+    parser = _parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

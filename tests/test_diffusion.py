@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from overloadx.ftsp import FluidState
+from overloadx.ftsp import FluidState, asymptotic_variance
 from overloadx.fluid import integrate_fluid, stationary_point
 from overloadx.diffusion import (bou_matrices, gaussian_queue_approx,
                                  pool_dependent_reduction, psi_mix,
@@ -271,6 +271,26 @@ def test_transient_covariance_matches_reference_loop(base_params, sigma0, T):
     assert np.array_equal(t, t_ref)
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(cc, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_transient_covariance_solves_sigma2_up_to_T_only(base_params,
+                                                        monkeypatch):
+    # the path is cut at T before its integrands: one sigma2 per kept point
+    import overloadx.diffusion
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return asymptotic_variance(*args, **kwargs)
+
+    path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
+                           T=1.0, h=1e-2)
+    monkeypatch.setattr(overloadx.diffusion, "asymptotic_variance", counting)
+    t, _ = transient_covariance(base_params, path, np.zeros((2, 2)), 0.25,
+                                sigma2_method="regenerative",
+                                psi_convention="plus")
+    assert len(t) == 26 < len(path.t)
+    assert len(calls) == len(t)
 
 
 def test_transient_covariance_rejects_indefinite_start(base_params, stationary_path):
