@@ -92,27 +92,28 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ValueError("config: missing required key 'params'")
     params = ModelParams.from_config_dict(raw["params"])
     cfg = ExperimentConfig(params=params)
+    # type() is int, not isinstance(): JSON true/false parse as bool, an int
     if "scales" in raw:
         scales = raw["scales"]
         if (not isinstance(scales, list) or not scales
-                or any(not isinstance(n, int) or n < 1 for n in scales)):
+                or any(type(n) is not int or n < 1 for n in scales)):
             raise ValueError("config.scales: need a non-empty list of positive integers")
         cfg.scales = scales
     if "runs" in raw:
-        if not isinstance(raw["runs"], int) or raw["runs"] < 2:
+        if type(raw["runs"]) is not int or raw["runs"] < 2:
             raise ValueError("config.runs: need an integer >= 2 for interval output")
         cfg.runs = raw["runs"]
     if "arrivals" in raw:
-        if not isinstance(raw["arrivals"], int) or raw["arrivals"] < 1:
+        if type(raw["arrivals"]) is not int or raw["arrivals"] < 1:
             raise ValueError("config.arrivals: need a positive integer")
         cfg.arrivals = raw["arrivals"]
     if "warmup" in raw and raw["warmup"] is not None:
         w = raw["warmup"]
-        if not isinstance(w, (int, float)) or not 0.0 <= w < 1.0:
+        if type(w) not in (int, float) or not 0.0 <= w < 1.0:
             raise ValueError("config.warmup: need a fraction in [0, 1)")
         cfg.warmup = float(w)
     if "seed" in raw:
-        if not isinstance(raw["seed"], int):
+        if type(raw["seed"]) is not int:
             raise ValueError("config.seed: need an integer")
         cfg.seed = raw["seed"]
     if "start" in raw:
@@ -121,8 +122,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         cfg.start = raw["start"]
     if "output" in raw:
         out = raw["output"]
-        if not isinstance(out, dict) or set(out) - {"csv", "markdown"}:
-            raise ValueError("config.output: allowed keys are 'csv' and 'markdown'")
+        if (not isinstance(out, dict) or set(out) - {"csv", "markdown"}
+                or any(not isinstance(path, str) for path in out.values())):
+            raise ValueError("config.output: allowed keys are 'csv' and "
+                             "'markdown', each a file path string")
         cfg.output = out
     return cfg
 
@@ -188,8 +191,6 @@ REFERENCE_TABLE = {
                 "std_q2": (33.9, 1.5), "std_qs_hat": (3.38, 0.145)},
     },
 }
-
-REFERENCE_PI_STAR = 0.1763
 
 
 def _round_to(x: float, digits: int) -> float:
@@ -343,9 +344,22 @@ def build_chain_rows(p: ModelParams, sigma2_method: str = "paper_r1",
     return rows, exact
 
 
+def _require_overload(p: ModelParams) -> None:
+    """Raise ``ValueError`` unless ``p`` passes the overload test."""
+    v = check_overload(p)
+    if not v.overloaded:
+        where = "inside" if v.stationary_in_S else "outside"
+        raise ValueError(
+            f"parameters are not in the overloaded regime: condition 1 "
+            f"margin {v.margin1:.6g}, condition 2 margin {v.margin2:.6g}, "
+            f"stationary fluid point {where} the state space")
+
+
 def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationReport:
-    """Run the full reference validation; raises with the failing stage name."""
+    """Run the full reference validation; raises with the failing stage name
+    (or ``ValueError`` first, for parameters outside the overloaded regime)."""
     p = cfg.params
+    _require_overload(p)
     stage = "stationary/ftsp chain"
     try:
         chain_rows, _ = build_chain_rows(p, "paper_r1", "paper-sec10")
@@ -579,17 +593,6 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
                            f"wrote {len(path.t)} rows to {args.csv}")
 
 
-def _require_overload(p: ModelParams) -> None:
-    """Raise ``ValueError`` unless ``p`` passes the overload test."""
-    v = check_overload(p)
-    if not v.overloaded:
-        where = "inside" if v.stationary_in_S else "outside"
-        raise ValueError(
-            f"parameters are not in the overloaded regime: condition 1 "
-            f"margin {v.margin1:.6g}, condition 2 margin {v.margin2:.6g}, "
-            f"stationary fluid point {where} the state space")
-
-
 def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
     p, n = cfg.params, args.n
     _require_overload(p)
@@ -634,7 +637,6 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_validate(cfg: ExperimentConfig, args) -> int:
-    _require_overload(cfg.params)
     report = validate_command(cfg, quick=args.quick)
     rendered = emit_report(report, csv_path=cfg.output.get("csv"),
                            md_path=cfg.output.get("markdown"))

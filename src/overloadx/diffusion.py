@@ -12,8 +12,8 @@ than hidden, each behind an explicit flag:
 
 * ``sigma2_method``: which asymptotic-variance formula feeds the xi2 / gamma2
   terms (see :func:`overloadx.ftsp.asymptotic_variance`); reproducing the
-  reference arithmetic requires ``"paper_r1"``, the numerically validated
-  value is ``"regenerative"`` / ``"poisson_numeric"``.
+  reference arithmetic requires ``"paper_r1"``; the validated value is
+  ``"poisson_numeric"``, closed form for every r (``"regenerative"`` at r = 1).
 * ``psi_convention``: the service-mix weight is mu22 (m2 - z12) + mu12 z12
   (``"plus"``, the form consistent with the martingale decomposition) while
   the reference worked example uses the minus combination (``"paper-sec10"``).

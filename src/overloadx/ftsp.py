@@ -21,9 +21,9 @@ M/M/1 busy periods.
 Everything downstream needs two functionals of this process: pi12(gamma),
 the stationary probability that D is positive (the fraction of pool-2
 completions routed to class 1), and sigma2(gamma), the asymptotic variance
-of the time-integrated centered positivity indicator.  Several routes to
-each are implemented and cross-checked, because the available closed forms
-disagree (see ``asymptotic_variance``).
+of the time-integrated centered positivity indicator.  Both are closed forms
+in the first two jump moments of each regime, for every rational r; the
+lattice solves, busy-period forms and Monte Carlo are kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -438,21 +438,20 @@ def _stationary_truncated(lattice: FtspRates, nmax: int) -> np.ndarray:
     return _stationary_banded(lattice.banded_generator(nmax), anchor)
 
 
-def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False,
-                     n0: int = 64, nmax_cap: int = 8192) -> float:
+def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False) -> float:
     """pi12 (or sigma2) of a recurrent walk on a truncated lattice.
 
-    The truncation radius is doubled until the value changes by less than
-    ``tol``.  At each radius the banded generator G is built once.  It gives
-    the stationary law pi, pinned at state 0, and pi12 is its mass on the
-    states > 0.  For ``sigma2`` it also gives the Poisson equation
-    G g = -fbar, with fbar = 1{state > 0} - pi12 and g(0) = 0; then
-    sigma2 = 2 sum_i pi_i fbar_i g_i.
+    The truncation radius is doubled from 64, up to 8192, until the value
+    changes by less than ``tol``.  At each radius the banded generator G is
+    built once.  It gives the stationary law pi, pinned at state 0, and pi12
+    is its mass on the states > 0.  For ``sigma2`` it also gives the Poisson
+    equation G g = -fbar, with fbar = 1{state > 0} - pi12 and g(0) = 0;
+    then sigma2 = 2 sum_i pi_i fbar_i g_i.
     """
-    nmax = n0
+    nmax = 64
     prev = None
     change = math.inf
-    while nmax <= nmax_cap:
+    while nmax <= 8192:
         gen = lattice.banded_generator(nmax)
         dist = _stationary_banded(gen, nmax)
         val = dist[nmax + 1:].sum()
@@ -487,8 +486,7 @@ SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
                         method: str = "poisson_numeric", *,
                         horizon: float = 2.0e6, seed: int = 20240901,
-                        batch_length: float = 1000.0,
-                        tol: float = 1e-6) -> float:
+                        batch_length: float = 1000.0) -> float:
     """Asymptotic variance sigma2(gamma) of the centered positivity indicator.
 
     Methods:
@@ -498,17 +496,20 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
       numbers can be reproduced exactly;
     * ``"regenerative"``: Var((1-pi) T1 - pi T2) / (E[T1] + E[T2]), the
       regenerative-cycle formula with independent busy periods (r = 1);
-    * ``"poisson_numeric"``: 2 * sum_i pi_i (f_i - pi) g_i with g solving the
-      Poisson equation G g = -(f - pi) on a truncated lattice, truncation
-      doubled until the value changes by less than ``tol``.  Works for any
-      rational r and is the default;
+    * ``"poisson_numeric"``: 2 E_pi[(f - pi) g] for f = 1{D > 0} and g solving
+      the Poisson equation G g = -(f - pi); any rational r, the default.  The
+      mean velocity of D is G D = (delta_plus - delta_minus)(f - pi), so
+      g = D / (delta_minus - delta_plus), and E_pi[G g^2] = 0 gives sigma2 =
+      E_pi[infinitesimal variance of g] = (pi s_plus + (1 - pi) s_minus) /
+      (delta_minus - delta_plus)^2, s_plus/s_minus = sum rate * (jump/k)^2 per
+      regime.  At r = 1 this is ``regenerative``; ``_truncated_solve`` is its
+      lattice oracle;
     * ``"monte_carlo"``: estimate from a simulated path -- variance of the
       centered integral over regeneration-cycle batches for r = 1, fixed
       time batches otherwise (see :func:`simulate_ftsp`).
 
-    The first two formulas disagree; the numeric and Monte Carlo routes agree
-    with ``regenerative``, which is therefore the one to trust when the value
-    itself matters (``paper_r1`` exists for reproducing reference numbers).
+    ``paper_r1`` disagrees with the other three, which agree with each
+    other; it exists for reproducing reference numbers.
     """
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
@@ -526,7 +527,10 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
         var_y = (1.0 - pi) ** 2 * bp1.variance + pi ** 2 * bp2.variance
         return var_y / cycle
     if method == "poisson_numeric":
-        return _truncated_solve(model, tol=tol, sigma2=True)
+        gap = d_minus - d_plus   # pi = d_minus / gap, 1 - pi = -d_plus / gap
+        s_plus, s_minus = (sum(jump * jump * rate for jump, rate in rates.items())
+                           for rates in (model.pos_rates, model.neg_rates))
+        return (d_minus * s_plus - d_plus * s_minus) / (model.k ** 2 * gap ** 3)
     if method == "monte_carlo":
         stats = simulate_ftsp(p, gamma, horizon=horizon, seed=seed,
                               batch_length=batch_length)
@@ -695,7 +699,7 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
 # ---------------------------------------------------------------------------
 
 def ftsp_summary(p: ModelParams, gamma: FluidState,
-                 sigma2_method: str = "poisson_numeric", **sigma2_kwargs) -> FtspSummary:
+                 sigma2_method: str = "poisson_numeric") -> FtspSummary:
     """Bundle the per-state averaging quantities into one record."""
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
@@ -709,7 +713,7 @@ def ftsp_summary(p: ModelParams, gamma: FluidState,
         et2, vt2 = bp2.mean, bp2.variance
     sigma2 = None
     if recurrent:
-        sigma2 = asymptotic_variance(p, gamma, sigma2_method, **sigma2_kwargs)
+        sigma2 = asymptotic_variance(p, gamma, sigma2_method)
     return FtspSummary(delta_plus=d_plus, delta_minus=d_minus,
                        recurrent=recurrent, pi12=pi,
                        et1=et1, et2=et2, var_t1=vt1, var_t2=vt2,

@@ -26,13 +26,8 @@ def _as_ratio(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        parts = value.split("/")
-        if len(parts) != 2:
-            raise ValueError(
-                f"ratio must be written as 'j/k' with integer j, k; got {value!r}"
-            )
-        try:
-            num, den = int(parts[0]), int(parts[1])
+        try:   # a part count other than two fails the unpacking
+            num, den = (int(part) for part in value.split("/"))
         except ValueError:
             raise ValueError(
                 f"ratio must be written as 'j/k' with integer j, k; got {value!r}"

@@ -117,10 +117,6 @@ class RunStats:
     initial_in_system: tuple[int, int]
     final_in_system: tuple[int, int]
 
-    @property
-    def window_length(self) -> float:
-        return self.window_end - self.window_start
-
     def conservation_residual(self) -> tuple[int, int]:
         """arrivals - services - abandonments - (final - initial), per class."""
         return tuple(
@@ -508,6 +504,10 @@ def aggregate_runs(stats: list, base_seed: int = -1) -> SimEstimate:
     R = len(stats)
     if R < 2:
         raise ValueError("need at least two replications for an interval")
+    empty = [i for i, s in enumerate(stats) if s.degenerate]
+    if empty:
+        raise ValueError(f"replications {empty} at n={stats[0].n} have an empty "
+                         "measurement window; raise the arrival count")
     tmult = float(scipy.stats.t.ppf(0.975, R - 1))
     est = SimEstimate(n=stats[0].n, replications=R, base_seed=base_seed,
                       t_multiplier=tmult, runs=stats)
@@ -521,18 +521,16 @@ def aggregate_runs(stats: list, base_seed: int = -1) -> SimEstimate:
 
 
 def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
-              base_seed: int, warmup_fraction=None, start: str = "fluid",
-              threads: int | None = None) -> SimEstimate:
+              base_seed: int, warmup_fraction=None, start: str = "fluid") -> SimEstimate:
     """R independent-stream runs aggregated into t confidence intervals.
 
-    Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications may execute
-    in parallel (``threads`` or the OVERLOADX_THREADS environment variable);
+    Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications execute in
+    parallel when the OVERLOADX_THREADS environment variable is above 1;
     results do not depend on the scheduling.
     """
     if R < 2:
         raise ValueError("need at least two replications for an interval")
-    if threads is None:
-        threads = int(os.environ.get("OVERLOADX_THREADS", "1"))
+    threads = int(os.environ.get("OVERLOADX_THREADS", "1"))
     jobs = [(sys, horizon_arrivals, warmup_fraction, base_seed, i, start)
             for i in range(R)]
     if threads > 1:

@@ -48,6 +48,39 @@ def test_parse_config_rejects_empty_scales():
         parse_config(json.dumps(bad))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("arrivals", True),
+    ("seed", False),
+    ("scales", [True]),
+    ("warmup", False),
+])
+def test_parse_config_rejects_booleans(key, value):
+    # JSON true/false parse as Python bool, a subclass of int
+    with pytest.raises(ValueError, match=f"config.{key}"):
+        parse_config(json.dumps({**BASE_CONFIG, key: value}))
+
+
+def test_main_rejects_non_string_output(tmp_path, capsys):
+    path = _write_config(tmp_path, {**BASE_CONFIG, "output": {"csv": 7}})
+    assert main(["--config", path, "echo-config"]) == 1
+    assert capsys.readouterr().err.startswith("error: config.output:")
+
+
+def test_validate_command_gates_on_overload():
+    # the library entry point refuses before any stage runs, as the CLI does
+    cfg = ExperimentConfig(params=reference_params().with_kappa12(5.0))
+    with pytest.raises(ValueError, match="not in the overloaded regime"):
+        validate_command(cfg, quick=True)
+
+
+def test_main_simulate_empty_window_fails(capsys):
+    # one arrival in total leaves no measurement window in either run
+    assert main(["simulate", "--n", "25", "--arrivals", "1",
+                 "--runs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: replications [0, 1]") and "nan" not in err
+
+
 def test_parse_config_rejects_unknown_keys():
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["horizon"] = 10

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies
 
 from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             _mg_rate_matrix, _stationary_truncated,
+                            _truncated_solve,
                             asymptotic_variance, busy_period_moments,
                             drift_rates, ftsp_rates, ftsp_summary,
                             is_positive_recurrent, pi_12, pi_12_stationary,
@@ -206,6 +207,43 @@ def test_pi12_routes_agree_property(param_seed, ratio, offsets):
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
+@given(param_seed=strategies.integers(0, 2**32 - 1),
+       ratio=strategies.sampled_from(["1/1", "3/2", "5/3", "2/1"]),
+       offsets=_OFFSETS)
+def test_sigma2_matches_truncated_poisson_property(param_seed, ratio, offsets):
+    # the closed form against the Poisson equation solved on the lattice
+    p, g = _admissible_state(param_seed, ratio, offsets)
+    oracle = _truncated_solve(ftsp_rates(p, g), tol=1e-6, sigma2=True)
+    assert asymptotic_variance(p, g, "poisson_numeric") == pytest.approx(
+        oracle, rel=1e-9)
+
+
+def _state_with_d_minus(p, g, target):
+    """``g`` with q1 moved so that delta_minus equals ``target``.
+
+    delta_minus falls by theta1 per unit of q1 (class-1 abandonments).
+    """
+    d_minus = drift_rates(ftsp_rates(p, g))[1]
+    return g._replace(q1=g.q1 + (d_minus - target) / p.theta1)
+
+
+@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+@pytest.mark.parametrize("d_minus", [3.4e-3, 3.4e-4, 3.4e-5])
+def test_sigma2_near_recurrence_boundary(base_params, ratio, d_minus):
+    # a slow drift back to the boundary: the truncated solve would need a
+    # radius beyond its cap, the closed form stays finite
+    p = replace(base_params, r12=ratio, r21=ratio)
+    g = _state_with_d_minus(p, XSTAR, d_minus)
+    assert drift_rates(ftsp_rates(p, g))[1] == pytest.approx(d_minus,
+                                                             rel=1e-6)
+    s = asymptotic_variance(p, g, "poisson_numeric")
+    assert math.isfinite(s) and s > 0.0
+    if ratio == "1/1":
+        assert s == pytest.approx(asymptotic_variance(p, g, "regenerative"),
+                                  rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
 @given(param_seed=strategies.integers(0, 2**32 - 1), offsets=_OFFSETS)
 def test_sigma2_poisson_matches_regenerative_property(param_seed, offsets):
     p, g = _admissible_state(param_seed, "1/1", offsets)
@@ -260,7 +298,7 @@ def test_sigma2_poisson_matches_regenerative(base_params):
 
 
 def test_sigma2_poisson_bd_encoding_agreement(base_params):
-    """General-lattice Poisson solve vs an independent tridiagonal solve."""
+    """The closed-form Poisson identity vs an independent tridiagonal solve."""
     lattice = ftsp_rates(base_params, XSTAR)
     assert lattice.j == lattice.k == 1
     s_lattice = asymptotic_variance(base_params, XSTAR, "poisson_numeric")

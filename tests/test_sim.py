@@ -243,11 +243,21 @@ def test_replicate_reference_scale(base_params, sys100):
         replicate(sys100, 1, 1000, base_seed=1)
 
 
-def test_replicate_parallel_matches_serial(sys100):
-    serial = replicate(sys100, 3, 20000, base_seed=5, threads=1)
-    parallel = replicate(sys100, 3, 20000, base_seed=5, threads=3)
+def test_replicate_parallel_matches_serial(sys100, monkeypatch):
+    monkeypatch.setenv("OVERLOADX_THREADS", "1")
+    serial = replicate(sys100, 3, 20000, base_seed=5)
+    monkeypatch.setenv("OVERLOADX_THREADS", "3")
+    parallel = replicate(sys100, 3, 20000, base_seed=5)
     for name in serial.quantities:
         assert serial[name] == parallel[name]
+
+
+def test_aggregate_rejects_empty_window(sys100):
+    # an all-nan run would turn every interval into nan
+    good = run(sys100, 2000, seed=3)
+    empty = run(sys100, 10, warmup_fraction=0.99, seed=1)
+    with pytest.raises(ValueError, match=r"replications \[1\] .* empty"):
+        aggregate_runs([good, empty])
 
 
 def test_aggregate_identical_runs_zero_halfwidth(sys100):
