@@ -31,6 +31,10 @@ __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
 _CONFIG_KEYS = {"params", "scales", "runs", "arrivals", "warmup", "seed",
                 "start", "output"}
 
+# The conventions under which validate reproduces the reference arithmetic.
+REFERENCE_CONVENTIONS = {"sigma2_method": "paper_r1",
+                         "psi_convention": "paper-sec10"}
+
 
 def reference_params() -> ModelParams:
     """The built-in reference scenario used by ``validate``."""
@@ -297,18 +301,17 @@ def _reference_chain_values(p: ModelParams, exact: dict) -> dict:
     }
 
 
-def build_chain_rows(p: ModelParams, sigma2_method: str = "paper_r1",
-                     psi_convention: str = "paper-sec10") -> tuple[list, dict]:
-    """Compute every named constant of the reference chain and compare."""
+def build_chain_rows(p: ModelParams) -> tuple[list, dict]:
+    """Compute every named constant of the reference chain, under the
+    reference conventions, and compare."""
     sp = stationary_point(p)
     x_star = sp.as_state()
     rates = ftsp_rates(p, x_star)
     bp1 = busy_period_moments(rates.lam1, rates.mu1)
     bp2 = busy_period_moments(rates.lam2, rates.mu2)
-    model = bou_matrices(p, sigma2_method=sigma2_method,
-                         psi_convention=psi_convention)
+    model = bou_matrices(p, **REFERENCE_CONVENTIONS)
     cov = steady_state_covariance(model)
-    psi = psi_mix(p, sp.z12, psi_convention)
+    psi = psi_mix(p, sp.z12, REFERENCE_CONVENTIONS["psi_convention"])
     exact = {
         "z12_star": sp.z12, "q1_star": sp.q1, "q2_star": sp.q2,
         "pi_star": sp.pi_star,
@@ -362,7 +365,7 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
     _require_overload(p)
     stage = "stationary/ftsp chain"
     try:
-        chain_rows, _ = build_chain_rows(p, "paper_r1", "paper-sec10")
+        chain_rows, _ = build_chain_rows(p)
         stage = "sigma2 adjudication"
         x_star = stationary_point(p).as_state()
         sigma2_values = {
@@ -377,9 +380,9 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
         cells = []
         arrivals = cfg.arrivals if not quick else max(cfg.arrivals // 10, 2000)
         for n in cfg.scales:
-            approx = gaussian_queue_approx(
-                p, n, sigma2_method="paper_r1", psi_convention="paper-sec10",
-                threshold_scheme="proportional")
+            sysn = scale(p, n)
+            p_n = p.with_kappa12(sysn.kappa_eff)   # realized threshold k_n/n
+            approx = gaussian_queue_approx(p_n, n, **REFERENCE_CONVENTIONS)
             approx_vals = {
                 "mean_q1": approx.mean_q1, "mean_q2": approx.mean_q2,
                 "std_qs": approx.std_qs, "std_q1": approx.std_q1,
@@ -387,7 +390,6 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
                 "std_qs_hat": approx.std_qs / math.sqrt(n),
             }
             stage = f"simulation at n={n}"
-            sysn = scale(p, n)
             est = replicate(sysn, cfg.runs, arrivals, base_seed=cfg.seed,
                             warmup_fraction=cfg.warmup, start=cfg.start)
             rt = math.sqrt(n)
@@ -419,8 +421,7 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
                 stage = "averaging-principle check"
                 frac = est["frac_d_positive"]
                 se = frac.std / math.sqrt(cfg.runs)
-                pi_star = stationary_point(
-                    p.with_kappa12(sysn.kappa_eff)).pi_star
+                pi_star = stationary_point(p_n).pi_star
                 z = abs(frac.mean - pi_star) / se if se > 0 else float("inf")
                 pi_check = {"n": n, "estimate": frac.mean, "stderr": se,
                             "target": pi_star, "z_score": z,
@@ -438,9 +439,8 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
         "each scale",
     ]
     return ValidationReport(
-        sigma2_method="paper_r1", psi_convention="paper-sec10",
-        seed=cfg.seed, scales=list(cfg.scales), runs=cfg.runs,
-        arrivals=arrivals, warmup=cfg.warmup,
+        **REFERENCE_CONVENTIONS, seed=cfg.seed, scales=list(cfg.scales),
+        runs=cfg.runs, arrivals=arrivals, warmup=cfg.warmup,
         chain_rows=chain_rows, table_cells=cells, pi_check=pi_check,
         sigma2_values=sigma2_values, notes=notes)
 
@@ -595,6 +595,8 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
     p, n = cfg.params, args.n
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     _require_overload(p)
     if args.scaled_threshold:
         p = p.with_kappa12(scale(p, n).kappa_eff)

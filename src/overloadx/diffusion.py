@@ -19,7 +19,9 @@ than hidden, each behind an explicit flag:
   the reference worked example uses the minus combination (``"paper-sec10"``).
 
 No silent defaults: both flags are mandatory in every operation where they
-matter, and every report carries them.
+matter, and every report carries them.  Each function evaluates at the
+parameters it is given; the realized threshold k_n/n of the n-th system is
+applied by the caller, with ``p.with_kappa12(scale(p, n).kappa_eff)``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .params import ModelParams, scale
+from .params import ModelParams
 from .ftsp import FluidState, asymptotic_variance
 from .fluid import FluidPath, stationary_point, integrate_fluid
 
@@ -44,7 +46,7 @@ __all__ = [
 PSI_CONVENTIONS = ("plus", "paper-sec10")
 
 
-def psi_mix(p: ModelParams, z12, convention: str = "plus"):
+def psi_mix(p: ModelParams, z12, convention: str):
     """Pool-2 service mix weight entering the FTSP noise terms."""
     if convention == "plus":
         return p.mu22 * (p.m2 - z12) + p.mu12 * z12
@@ -203,7 +205,7 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
-                 psi_convention: str = "plus") -> TimeChanges:
+                 psi_convention: str) -> TimeChanges:
     """Trapezoidal cumulative integrals of the seven time-change integrands."""
     if path.pi is None or len(path.pi) != len(path.t):
         raise ValueError("path must carry a pi value per step")
@@ -217,8 +219,8 @@ def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
                        psi_convention=psi_convention)
 
 
-def bou_matrices(p: ModelParams, x_star: FluidState | None = None, *,
-                 sigma2_method: str, psi_convention: str) -> BouModel:
+def bou_matrices(p: ModelParams, *, sigma2_method: str,
+                 psi_convention: str) -> BouModel:
     """Drift matrix M and diffusion matrix S at the stationary fluid point.
 
     All entries follow the stationary specialization of the time changes:
@@ -227,15 +229,13 @@ def bou_matrices(p: ModelParams, x_star: FluidState | None = None, *,
     completion streams balance at stationarity.
     """
     sp = stationary_point(p)
-    if x_star is None:
-        x_star = sp.as_state()
-    z = x_star.z12
+    z = sp.z12
     if not 0.0 < z < p.m2:
         raise ValueError("stationary z12 must be interior to (0, m2)")
     p1, p2 = queue_split(p)
     pi_star = sp.pi_star
     mix_plus = p.mu12 * z + p.mu22 * (p.m2 - z)
-    sigma2 = asymptotic_variance(p, x_star, sigma2_method)
+    sigma2 = asymptotic_variance(p, sp.as_state(), sigma2_method)
     psi = psi_mix(p, z, psi_convention)
     xi1 = 2.0 * (p.lambda1 + p.lambda2) - mix_plus
     xi12 = p.mu12 * pi_star * z
@@ -406,7 +406,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
 
 def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
                              sigma2_method: str,
-                             psi_convention: str = "plus") -> OuParams:
+                             psi_convention: str) -> OuParams:
     """One-dimensional time changes when both classes share one pool-2 rate.
 
     With mu12 = mu22 = nu the queue equation decouples:
@@ -438,30 +438,24 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
 
 
 def gaussian_queue_approx(p: ModelParams, n: int, *, sigma2_method: str,
-                          psi_convention: str,
-                          threshold_scheme: str | None = None) -> GaussianApprox:
+                          psi_convention: str) -> GaussianApprox:
     """Gaussian steady-state approximation of the n-th system.
 
-    Means are n times the stationary fluid point; standard deviations are
-    sqrt(n) times the diffusion values.  With ``threshold_scheme`` set, the
-    stationary point is evaluated at the realized threshold offset
-    k_n / n of the integer-rounded system (the n-th system's actual control),
-    which matters at small n; with None the fluid-scale kappa is used as is,
-    so n = 1 returns the fluid and diffusion values themselves.
+    Means are n times the stationary fluid point of ``p``; standard
+    deviations are sqrt(n) times the diffusion values, so n = 1 returns the
+    fluid and diffusion values themselves.  At small n the n-th system's
+    actual control is its realized threshold offset k_n / n; pass
+    ``p.with_kappa12(scale(p, n).kappa_eff)`` to evaluate there.
     """
-    if threshold_scheme is not None:
-        kappa_eff = scale(p, n, threshold_scheme).kappa_eff
-        p_eff = p.with_kappa12(kappa_eff)
-    else:
-        kappa_eff = p.kappa12
-        p_eff = p
-    sp = stationary_point(p_eff)
-    model = bou_matrices(p_eff, sigma2_method=sigma2_method,
+    if n < 1:
+        raise ValueError(f"scale parameter n must be >= 1, got {n}")
+    sp = stationary_point(p)
+    model = bou_matrices(p, sigma2_method=sigma2_method,
                          psi_convention=psi_convention)
     cov = steady_state_covariance(model)
     rt = math.sqrt(n)
     return GaussianApprox(
-        n=n, kappa_eff=kappa_eff,
+        n=n, kappa_eff=p.kappa12,
         mean_q1=n * sp.q1, mean_q2=n * sp.q2,
         mean_qs=n * (sp.q1 + sp.q2), mean_z12=n * sp.z12,
         std_q1=rt * cov.std_q1, std_q2=rt * cov.std_q2,

@@ -185,10 +185,10 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     The steps run on Python floats, one coordinate at a time; the FTSP's
     scalar arithmetic is several times slower on numpy scalars.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < h < math.inf:   # False for NaN too
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     x0.validate(p)
     n_steps = int(round(T / h))
     r = float(p.r12)

@@ -58,8 +58,10 @@ class FluidState(NamedTuple):
 
     def validate(self, p: ModelParams):
         q1, q2, z12 = self
-        if q1 < 0 or q2 < 0:
-            raise ValueError(f"queue coordinates must be non-negative: {self}")
+        # comparisons only: each is False for NaN, and < inf rejects inf
+        if not (0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf):
+            raise ValueError(
+                f"queue coordinates must be finite and non-negative: {self}")
         if not 0.0 <= z12 <= p.m2:
             raise ValueError(f"z12 must lie in [0, m2={p.m2}]: {self}")
         return self
@@ -484,9 +486,7 @@ SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
 
 
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
-                        method: str = "poisson_numeric", *,
-                        horizon: float = 2.0e6, seed: int = 20240901,
-                        batch_length: float = 1000.0) -> float:
+                        method: str = "poisson_numeric") -> float:
     """Asymptotic variance sigma2(gamma) of the centered positivity indicator.
 
     Methods:
@@ -504,9 +504,10 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
       (delta_minus - delta_plus)^2, s_plus/s_minus = sum rate * (jump/k)^2 per
       regime.  At r = 1 this is ``regenerative``; ``_truncated_solve`` is its
       lattice oracle;
-    * ``"monte_carlo"``: estimate from a simulated path -- variance of the
-      centered integral over regeneration-cycle batches for r = 1, fixed
-      time batches otherwise (see :func:`simulate_ftsp`).
+    * ``"monte_carlo"``: estimate from one simulated path of fixed length
+      2e6 and seed 20240901 -- variance of the centered integral over
+      regeneration-cycle batches for r = 1, fixed time batches otherwise.
+      For another run length or seed call :func:`simulate_ftsp` directly.
 
     ``paper_r1`` disagrees with the other three, which agree with each
     other; it exists for reproducing reference numbers.
@@ -532,9 +533,7 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
                            for rates in (model.pos_rates, model.neg_rates))
         return (d_minus * s_plus - d_plus * s_minus) / (model.k ** 2 * gap ** 3)
     if method == "monte_carlo":
-        stats = simulate_ftsp(p, gamma, horizon=horizon, seed=seed,
-                              batch_length=batch_length)
-        return stats.sigma2
+        return simulate_ftsp(p, gamma, horizon=2.0e6, seed=20240901).sigma2
     raise ValueError(f"unknown sigma2 method {method!r}")
 
 

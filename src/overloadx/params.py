@@ -38,6 +38,13 @@ def _as_ratio(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact ratio")
 
 
+def _number(key: str, value) -> float:
+    """A config rate: a JSON number (int or float), never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"params.{key}: need a JSON number, got {value!r}")
+    return float(value)
+
+
 def _round_half_up(x: float) -> int:
     """Nearest integer, ties rounded up. Fixed once for reproducibility."""
     return math.floor(x + 0.5)
@@ -107,7 +114,8 @@ class ModelParams:
              "mu": [[1.0, 0.8], [0.8, 1.0]], "m": [1.0, 1.0],
              "r12": "1/1", "r21": "1/1", "kappa12": 0.1, "kappa21": 0.1}
 
-        Ratios must be strings "j/k"; unknown keys are rejected.
+        Rates must be JSON numbers and ratios strings "j/k"; unknown keys
+        are rejected.
         """
         known = {"lambda", "theta", "mu", "m", "r12", "r21", "kappa12", "kappa21"}
         unknown = set(d) - known
@@ -136,15 +144,15 @@ class ModelParams:
                 except ValueError as exc:
                     raise ValueError(f"params.{key}: {exc}") from None
         return cls(
-            lambda1=float(lam[0]), lambda2=float(lam[1]),
-            theta1=float(theta[0]), theta2=float(theta[1]),
-            mu11=float(mu[0][0]), mu12=float(mu[0][1]),
-            mu21=float(mu[1][0]), mu22=float(mu[1][1]),
-            m1=float(m[0]), m2=float(m[1]),
+            lambda1=_number("lambda", lam[0]), lambda2=_number("lambda", lam[1]),
+            theta1=_number("theta", theta[0]), theta2=_number("theta", theta[1]),
+            mu11=_number("mu", mu[0][0]), mu12=_number("mu", mu[0][1]),
+            mu21=_number("mu", mu[1][0]), mu22=_number("mu", mu[1][1]),
+            m1=_number("m", m[0]), m2=_number("m", m[1]),
             r12=ratios.get("r12", Fraction(1)),
             r21=ratios.get("r21", ratios.get("r12", Fraction(1))),
-            kappa12=float(d.get("kappa12", 0.0)),
-            kappa21=float(d.get("kappa21", d.get("kappa12", 0.0))),
+            kappa12=_number("kappa12", d.get("kappa12", 0.0)),
+            kappa21=_number("kappa21", d.get("kappa21", d.get("kappa12", 0.0))),
         )
 
     def to_config_dict(self) -> dict:

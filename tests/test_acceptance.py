@@ -74,7 +74,7 @@ def test_criterion_2_ftsp_rates_and_busy_chain(base_params):
 
 def test_criterion_3_diffusion_arithmetic_chain(base_params):
     t0 = time.perf_counter()
-    rows, _ = build_chain_rows(base_params, "paper_r1", "paper-sec10")
+    rows, _ = build_chain_rows(base_params)
     elapsed = time.perf_counter() - t0
     chain = {r.name: r for r in rows}
     failures = [r.name for r in rows if not r.passed]
@@ -99,9 +99,9 @@ def test_criterion_4_table_approximations(base_params):
     worst = 0.0
     ok = True
     for n, ref in REFERENCE_TABLE.items():
-        g = gaussian_queue_approx(base_params, n, sigma2_method="paper_r1",
-                                  psi_convention="paper-sec10",
-                                  threshold_scheme="proportional")
+        p_n = base_params.with_kappa12(scale(base_params, n).kappa_eff)
+        g = gaussian_queue_approx(p_n, n, sigma2_method="paper_r1",
+                                  psi_convention="paper-sec10")
         got = {"mean_q1": g.mean_q1, "mean_q2": g.mean_q2,
                "std_qs": g.std_qs, "std_q1": g.std_q1, "std_q2": g.std_q2,
                "std_qs_hat": g.std_qs / math.sqrt(n)}
@@ -182,8 +182,8 @@ def test_criterion_6c_sigma2_oracles(base_params):
     sp = stationary_point(base_params)
     x_star = sp.as_state()
     poisson = asymptotic_variance(base_params, x_star, "poisson_numeric")
-    mc = asymptotic_variance(base_params, x_star, "monte_carlo",
-                             horizon=8.0e6, seed=20240906)
+    mc = simulate_ftsp(base_params, x_star, horizon=8.0e6,
+                       seed=20240906).sigma2
     rel = abs(mc - poisson) / poisson
     paper = asymptotic_variance(base_params, x_star, "paper_r1")
     regen = asymptotic_variance(base_params, x_star, "regenerative")

@@ -229,6 +229,42 @@ def test_main_rejects_bad_params(tmp_path, capsys, key, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lambda", ["1.3", 0.9]),
+    ("lambda", [1.3, True]),
+    ("lambda", [None, 0.9]),
+    ("theta", [0.2, "0.2"]),
+    ("mu", [[1.0, 0.8], [False, 1.0]]),
+    ("m", [1.0, None]),
+    ("kappa12", False),
+    ("kappa21", "0.1"),
+])
+def test_main_rejects_non_number_rates(tmp_path, capsys, key, value):
+    # float() would turn "1.3" into 1.3, true into 1.0 and false into 0.0
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["params"][key] = value
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_file), "echo-config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: params.{key}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ftsp", "--state", "nan,0.5,0.2", "--json"],
+    ["ftsp", "--state", "0.5,inf,0.2"],
+    ["fluid", "--x0", "nan,0.2,0.0", "--T", "1", "--h", "0.01"],
+    ["fluid", "--x0", "1.0,inf,0.0", "--T", "1", "--h", "0.01"],
+    ["fluid", "--x0", "1.0,0.2,0.0", "--T", "inf"],
+    ["diffusion", "--n", "0", "--sigma2-method", "paper_r1",
+     "--psi-convention", "paper-sec10"],
+])
+def test_main_rejects_non_finite_and_out_of_range_input(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["diffusion", "--n", "100", "--sigma2-method", "paper_r1",
      "--psi-convention", "paper-sec10"],

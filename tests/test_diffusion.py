@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from overloadx.params import scale
 from overloadx.ftsp import FluidState, asymptotic_variance
 from overloadx.fluid import integrate_fluid, stationary_point
 from overloadx.diffusion import (bou_matrices, gaussian_queue_approx,
@@ -305,7 +306,8 @@ def test_pool_dependent_reduction(base_params):
     p = replace(base_params, mu12=1.0)
     sp = stationary_point(p)
     path = integrate_fluid(p, sp.as_state(), T=5.0, h=1e-3)
-    ou = pool_dependent_reduction(p, path, sigma2_method="regenerative")
+    ou = pool_dependent_reduction(p, path, sigma2_method="regenerative",
+                                  psi_convention="plus")
     assert ou.eta1 == pytest.approx(0.2, abs=1e-12)
     assert ou.eta2 == pytest.approx(0.2, abs=1e-12)
     # stationary start: the transient term vanishes and the time change is
@@ -324,7 +326,8 @@ def test_pool_dependent_reduction_matches_time_change_sums(base_params):
     # off-stationary start: the closed form must equal the component sums
     p = replace(base_params, mu12=1.0)
     path = integrate_fluid(p, FluidState(1.4, 0.3, 0.1), T=10.0, h=1e-3)
-    ou = pool_dependent_reduction(p, path, sigma2_method="regenerative")
+    ou = pool_dependent_reduction(p, path, sigma2_method="regenerative",
+                                  psi_convention="plus")
     tc = time_changes(p, path, sigma2_method="regenerative", psi_convention="plus")
     five = tc.gamma1 + tc.gamma12 + tc.gamma22 + tc.phi12 + tc.phi22
     three = tc.phi12 + tc.phi22 + tc.gamma2
@@ -336,25 +339,42 @@ def test_pool_dependent_requires_equal_rates(base_params):
     sp = stationary_point(base_params)
     path = integrate_fluid(base_params, sp.as_state(), T=1.0, h=1e-3)
     with pytest.raises(ValueError):
-        pool_dependent_reduction(base_params, path, sigma2_method="regenerative")
+        pool_dependent_reduction(base_params, path, sigma2_method="regenerative",
+                                 psi_convention="plus")
 
 
 def test_gaussian_approx_reference_scales(base_params):
-    g100 = gaussian_queue_approx(base_params, 100, threshold_scheme="proportional",
-                                 **REFERENCE_FLAGS)
+    def at_kappa_eff(n):
+        return base_params.with_kappa12(scale(base_params, n).kappa_eff)
+
+    g100 = gaussian_queue_approx(at_kappa_eff(100), 100, **REFERENCE_FLAGS)
     assert g100.mean_q1 == pytest.approx(65.6, abs=0.1)
     assert g100.std_qs == pytest.approx(34.1, abs=0.1)
     assert g100.std_q1 == pytest.approx(17.0, abs=0.1)
-    g400 = gaussian_queue_approx(base_params, 400, threshold_scheme="proportional",
-                                 **REFERENCE_FLAGS)
+    g400 = gaussian_queue_approx(at_kappa_eff(400), 400, **REFERENCE_FLAGS)
     assert g400.mean_q1 == pytest.approx(262.2, abs=0.1)
     assert g400.std_qs == pytest.approx(68.2, abs=0.1)
     assert g400.std_q1 == pytest.approx(34.0, abs=0.1)
-    g25 = gaussian_queue_approx(base_params, 25, threshold_scheme="proportional",
-                                **REFERENCE_FLAGS)
+    g25 = gaussian_queue_approx(at_kappa_eff(25), 25, **REFERENCE_FLAGS)
     assert g25.kappa_eff == pytest.approx(0.12)
     assert g25.mean_q1 == pytest.approx(16.6, abs=0.1)
     assert g25.mean_q2 == pytest.approx(13.6, abs=0.1)
+
+
+def test_gaussian_approx_rejects_n_below_one(base_params):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gaussian_queue_approx(base_params, 0, **REFERENCE_FLAGS)
+
+
+def test_psi_convention_has_no_default(base_params, stationary_path):
+    p = replace(base_params, mu12=1.0)
+    with pytest.raises(TypeError):
+        psi_mix(base_params, 0.2)
+    with pytest.raises(TypeError):
+        time_changes(base_params, stationary_path, "regenerative")
+    with pytest.raises(TypeError):
+        pool_dependent_reduction(p, stationary_path,
+                                 sigma2_method="regenerative")
 
 
 def test_gaussian_approx_n1_is_fluid(base_params):

@@ -207,6 +207,19 @@ def test_integrate_argument_validation(base_params):
         integrate_fluid(base_params, FluidState(-1.0, 0.5, 0.0), T=1.0, h=1e-3)
 
 
+@pytest.mark.parametrize("x0, T, h", [
+    ((math.nan, 0.2, 0.0), 1.0, 1e-2),
+    ((1.0, math.inf, 0.0), 1.0, 1e-2),
+    ((1.0, 0.2, 0.0), math.inf, 1e-2),
+    ((1.0, 0.2, 0.0), math.nan, 1e-2),
+    ((1.0, 0.2, 0.0), 1.0, math.inf),
+    ((1.0, 0.2, 0.0), 1.0, math.nan),
+])
+def test_integrate_rejects_non_finite_input(base_params, x0, T, h):
+    with pytest.raises(ValueError):
+        integrate_fluid(base_params, FluidState(*x0), T=T, h=h)
+
+
 def test_manifold_preservation(base_params):
     # start on the ratio manifold inside the recurrence set
     sp = stationary_point(base_params)

@@ -64,6 +64,15 @@ def test_rates_reject_invalid_state(base_params):
         ftsp_rates(base_params, FluidState(0.1, 0.0, 1.5))
 
 
+@pytest.mark.parametrize("state", [
+    (math.nan, 0.5, 0.2), (0.5, math.nan, 0.2), (0.5, 0.5, math.nan),
+    (math.inf, 0.5, 0.2), (0.5, math.inf, 0.2), (0.5, 0.5, math.inf),
+])
+def test_rates_reject_non_finite_state(base_params, state):
+    with pytest.raises(ValueError):
+        ftsp_rates(base_params, FluidState(*state))
+
+
 def test_drifts_at_stationary_state(base_params):
     d_plus, d_minus = drift_rates(ftsp_rates(base_params, XSTAR))
     assert d_plus == pytest.approx(1.4111111111 - 2.9888888889, abs=1e-9)
@@ -350,6 +359,12 @@ def test_sigma2_closed_forms_require_unit_ratio(base_params):
         asymptotic_variance(p, g, "paper_r1")
     # poisson handles any rational ratio
     assert asymptotic_variance(p, g, "poisson_numeric") > 0.0
+
+
+def test_sigma2_monte_carlo_is_the_fixed_simulation(base_params):
+    # the one Monte Carlo run behind the method name: horizon 2e6, seed 20240901
+    mc = simulate_ftsp(base_params, XSTAR, horizon=2.0e6, seed=20240901)
+    assert asymptotic_variance(base_params, XSTAR, "monte_carlo") == mc.sigma2
 
 
 def test_simulate_deterministic(base_params):
