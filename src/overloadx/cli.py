@@ -600,21 +600,18 @@ def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
     _require_overload(p)
     if args.scaled_threshold:
         p = p.with_kappa12(scale(p, n).kappa_eff)
-    sp = stationary_point(p)
-    model = bou_matrices(p, sigma2_method=args.sigma2_method,
-                         psi_convention=args.psi_convention)
-    cov = steady_state_covariance(model)
-    rt = math.sqrt(n)
+    g = gaussian_queue_approx(p, n, sigma2_method=args.sigma2_method,
+                              psi_convention=args.psi_convention)
     out = {
-        "n": n, "kappa_eff": p.kappa12,
-        "sigma2_method": args.sigma2_method,
-        "psi_convention": args.psi_convention,
-        "mean_q1": n * sp.q1, "mean_q2": n * sp.q2, "mean_z12": n * sp.z12,
-        "std_q1": rt * cov.std_q1, "std_q2": rt * cov.std_q2,
-        "std_qs": rt * cov.std_qs, "std_z12": rt * math.sqrt(cov.var_z),
-        "var_qs_hat": cov.var_qs, "var_z_hat": cov.var_z,
-        "cov_qz_hat": cov.cov_qz,
-        "M": model.M.tolist(), "S": model.S.tolist(),
+        "n": n, "kappa_eff": g.kappa_eff,
+        "sigma2_method": g.sigma2_method,
+        "psi_convention": g.psi_convention,
+        "mean_q1": g.mean_q1, "mean_q2": g.mean_q2, "mean_z12": g.mean_z12,
+        "std_q1": g.std_q1, "std_q2": g.std_q2,
+        "std_qs": g.std_qs, "std_z12": g.std_z12,
+        "var_qs_hat": g.cov.var_qs, "var_z_hat": g.cov.var_z,
+        "cov_qz_hat": g.cov.cov_qz,
+        "M": g.model.M.tolist(), "S": g.model.S.tolist(),
     }
     lines = ["name,value"]
     for k, v in out.items():

@@ -27,13 +27,13 @@ applied by the caller, with ``p.with_kappa12(scale(p, n).kappa_eff)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .params import ModelParams
-from .ftsp import FluidState, asymptotic_variance
+from .ftsp import asymptotic_variance, sigma2_columns
 from .fluid import FluidPath, stationary_point, integrate_fluid
 
 __all__ = [
@@ -152,7 +152,11 @@ class OuParams:
 
 @dataclass(frozen=True)
 class GaussianApprox:
-    """Gaussian steady-state approximation for the n-th system."""
+    """Gaussian steady-state approximation for the n-th system.
+
+    ``model`` and ``cov`` are the OU limit and its steady-state covariance
+    the standard deviations were scaled from (unscaled, as the hat values).
+    """
 
     n: int
     kappa_eff: float
@@ -166,6 +170,8 @@ class GaussianApprox:
     std_z12: float
     sigma2_method: str
     psi_convention: str
+    model: BouModel = field(repr=False, compare=False)
+    cov: SteadyStateCov = field(repr=False, compare=False)
 
 
 def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
@@ -179,11 +185,7 @@ def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
     q1, q2, z = states[:, 0], states[:, 1], states[:, 2]
     pi = path.pi[:stop]
     qs = q1 + q2
-    # rows as Python floats: the FTSP's scalar arithmetic is several times
-    # slower on numpy scalars
-    sig = np.array([asymptotic_variance(p, FluidState(*s.tolist()),
-                                        sigma2_method)
-                    for s in states])
+    sig = sigma2_columns(p, states, sigma2_method)
     psi = psi_mix(p, z, psi_convention)
     rows = {
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)
@@ -460,4 +462,5 @@ def gaussian_queue_approx(p: ModelParams, n: int, *, sigma2_method: str,
         mean_qs=n * (sp.q1 + sp.q2), mean_z12=n * sp.z12,
         std_q1=rt * cov.std_q1, std_q2=rt * cov.std_q2,
         std_qs=rt * cov.std_qs, std_z12=rt * math.sqrt(cov.var_z),
-        sigma2_method=sigma2_method, psi_convention=psi_convention)
+        sigma2_method=sigma2_method, psi_convention=psi_convention,
+        model=model, cov=cov)

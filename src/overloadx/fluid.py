@@ -27,7 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .ftsp import FluidState, drift_rates, ftsp_rates, pi_12, pi_12_stationary
+# ftsp_rates and pi_12 are not called here; they stay bound for callers
+# that look the FTSP up on this module
+from .ftsp import (FluidState, drift_kernel, ftsp_rates, pi_12,
+                   pi_12_stationary, pi_from_drifts)
 
 __all__ = [
     "FluidPath", "StationaryPoint", "ode_rhs", "integrate_fluid",
@@ -182,8 +185,12 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     conserved because the difference coordinate mixes orders of magnitude
     faster than the total queue moves.
 
-    The steps run on Python floats, one coordinate at a time; the FTSP's
-    scalar arithmetic is several times slower on numpy scalars.
+    The steps run on Python floats, one coordinate at a time, and every
+    FTSP evaluation (the per-step recurrence test, the stored pi and the
+    four reduced-step stages) goes through one :func:`drift_kernel` built
+    for ``p``, with pi12 from the drifts by :func:`pi_from_drifts`.  No
+    ``FluidState`` or ``FtspRates`` is built per evaluation.  A grid of
+    T/h + 1 points that cannot be allocated raises ``ValueError``.
     """
     if not 0.0 < h < math.inf:   # False for NaN too
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -192,13 +199,18 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     x0.validate(p)
     n_steps = int(round(T / h))
     r = float(p.r12)
-    t = np.linspace(0.0, n_steps * h, n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    pis = np.empty(n_steps + 1)
-    regimes = np.empty(n_steps + 1, dtype=np.int8)
-    in_a = np.empty(n_steps + 1, dtype=bool)
+    try:
+        t = np.linspace(0.0, n_steps * h, n_steps + 1)
+        states = np.empty((n_steps + 1, 3))
+        pis = np.empty(n_steps + 1)
+        regimes = np.empty(n_steps + 1, dtype=np.int8)
+        in_a = np.empty(n_steps + 1, dtype=bool)
+    except MemoryError:
+        raise ValueError(f"the fluid grid of T/h + 1 = {n_steps + 1} points "
+                         f"does not fit in memory; raise h or lower T") from None
     escape = 10.0 * h
     rhs = _rhs_on_floats(p)
+    drifts = drift_kernel(p)
     kappa, m2 = p.kappa12, p.m2
     # terms of the total event rate, which sets the default band
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
@@ -214,7 +226,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         # both the constraint and the order exact
         q1s, q2s = queues_from_manifold(qs)
         z = min(max(z, 0.0), m2)
-        dq1, dq2, dz = rhs(q1s, q2s, z, pi_12(p, FluidState(q1s, q2s, z)))
+        dq1, dq2, dz = rhs(q1s, q2s, z, pi_from_drifts(*drifts(q1s, q2s, z)))
         return dq1 + dq2, dz
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
@@ -223,7 +235,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         band = tol_manifold if tol_manifold is not None else band_per_rate * (
             arrivals + theta1 * q1 + theta2 * q2 + pool1 + mu12 * z
             + mu22 * (m2 - z))
-        d_plus, d_minus = drift_rates(ftsp_rates(p, FluidState(q1, q2, z)))
+        d_plus, d_minus = drifts(q1, q2, z)
         recurrent = d_plus < 0.0 and d_minus > 0.0
         on_manifold = False
         if d > band:
@@ -233,7 +245,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         elif recurrent:
             on_manifold, regime = True, REGIME_AP
             q1, q2 = queues_from_manifold(q1 + q2)
-            pi = pi_12(p, FluidState(q1, q2, z))
+            pi = pi_from_drifts(*drifts(q1, q2, z))
         else:
             pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
         states[i] = q1, q2, z

@@ -39,8 +39,9 @@ from .params import ModelParams
 
 __all__ = [
     "FluidState", "FtspRates", "FtspSummary", "FtspMcStats",
-    "BusyPeriodMoments", "ftsp_rates", "drift_rates", "is_positive_recurrent",
-    "busy_period_moments", "pi_12", "pi_12_stationary", "asymptotic_variance",
+    "BusyPeriodMoments", "ftsp_rates", "drift_rates", "drift_kernel",
+    "is_positive_recurrent", "busy_period_moments", "pi_12", "pi_from_drifts",
+    "pi_12_stationary", "asymptotic_variance", "sigma2_columns",
     "simulate_ftsp", "ftsp_summary",
 ]
 
@@ -48,8 +49,9 @@ __all__ = [
 class FluidState(NamedTuple):
     """A point of the fluid state space S = [0, inf)^2 x [0, m2].
 
-    A named tuple: the integrators build one per FTSP evaluation, and a
-    tuple is built about twice as fast as a frozen dataclass.
+    A named tuple, built about twice as fast as a frozen dataclass.  The
+    path integrators build none per FTSP evaluation (see
+    :func:`drift_kernel`).
     """
 
     q1: float
@@ -84,8 +86,9 @@ class FtspRates:
     ``lam1`` and down at ``mu1``; in the non-positive region it moves away
     from the boundary (down) at ``lam2`` and back toward it (up) at ``mu2``.
 
-    Not frozen: every FTSP evaluation builds one, and the ``__init__`` of a
-    frozen dataclass is several times slower.  Treat it as read-only.
+    The rates may also be numpy arrays over many states, as
+    :func:`sigma2_columns` builds them.  Not frozen (a frozen ``__init__``
+    is several times slower); treat it as read-only.
     """
 
     j: int
@@ -220,29 +223,57 @@ class FtspMcStats:
 # rate construction
 # ---------------------------------------------------------------------------
 
+def _regime_terms(p: ModelParams):
+    """``terms(q1, q2, z12) -> (up1, down1, up2, down2, pool2)``, unvalidated.
+
+    Class-1 arrivals, class-1 abandonments plus pool-1 completions,
+    class-2 abandonments, class-2 arrivals and pool-2 completions: the
+    rates of the pre-limit chain at state n*gamma (pools full, no class-2
+    agents in pool 1), divided by n.  Floats or numpy arrays alike.
+    """
+    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
+    pool1, mu12, mu22, m2 = p.mu11 * p.m1, p.mu12, p.mu22, p.m2
+
+    def terms(q1, q2, z12):
+        return (lambda1, theta1 * q1 + pool1, theta2 * q2, lambda2,
+                mu12 * z12 + mu22 * (m2 - z12))
+
+    return terms
+
+
+def _birth_death_rates(up1, down1, up2, down2, pool2):
+    """(lam1, mu1, lam2, mu2) of the r = 1 walk; see :class:`FtspRates`."""
+    up, down = up1 + up2, down1 + down2
+    return up, down + pool2, down, up + pool2
+
+
+def _lattice_rates(j: int, k: int, up1, down1, up2, down2, pool2):
+    """Per-regime ``{lattice jump: rate}`` dicts ``(pos, neg)``.
+
+    In the positive regime every completion takes the head of queue 1; in
+    the non-positive regime pool-2 completions take the head of queue 2.
+    """
+    if j == k:
+        lam1, mu1, lam2, mu2 = _birth_death_rates(up1, down1, up2, down2,
+                                                  pool2)
+        return {1: lam1, -1: mu1}, {1: mu2, -1: lam2}
+    return ({k: up1, -k: down1 + pool2, j: up2, -j: down2},
+            {k: up1, -k: down1, j: up2 + pool2, -j: down2})
+
+
 def ftsp_rates(p: ModelParams, gamma: FluidState) -> FtspRates:
     """Jump rates of D(gamma, .) on the lattice of k*D, r = j/k.
 
-    The rates are the instantaneous transition rates of the pre-limit chain
-    at state n*gamma (pools full, no class-2 agents in pool 1), divided by n
-    and classified by their effect on the queue difference.  In the positive
-    regime every completion takes the head of queue 1; in the non-positive
-    regime pool-2 completions take the head of queue 2.
+    The rates of :func:`_regime_terms` at gamma, classified by their effect
+    on the queue difference (:func:`_lattice_rates`).  For r != 1 jumps of
+    rate zero are left out.
     """
     q1, q2, z12 = gamma.validate(p)
-    pool2 = p.mu12 * z12 + p.mu22 * (p.m2 - z12)        # pool-2 completions
-    down1 = p.theta1 * q1 + p.mu11 * p.m1                # class-1 events down
-    up1 = p.lambda1                                       # class-1 arrival
-    up2 = p.theta2 * q2                                   # class-2 abandonment
-    down2 = p.lambda2                                     # class-2 arrival
     j, k = p.r12.as_integer_ratio()
-    if j == k:
-        # r = 1: both classes jump by +-1, a birth-death walk
-        return FtspRates(1, 1, {1: up1 + up2, -1: down1 + down2 + pool2},
-                         {1: up1 + up2 + pool2, -1: down1 + down2})
-    pos = {k: up1, -k: down1 + pool2, j: up2, -j: down2}
-    neg = {k: up1, -k: down1, j: up2 + pool2, -j: down2}
-    return FtspRates(j, k, _nonzero(pos), _nonzero(neg))
+    pos, neg = _lattice_rates(j, k, *_regime_terms(p)(q1, q2, z12))
+    if j != k:
+        pos, neg = _nonzero(pos), _nonzero(neg)
+    return FtspRates(j, k, pos, neg)
 
 
 def _nonzero(rates: dict) -> dict:
@@ -254,14 +285,41 @@ def drift_rates(model: FtspRates) -> tuple[float, float]:
 
     delta_plus is the mean velocity of D in the positive region;
     delta_minus the mean velocity in the non-positive region, so
-    delta_minus > 0 means drift back toward the positive region.
+    delta_minus > 0 means drift back toward the positive region.  Rates
+    held as numpy arrays give arrays of drifts.
     """
     pos, neg = model.pos_rates, model.neg_rates
-    if model.birth_death:   # the sums below, spelled out for the hot path
+    if model.birth_death:   # the sums below, spelled out
         return pos[1] - pos[-1], neg[1] - neg[-1]
     d_plus = sum(jump * rate for jump, rate in pos.items()) / model.k
     d_minus = sum(jump * rate for jump, rate in neg.items()) / model.k
     return d_plus, d_minus
+
+
+def drift_kernel(p: ModelParams):
+    """``drifts(q1, q2, z12) -> (delta_plus, delta_minus)`` on Python floats.
+
+    Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
+    with no state, rates or dicts built at r = 1: the path integrators
+    call it at every step and RK4 stage.  A state outside S raises the
+    ``ValueError`` of :meth:`FluidState.validate`.
+    """
+    terms = _regime_terms(p)
+    j, k = p.r12.as_integer_ratio()
+    m2, inf = p.m2, math.inf
+
+    def drifts(q1, q2, z12):
+        # FluidState.validate's comparisons; the state is built to raise
+        if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
+            FluidState(q1, q2, z12).validate(p)
+        if j == k:
+            lam1, mu1, lam2, mu2 = _birth_death_rates(*terms(q1, q2, z12))
+            return lam1 - mu1, mu2 - lam2
+        # zero-rate jumps add exact zeros to drift_rates' sums
+        return drift_rates(FtspRates(j, k, *_lattice_rates(
+            j, k, *terms(q1, q2, z12))))
+
+    return drifts
 
 
 def is_positive_recurrent(p: ModelParams, gamma: FluidState) -> bool:
@@ -281,11 +339,20 @@ def busy_period_moments(lam: float, mu: float) -> BusyPeriodMoments:
     """
     if lam >= mu:
         raise ValueError(f"busy period requires lam < mu, got {lam} >= {mu}")
+    return BusyPeriodMoments(*_busy_period(lam, mu))
+
+
+def _busy_period(lam, mu):
+    """(mean, second moment, variance) for lam < mu; floats or arrays.
+
+    + - * / only, so floats and arrays evaluate the same IEEE operations
+    (``x ** 3`` would go through libm's pow, which numpy does not follow).
+    """
     m = 1.0 / mu
-    rho = lam / mu
-    mean = m / (1.0 - rho)
-    second = 2.0 * m * m / (1.0 - rho) ** 3
-    return BusyPeriodMoments(mean, second, second - mean * mean)
+    gap = 1.0 - lam / mu
+    mean = m / gap
+    second = 2.0 * m * m / (gap * gap * gap)
+    return mean, second, second - mean * mean
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +377,8 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     """
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
-    if not (d_plus < 0.0 and d_minus > 0.0):
-        # delta_minus >= delta_plus always, so the escape direction is
-        # unambiguous except at the measure-zero double-null boundary.
-        return 1.0 if d_plus >= 0.0 else 0.0
-    if method == "auto":
-        return d_minus / (d_minus - d_plus)
+    if method == "auto" or not (d_plus < 0.0 and d_minus > 0.0):
+        return pi_from_drifts(d_plus, d_minus)
     if method == "busy_period":
         if not model.birth_death:
             raise ValueError("busy-period form only applies when r = 1")
@@ -327,6 +390,15 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     if method == "truncated":
         return _truncated_solve(model, tol=1e-10)
     raise ValueError(f"unknown pi12 method {method!r}")
+
+
+def pi_from_drifts(d_plus: float, d_minus: float) -> float:
+    """pi12 from the regime drifts: the identity of :func:`pi_12`."""
+    if d_plus < 0.0 and d_minus > 0.0:
+        return d_minus / (d_minus - d_plus)
+    # delta_minus >= delta_plus always, so the escape direction is
+    # unambiguous except at the measure-zero double-null boundary.
+    return 1.0 if d_plus >= 0.0 else 0.0
 
 
 def pi_12_stationary(p: ModelParams, z12_star: float) -> float:
@@ -483,6 +555,7 @@ def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False) -> fl
 # ---------------------------------------------------------------------------
 
 SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
+_NOT_RECURRENT = "asymptotic variance requires a positive recurrent state"
 
 
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
@@ -515,26 +588,60 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     if not (d_plus < 0.0 and d_minus > 0.0):
-        raise ValueError("asymptotic variance requires a positive recurrent state")
+        raise ValueError(_NOT_RECURRENT)
+    if method == "monte_carlo":
+        return simulate_ftsp(p, gamma, horizon=2.0e6, seed=20240901).sigma2
+    return _closed_form_sigma2(model, d_plus, d_minus, method)
+
+
+
+def _closed_form_sigma2(model: FtspRates, d_plus, d_minus, method: str):
+    """The closed forms of :func:`asymptotic_variance`, at recurrent states.
+
+    Floats or arrays of rates alike, + - * / only: an array entry equals
+    the float evaluation at its state bit for bit.
+    """
     if method in ("paper_r1", "regenerative"):
         if not model.birth_death:
             raise ValueError(f"{method} requires r = 1")
-        bp1 = busy_period_moments(model.lam1, model.mu1)
-        bp2 = busy_period_moments(model.lam2, model.mu2)
-        cycle = bp1.mean + bp2.mean
+        mean1, _, var1 = _busy_period(model.lam1, model.mu1)
+        mean2, _, var2 = _busy_period(model.lam2, model.mu2)
+        cycle = mean1 + mean2
         if method == "paper_r1":
-            return bp1.variance / cycle
-        pi = bp1.mean / cycle
-        var_y = (1.0 - pi) ** 2 * bp1.variance + pi ** 2 * bp2.variance
-        return var_y / cycle
+            return var1 / cycle
+        pi = mean1 / cycle
+        return ((1.0 - pi) * (1.0 - pi) * var1 + pi * pi * var2) / cycle
     if method == "poisson_numeric":
         gap = d_minus - d_plus   # pi = d_minus / gap, 1 - pi = -d_plus / gap
         s_plus, s_minus = (sum(jump * jump * rate for jump, rate in rates.items())
                            for rates in (model.pos_rates, model.neg_rates))
-        return (d_minus * s_plus - d_plus * s_minus) / (model.k ** 2 * gap ** 3)
-    if method == "monte_carlo":
-        return simulate_ftsp(p, gamma, horizon=2.0e6, seed=20240901).sigma2
+        return ((d_minus * s_plus - d_plus * s_minus)
+                / (model.k * model.k * (gap * gap * gap)))
     raise ValueError(f"unknown sigma2 method {method!r}")
+
+
+def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarray:
+    """:func:`asymptotic_variance` at every row (q1, q2, z12) of ``states``.
+
+    The closed forms are one array expression over the columns;
+    ``"monte_carlo"`` simulates per row.  The first row outside S or not
+    positive recurrent raises the error of the scalar route.
+    """
+    if method == "monte_carlo":
+        return np.array([asymptotic_variance(p, FluidState(*s), method)
+                         for s in states.tolist()])
+    q1, q2, z12 = states.T
+    j, k = p.r12.as_integer_ratio()
+    with np.errstate(invalid="ignore"):   # rows outside S are rejected below
+        model = FtspRates(j, k, *_lattice_rates(
+            j, k, *_regime_terms(p)(q1, q2, z12)))
+        d_plus, d_minus = drift_rates(model)
+    ok = ((0.0 <= q1) & (q1 < math.inf) & (0.0 <= q2) & (q2 < math.inf)
+          & (0.0 <= z12) & (z12 <= p.m2) & (d_plus < 0.0) & (d_minus > 0.0))
+    if not ok.all():
+        FluidState(*states[np.argmin(ok)].tolist()).validate(p)
+        raise ValueError(_NOT_RECURRENT)
+    return _closed_form_sigma2(model, d_plus, d_minus, method)
 
 
 # ---------------------------------------------------------------------------

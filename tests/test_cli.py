@@ -265,6 +265,17 @@ def test_main_rejects_non_finite_and_out_of_range_input(capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_main_fluid_grid_too_large_for_memory(capsys):
+    # T/h + 1 = 1e15 + 1 points cannot be allocated: an error line naming
+    # the point count, not a numpy traceback
+    assert main(["fluid", "--x0", "1.0,0.2,0.0", "--T", "1e15",
+                 "--h", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert "1000000000000001 points" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["diffusion", "--n", "100", "--sigma2-method", "paper_r1",
      "--psi-convention", "paper-sec10"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from overloadx.params import scale
-from overloadx.ftsp import FluidState, asymptotic_variance
+from overloadx.ftsp import FluidState, asymptotic_variance, sigma2_columns
 from overloadx.fluid import integrate_fluid, stationary_point
 from overloadx.diffusion import (bou_matrices, gaussian_queue_approx,
                                  pool_dependent_reduction, psi_mix,
@@ -276,22 +276,61 @@ def test_transient_covariance_matches_reference_loop(base_params, sigma0, T):
 
 def test_transient_covariance_solves_sigma2_up_to_T_only(base_params,
                                                         monkeypatch):
-    # the path is cut at T before its integrands: one sigma2 per kept point
+    # the path is cut at T before its integrands: sigma2 is evaluated at
+    # the kept points only, in one call on their columns
     import overloadx.diffusion
-    calls = []
+    handed = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return asymptotic_variance(*args, **kwargs)
+    def counting(p, states, method):
+        handed.append(len(states))
+        return sigma2_columns(p, states, method)
 
     path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
                            T=1.0, h=1e-2)
-    monkeypatch.setattr(overloadx.diffusion, "asymptotic_variance", counting)
+    monkeypatch.setattr(overloadx.diffusion, "sigma2_columns", counting)
     t, _ = transient_covariance(base_params, path, np.zeros((2, 2)), 0.25,
                                 sigma2_method="regenerative",
                                 psi_convention="plus")
     assert len(t) == 26 < len(path.t)
-    assert len(calls) == len(t)
+    assert handed == [len(t)]
+
+
+@pytest.mark.parametrize("ratio, method", [
+    ("1/1", "paper_r1"), ("1/1", "regenerative"), ("1/1", "poisson_numeric"),
+    ("3/2", "poisson_numeric"),
+])
+def test_sigma2_row_matches_per_point_asymptotic_variance(base_params, ratio,
+                                                          method):
+    # one array expression over the path, equal to the scalar route at every
+    # point, on the saturated stretch and on the manifold
+    p = replace(base_params, r12=ratio, r21=ratio)
+    path = integrate_fluid(p, FluidState(1.0, 0.2, 0.0), T=0.5, h=1e-2)
+    assert np.ptp(path.pi) > 0.5
+    tc = time_changes(p, path, method, "plus")
+    assert tc.sigma2.tolist() == [
+        asymptotic_variance(p, FluidState(*s), method)
+        for s in path.states.tolist()]
+
+
+@pytest.mark.parametrize("bad", [(8.0, 0.0, 1.0), (-0.5, 0.5, 0.2)])
+def test_transient_covariance_rejects_bad_kept_point(base_params,
+                                                     stationary_path, bad):
+    # a kept point that is not positive recurrent, or not in S, raises the
+    # error of the scalar route; past T it is never evaluated
+    with pytest.raises(ValueError) as want:
+        asymptotic_variance(base_params, FluidState(*bad), "regenerative")
+    states = stationary_path.states.copy()
+    states[100] = bad
+    path = replace(stationary_path, states=states)
+    with pytest.raises(ValueError) as got:
+        transient_covariance(base_params, path, np.zeros((2, 2)), 0.2,
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+    assert str(got.value) == str(want.value)
+    t, _ = transient_covariance(base_params, path, np.zeros((2, 2)), 0.05,
+                                sigma2_method="regenerative",
+                                psi_convention="plus")
+    assert len(t) == 51
 
 
 def test_transient_covariance_rejects_indefinite_start(base_params, stationary_path):
@@ -375,6 +414,18 @@ def test_psi_convention_has_no_default(base_params, stationary_path):
     with pytest.raises(TypeError):
         pool_dependent_reduction(p, stationary_path,
                                  sigma2_method="regenerative")
+
+
+def test_gaussian_approx_carries_its_ou_model(base_params):
+    # the unscaled model and covariance behind the scaled values
+    g = gaussian_queue_approx(base_params, 100, **REFERENCE_FLAGS)
+    model = bou_matrices(base_params, **REFERENCE_FLAGS)
+    cov = steady_state_covariance(model)
+    assert np.array_equal(g.model.M, model.M)
+    assert np.array_equal(g.model.S, model.S)
+    assert g.cov == cov
+    assert g.std_qs == math.sqrt(100) * cov.std_qs
+    assert "model=" not in repr(g) and "cov=" not in repr(g)
 
 
 def test_gaussian_approx_n1_is_fluid(base_params):

@@ -11,9 +11,9 @@ from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             _mg_rate_matrix, _stationary_truncated,
                             _truncated_solve,
                             asymptotic_variance, busy_period_moments,
-                            drift_rates, ftsp_rates, ftsp_summary,
-                            is_positive_recurrent, pi_12, pi_12_stationary,
-                            simulate_ftsp)
+                            drift_kernel, drift_rates, ftsp_rates,
+                            ftsp_summary, is_positive_recurrent, pi_12,
+                            pi_12_stationary, pi_from_drifts, simulate_ftsp)
 
 from overloadx.fluid import stationary_point
 
@@ -104,6 +104,40 @@ def test_lattice_drift_vs_jump_weighted_sum(base_params):
     d_plus, d_minus = drift_rates(model)
     assert d_plus == pytest.approx(expect_plus, rel=1e-12)
     assert d_minus == pytest.approx(expect_minus, rel=1e-12)
+
+
+_COORD = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 4.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(param_seed=strategies.integers(0, 2**32 - 1),
+       ratio=strategies.sampled_from(["1/1", "3/2", "2/1", "5/3"]),
+       q1=_COORD, q2=_COORD, z_frac=strategies.floats(0.0, 1.0))
+def test_drift_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
+                                                    z_frac):
+    # the float kernel of the path integrators against FtspRates, bit for
+    # bit, anywhere in S: recurrent states and both escape directions
+    p = random_admissible_params(np.random.default_rng(param_seed), 1,
+                                 ratio=ratio)[0]
+    g = FluidState(q1, q2, z_frac * p.m2)
+    got = drift_kernel(p)(*g)
+    assert [d.hex() for d in got] == [
+        d.hex() for d in drift_rates(ftsp_rates(p, g))]
+    assert pi_from_drifts(*got).hex() == pi_12(p, g).hex()
+
+
+@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+@pytest.mark.parametrize("state", [
+    (-0.1, 0.5, 0.2), (0.5, -1e-12, 0.2), (0.5, 0.5, 1.5),
+    (math.nan, 0.5, 0.2), (0.5, 0.5, math.nan), (0.5, math.inf, 0.2),
+])
+def test_drift_kernel_rejects_states_outside_S(base_params, ratio, state):
+    p = replace(base_params, r12=ratio, r21=ratio)
+    with pytest.raises(ValueError) as want:
+        ftsp_rates(p, FluidState(*state))
+    with pytest.raises(ValueError) as got:
+        drift_kernel(p)(*state)
+    assert str(got.value) == str(want.value)
 
 
 def test_positive_recurrence(base_params):
