@@ -359,6 +359,9 @@ def _busy_period(lam, mu):
 # pi12
 # ---------------------------------------------------------------------------
 
+PI12_METHODS = ("auto", "busy_period", "matrix_geometric", "truncated")
+
+
 def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     """Stationary probability that the FTSP is positive.
 
@@ -373,8 +376,11 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     ``method``: "auto" (the zero-velocity identity above), or one of the
     independent cross-check routes: "busy_period" (the alternating-renewal
     ratio E[T1]/(E[T1]+E[T2]), r = 1 only), "matrix_geometric" or
-    "truncated" (the positive mass of the lattice stationary law).
+    "truncated" (the positive mass of the lattice stationary law).  The
+    method is checked against ``PI12_METHODS`` at every state.
     """
+    if method not in PI12_METHODS:
+        raise ValueError(f"unknown pi12 method {method!r}")
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     if method == "auto" or not (d_plus < 0.0 and d_minus > 0.0):
@@ -387,9 +393,7 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
         return et1 / (et1 + et2)
     if method == "matrix_geometric":
         return _pi_matrix_geometric(model)
-    if method == "truncated":
-        return _truncated_solve(model, tol=1e-10)
-    raise ValueError(f"unknown pi12 method {method!r}")
+    return _truncated_solve(model, tol=1e-10)   # "truncated"
 
 
 def pi_from_drifts(d_plus: float, d_minus: float) -> float:

@@ -26,7 +26,13 @@ rule as freed agents.
 One event loop, ``_simulate``, applies these rules for ``run`` (stopped at
 a number of arrivals, after a warm-up prefix also measured in arrivals,
 which is proportional to elapsed time at the constant total arrival rate)
-and for ``indicator_integral`` (stopped at a time).  ``step`` and
+and for ``indicator_integral`` (stopped at a time).  No routing decision
+depends on time, so the loop runs in two stages.  The jump chain, in
+Python, draws each event's category, routes it and records one outcome
+code (``_OUTCOMES``).  Once per ``_CHUNK`` events a ``_Ledger`` does the
+time accounting in numpy: it rebuilds the pre-event states from the codes
+and computes the holding times, the clock and the time-weighted sums, each
+value bit for bit what an event-by-event loop computes.  ``step`` and
 ``apply_event`` are its oracle, one event at a time.  A seed's uniforms
 come in blocks of 2**15, of which the first 2**15 - 2 are used.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -199,8 +206,10 @@ def step(sys: ScaledSystem, state: SimState, rng: np.random.Generator):
     """One transition of the CTMC; returns (new_state, event_name, dt).
 
     Reference implementation of the event logic.  ``_simulate``, the event
-    loop of ``run`` and ``indicator_integral``, inlines the same rules for
-    speed; tests hold the two together on a shared uniform stream.
+    loop of ``run`` and ``indicator_integral``, inlines the same routing
+    rules in its jump chain and computes the same holding times in its
+    ledger, a chunk at a time; tests hold the two together on a shared
+    uniform stream, holding time by holding time.
     """
     rates = _event_rates(sys, state)
     total = sum(rates)
@@ -295,7 +304,7 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
         raise ValueError("warmup fraction must lie in [0, 1)")
     state = init_state(sys, start)
     init_sys = state.in_system()
-    measured, _ = _simulate(sys, state, _uniform_pairs(seed, uniforms),
+    measured, _ = _simulate(sys, state, _uniform_blocks(seed, uniforms),
                             math.ceil(warmup_fraction * horizon_arrivals),
                             horizon_arrivals)
     return RunStats(
@@ -304,186 +313,315 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
         initial_in_system=init_sys, **measured)
 
 
-def _uniform_pairs(seed, uniforms=None):
-    """A run's uniforms as iterators of (holding, category) pairs.
+def _uniform_blocks(seed, uniforms=None):
+    """A run's uniforms, one block at a time, split into its event pairs.
 
-    Seeded: one block of 2**15 draws at a time, its last two unused.
-    A supplied ``uniforms`` stream is one block, used to its last full pair.
+    Each block is (holding, category): the first and second uniform of
+    every pair, as an array and as a list.  Seeded: blocks of 2**15 draws,
+    the last two unused.  A supplied ``uniforms`` stream is one block, used
+    to its last full pair.
     """
     if uniforms is not None:
-        it = iter(np.asarray(uniforms, dtype=float).tolist())
-        yield zip(it, it)
+        u = np.asarray(uniforms, dtype=float)
+        u = u[:len(u) - len(u) % 2]
+        yield u[0::2], u[1::2].tolist()
         raise RuntimeError("uniform stream exhausted")
     rng = np.random.default_rng(seed)
     while True:
-        it = iter(rng.random(1 << 15)[:-2].tolist())
-        yield zip(it, it)
+        u = rng.random(1 << 15)[:-2]
+        yield u[0::2], u[1::2].tolist()
+
+
+# Events between two time accountings: the jump chain records this many
+# outcome codes, then the ledger turns them into states, times and sums.
+_CHUNK = 2048
+
+# The outcomes of one event, indexed by the code the jump chain records:
+# the event's index in _EVENTS and the change of (Q1, Q2, Z11, Z12, Z21, Z22).
+_OUTCOMES = (
+    (0, (0, 0, 1, 0, 0, 0)),      # 0  arr1, served by pool 1
+    (0, (0, 0, 0, 1, 0, 0)),      # 1  arr1, served by pool 2
+    (0, (1, 0, 0, 0, 0, 0)),      # 2  arr1, queued
+    (1, (0, 0, 0, 0, 0, 1)),      # 3  arr2, served by pool 2
+    (1, (0, 0, 0, 0, 1, 0)),      # 4  arr2, served by pool 1
+    (1, (0, 1, 0, 0, 0, 0)),      # 5  arr2, queued
+    (2, (-1, 0, 0, 0, 0, 0)),     # 6  ab1
+    (3, (0, -1, 0, 0, 0, 0)),     # 7  ab2
+    (4, (0, -1, -1, 0, 1, 0)),    # 8  s11, the agent takes queue 2
+    (4, (-1, 0, 0, 0, 0, 0)),     # 9  s11, the agent takes queue 1
+    (4, (0, 0, -1, 0, 0, 0)),     # 10 s11, the agent idles
+    (6, (0, -1, 0, 0, 0, 0)),     # 11 s21, the agent takes queue 2
+    (6, (-1, 0, 1, 0, -1, 0)),    # 12 s21, the agent takes queue 1
+    (6, (0, 0, 0, 0, -1, 0)),     # 13 s21, the agent idles
+    (5, (-1, 0, 0, 0, 0, 0)),     # 14 s12, the agent takes queue 1
+    (5, (0, -1, 0, -1, 0, 1)),    # 15 s12, the agent takes queue 2
+    (5, (0, 0, 0, -1, 0, 0)),     # 16 s12, the agent idles
+    (7, (-1, 0, 0, 1, 0, -1)),    # 17 s22, the agent takes queue 1
+    (7, (0, -1, 0, 0, 0, 0)),     # 18 s22, the agent takes queue 2
+    (7, (0, 0, 0, 0, 0, -1)),     # 19 s22, the agent idles
+)
+_CODE_EVENT = np.array([event for event, _ in _OUTCOMES])
+_DELTAS = np.array([delta for _, delta in _OUTCOMES], dtype=np.int64)
+
+
+class _Ledger:
+    """The time accounting of the jump chain, one chunk of codes at a time.
+
+    From the state before a chunk and its outcome codes it rebuilds every
+    pre-event state (an integer cumsum of the code deltas), the rates and
+    the holding times ``-log(1 - u) / total``, with ``math.log`` and the
+    rates added in ``_event_rates`` order, so each equals the one ``step``
+    computes.  The clock and the time-weighted sums are running sums,
+    ``np.cumsum`` with the carry in front, which adds left to right as an
+    event-by-event loop does; ``np.sum`` (pairwise) and ``np.log`` (SIMD)
+    would move the last bits.  A measured chunk stops before its first
+    event at or after ``t_stop``.
+    """
+
+    # The sums, in order: measured time, time with D12 > 0, time with a
+    # pool short of agents, then the integrals of Q1, Q2, Q1 + Q2, Z12, D12
+    # and of their squares.
+    _SUMS = 13
+
+    def __init__(self, sys: ScaledSystem, state: SimState, t_stop: float):
+        p = sys.parent
+        self.lam12 = float(sys.lambda1n) + float(sys.lambda2n)
+        self.coef = np.array([p.theta1, p.theta2, p.mu11, p.mu12, p.mu21,
+                              p.mu22])
+        self.m1n, self.m2n = sys.m1n, sys.m2n
+        self.r12n, self.r12d = p.r12.numerator, p.r12.denominator
+        self.c12 = self.r12d * sys.k12n
+        # the jump chain tests the differences on integer-valued floats,
+        # exact while each product stays below 2**52; squares of Q1 + Q2
+        # below 2**62 fit the ledger's int64
+        parts = max(p.r12.numerator, p.r12.denominator, p.r21.numerator,
+                    p.r21.denominator)
+        self.q_exact = min(2**30, 2**52 // parts)
+        self.x = np.array([state.q1, state.q2, state.z11, state.z12,
+                           state.z21, state.z22], dtype=np.int64)
+        self.t = state.clock
+        self.t_stop = t_stop
+        self.sums = np.zeros(self._SUMS)
+        self.counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
+        self.violations = 0
+
+    def add(self, codes: bytearray, ua: np.ndarray, measure: bool) -> bool:
+        """Account for one chunk; False if it stopped at ``t_stop``."""
+        c = np.frombuffer(codes, dtype=np.uint8)
+        m = len(c)
+        x = np.concatenate((self.x[None], _DELTAS[c])).cumsum(axis=0)
+        if x[:, :2].max() > self.q_exact:
+            raise OverflowError("queue length beyond the exact range of the "
+                                "jump chain's float arithmetic")
+        pre = x[:m]
+        r = pre * self.coef   # theta1 Q1, theta2 Q2, mu11 Z11, ..., mu22 Z22
+        total = (self.lam12 + r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3]
+                 + r[:, 4] + r[:, 5])
+        dt = -np.fromiter(map(math.log, (1.0 - ua).tolist()), float, m) / total
+        clock = np.concatenate(((self.t,), dt)).cumsum()
+        k = m
+        if measure:
+            late = np.flatnonzero(clock[1:] >= self.t_stop)
+            if late.size:
+                k = int(late[0])
+            pre, dt = pre[:k], dt[:k]
+            q1, q2, z11, z12, z22 = (pre[:, 0], pre[:, 1], pre[:, 2],
+                                     pre[:, 3], pre[:, 5])
+            d12s = self.r12d * q1 - self.c12 - self.r12n * q2
+            d = d12s / self.r12d
+            qs = q1 + q2
+            short = (z11 < self.m1n) | (z12 + z22 < self.m2n)
+            terms = np.empty((self._SUMS, k + 1))
+            terms[:, 0] = self.sums
+            terms[0, 1:] = dt
+            terms[1, 1:] = np.where(d12s > 0, dt, 0.0)
+            terms[2, 1:] = np.where(short, dt, 0.0)
+            for row, v in enumerate((q1, q2, qs, z12, d), start=3):
+                terms[row, 1:] = v * dt
+                terms[row + 5, 1:] = v * v * dt
+            self.sums = terms.cumsum(axis=1)[:, -1]
+        self.violations += int(np.count_nonzero((pre[:k, 3] > 0)
+                                                & (pre[:k, 4] > 0)))
+        self.counts += np.bincount(c[:k], minlength=len(_OUTCOMES))
+        self.x = x[k]
+        self.t = float(clock[k])
+        return k == m
+
+    def finish(self, state: SimState, t0: float):
+        """Write the final state back; the measured fields and D12 > 0 time."""
+        state.q1, state.q2, state.z11, state.z12, state.z21, state.z22 = (
+            self.x.tolist())
+        state.clock = t = self.t
+        (T, t_pos, t_short, s_q1, s_q2, s_qs, s_z, s_d,
+         s2_q1, s2_q2, s2_qs, s2_z, s2_d) = self.sums.tolist()
+        per_event = np.zeros(len(_EVENTS), dtype=np.int64)
+        np.add.at(per_event, _CODE_EVENT, self.counts)
+        arr1, arr2, ab1, ab2, s11, s12, s21, s22 = per_event.tolist()
+        degenerate = T <= 0.0
+        T = math.nan if degenerate else T   # nan: every statistic is nan
+
+        def std_of(s, s2):
+            return math.sqrt(max(s2 / T - (s / T) ** 2, 0.0))
+
+        return dict(
+            window_start=t0, window_end=t, degenerate=degenerate,
+            events=int(self.counts.sum()),
+            one_way_violations=self.violations, arrivals=(arr1, arr2),
+            services=(s11 + s12, s21 + s22), abandonments=(ab1, ab2),
+            final_in_system=state.in_system(),
+            mean_q1=s_q1 / T, mean_q2=s_q2 / T, mean_qs=s_qs / T,
+            mean_z12=s_z / T, std_q1=std_of(s_q1, s2_q1),
+            std_q2=std_of(s_q2, s2_q2), std_qs=std_of(s_qs, s2_qs),
+            std_z12=std_of(s_z, s2_z), mean_d=s_d / T,
+            std_d=std_of(s_d, s2_d), frac_d_positive=t_pos / T,
+            frac_pool_shortfall=t_short / T), t_pos
 
 
 def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
               stop_arrivals: int, t_stop: float = math.inf):
     """The event loop behind ``run`` and ``indicator_integral``.
 
-    Advances ``state`` in place by the rules of ``apply_event``, inlined, one
-    event per uniform pair from the iterators ``blocks`` yields.  Warm-up
-    runs to ``warm_arrivals`` arrivals with no time-weighted sums; then
-    measurement runs to ``stop_arrivals`` arrivals (-1: no limit), or stops
-    before the first event at or after ``t_stop``, the state holding from
-    ``state.clock`` on.  Returns the ``RunStats`` fields it measured and the
-    measured time with D12 > 0.
+    Advances ``state`` in place in two stages.  The jump chain, in Python,
+    draws each event's category from the second uniform of its pair,
+    applies the rules of ``apply_event`` and records one outcome code; it
+    needs no clock, as nothing in the routing depends on time.  Every
+    ``_CHUNK`` events, and wherever the stop rule or a block of ``blocks``
+    ends a chunk sooner, a ``_Ledger`` turns the codes and the first
+    uniforms into states, holding times and time-weighted sums.  Warm-up
+    runs to ``warm_arrivals`` arrivals with no sums; then measurement runs
+    to ``stop_arrivals`` arrivals (-1: no limit), or stops before the first
+    event at or after ``t_stop``, the state holding from ``state.clock`` on.
+    Past a time stop, the chain's last chunk is cut where the ledger finds
+    it.  Returns the ``RunStats`` fields it measured and the measured time
+    with D12 > 0.
     """
     p = sys.parent
     lam1n, lam2n = float(sys.lambda1n), float(sys.lambda2n)
     lam12 = lam1n + lam2n
-    m1n, m2n = sys.m1n, sys.m2n
     th1, th2 = p.theta1, p.theta2
     mu11, mu12, mu21, mu22 = p.mu11, p.mu12, p.mu21, p.mu22
-    r12n, r12d = p.r12.numerator, p.r12.denominator
-    r21n, r21d = p.r21.numerator, p.r21.denominator
+    # counts and the constants they meet are integer-valued floats: Python
+    # keeps float arithmetic on its specialised paths, and it is exact
+    # while the ledger's bound holds
+    m1n, m2n = float(sys.m1n), float(sys.m2n)
+    r12n, r12d = float(p.r12.numerator), float(p.r12.denominator)
+    r21n, r21d = float(p.r21.numerator), float(p.r21.denominator)
     c12, c21 = r12d * sys.k12n, r21d * sys.k21n
-    q1, q2 = state.q1, state.q2
-    z11, z12, z21, z22 = state.z11, state.z12, state.z21, state.z22
-    t = t0 = state.clock
-    arr1 = arr2 = ab1 = ab2 = sv1 = sv2 = violations = 0
-    T = t_pos = t_short = s_q1 = s_q2 = s_qs = s_z = s_d = 0.0
-    s2_q1 = s2_q2 = s2_qs = s2_z = s2_d = 0.0
-    log = math.log
+    q1, q2 = float(state.q1), float(state.q2)
+    z11, z12, z21, z22 = (float(state.z11), float(state.z12),
+                          float(state.z21), float(state.z22))
+    ledger = _Ledger(sys, state, t_stop)
+    t0 = state.clock
+    arrivals = 0
     measure = warm_arrivals == 0
     stop = stop_arrivals if measure else warm_arrivals
-    pairs = next(blocks)
 
-    while True:
-        for ua, ub in pairs:
-            r_ab1 = th1 * q1
-            r_ab2 = th2 * q2
-            r_s11 = mu11 * z11
-            r_s12 = mu12 * z12
-            r_s21 = mu21 * z21
-            r_s22 = mu22 * z22
-            total = lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22
-            dt = -log(1.0 - ua) / total
-            u = ub * total
-            d12s = r12d * q1 - c12 - r12n * q2   # r12d * D12, exact
-            pos12 = d12s > 0
-            if measure:
-                if t + dt >= t_stop:
-                    break
-                T += dt
-                qs = q1 + q2
-                d = d12s / r12d
-                s_q1 += q1 * dt
-                s_q2 += q2 * dt
-                s_qs += qs * dt
-                s_z += z12 * dt
-                s_d += d * dt
-                s2_q1 += q1 * q1 * dt
-                s2_q2 += q2 * q2 * dt
-                s2_qs += qs * qs * dt
-                s2_z += z12 * z12 * dt
-                s2_d += d * d * dt
-                if pos12:
-                    t_pos += dt
-                if z11 < m1n or z12 + z22 < m2n:
-                    t_short += dt
-            t += dt
-            if z21 > 0 and z12 > 0:
-                violations += 1
-
-            if u < lam12:
-                if u < lam1n:
-                    arr1 += 1
-                    if z11 + z21 < m1n:
-                        z11 += 1
-                    elif z12 + z22 < m2n and z21 == 0 and pos12:
-                        z12 += 1
-                    else:
-                        q1 += 1
-                else:
-                    arr2 += 1
-                    if z12 + z22 < m2n:
-                        z22 += 1
-                    elif (z11 + z21 < m1n and z12 == 0
-                          and r21n * q2 - c21 - r21d * q1 > 0):
-                        z21 += 1
-                    else:
-                        q2 += 1
-                if arr1 + arr2 == stop:
-                    break
-            else:
-                u -= lam12
-                r_ab = r_ab1 + r_ab2
-                if u < r_ab1:
-                    q1 -= 1
-                    ab1 += 1
-                elif u < r_ab:
-                    q2 -= 1
-                    ab2 += 1
-                else:
-                    u -= r_ab
-                    r_p1 = r_s11 + r_s21
-                    if u < r_p1:
-                        if u < r_s11:
-                            z11 -= 1
-                            sv1 += 1
+    for hold, cats in blocks:
+        chain = iter(cats)
+        lo = 0
+        while lo < len(cats):
+            codes = bytearray()
+            append = codes.append
+            for ub in islice(chain, _CHUNK):
+                r_ab1 = th1 * q1
+                r_ab2 = th2 * q2
+                r_s11 = mu11 * z11
+                r_s12 = mu12 * z12
+                r_s21 = mu21 * z21
+                r_s22 = mu22 * z22
+                u = ub * (lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21
+                          + r_s22)
+                if u < lam12:
+                    if u < lam1n:
+                        if z11 + z21 < m1n:
+                            z11 += 1.0
+                            append(0)
+                        elif (z12 + z22 < m2n and z21 == 0.0
+                              and r12d * q1 - c12 - r12n * q2 > 0.0):
+                            z12 += 1.0
+                            append(1)
                         else:
-                            z21 -= 1
-                            sv2 += 1
-                        # freed pool-1 agent
-                        if (r21n * q2 - c21 - r21d * q1 > 0
-                                and z12 == 0 and q2 > 0):
-                            z21 += 1
-                            q2 -= 1
-                        elif q1 > 0:
-                            z11 += 1
-                            q1 -= 1
-                        elif q2 > 0 and z12 == 0:
-                            z21 += 1
-                            q2 -= 1
+                            q1 += 1.0
+                            append(2)
                     else:
-                        if u - r_p1 < r_s12:
-                            z12 -= 1
-                            sv1 += 1
+                        if z12 + z22 < m2n:
+                            z22 += 1.0
+                            append(3)
+                        elif (z11 + z21 < m1n and z12 == 0.0
+                              and r21n * q2 - c21 - r21d * q1 > 0.0):
+                            z21 += 1.0
+                            append(4)
                         else:
-                            z22 -= 1
-                            sv2 += 1
-                        # freed pool-2 agent; the queues, so D12, are unchanged
-                        if pos12 and z21 == 0 and q1 > 0:
-                            z12 += 1
-                            q1 -= 1
-                        elif q2 > 0:
-                            z22 += 1
-                            q2 -= 1
-                        elif q1 > 0 and z21 == 0:
-                            z12 += 1
-                            q1 -= 1
-        else:
-            pairs = next(blocks)
-            continue
-        if measure:
-            break
-        measure, t0, stop = True, t, stop_arrivals   # warm-up is over
-        if arr1 + arr2 == stop:
-            break
+                            q2 += 1.0
+                            append(5)
+                    arrivals += 1
+                    if arrivals == stop:
+                        break
+                else:
+                    u -= lam12
+                    r_ab = r_ab1 + r_ab2
+                    if u < r_ab1:
+                        q1 -= 1.0
+                        append(6)
+                    elif u < r_ab:
+                        q2 -= 1.0
+                        append(7)
+                    else:
+                        u -= r_ab
+                        r_p1 = r_s11 + r_s21
+                        if u < r_p1:
+                            if u < r_s11:
+                                z11 -= 1.0
+                                code = 8
+                            else:
+                                z21 -= 1.0
+                                code = 11
+                            # freed pool-1 agent
+                            if (z12 == 0.0 and q2 > 0.0
+                                    and r21n * q2 - c21 - r21d * q1 > 0.0):
+                                z21 += 1.0
+                                q2 -= 1.0
+                            elif q1 > 0.0:
+                                z11 += 1.0
+                                q1 -= 1.0
+                                code += 1
+                            elif q2 > 0.0 and z12 == 0.0:
+                                z21 += 1.0
+                                q2 -= 1.0
+                            else:
+                                code += 2
+                        else:
+                            if u - r_p1 < r_s12:
+                                z12 -= 1.0
+                                code = 14
+                            else:
+                                z22 -= 1.0
+                                code = 17
+                            # freed pool-2 agent
+                            if (z21 == 0.0 and q1 > 0.0
+                                    and r12d * q1 - c12 - r12n * q2 > 0.0):
+                                z12 += 1.0
+                                q1 -= 1.0
+                            elif q2 > 0.0:
+                                z22 += 1.0
+                                q2 -= 1.0
+                                code += 1
+                            elif q1 > 0.0 and z21 == 0.0:
+                                z12 += 1.0
+                                q1 -= 1.0
+                            else:
+                                code += 2
+                        append(code)
 
-    state.q1, state.q2, state.clock = q1, q2, t
-    state.z11, state.z12, state.z21, state.z22 = z11, z12, z21, z22
-    degenerate = T <= 0.0
-    T = math.nan if degenerate else T   # nan: every statistic is nan
-
-    def std_of(s, s2):
-        return math.sqrt(max(s2 / T - (s / T) ** 2, 0.0))
-
-    return dict(
-        window_start=t0, window_end=t, degenerate=degenerate,
-        events=arr1 + arr2 + ab1 + ab2 + sv1 + sv2,
-        one_way_violations=violations, arrivals=(arr1, arr2),
-        services=(sv1, sv2), abandonments=(ab1, ab2),
-        final_in_system=state.in_system(),
-        mean_q1=s_q1 / T, mean_q2=s_q2 / T, mean_qs=s_qs / T,
-        mean_z12=s_z / T, std_q1=std_of(s_q1, s2_q1),
-        std_q2=std_of(s_q2, s2_q2), std_qs=std_of(s_qs, s2_qs),
-        std_z12=std_of(s_z, s2_z), mean_d=s_d / T, std_d=std_of(s_d, s2_d),
-        frac_d_positive=t_pos / T, frac_pool_shortfall=t_short / T), t_pos
+            if not ledger.add(codes, hold[lo:lo + len(codes)], measure):
+                return ledger.finish(state, t0)    # stopped at t_stop
+            lo += len(codes)
+            if arrivals == stop:
+                if measure:
+                    return ledger.finish(state, t0)
+                measure, t0, stop = True, ledger.t, stop_arrivals
+                if arrivals == stop:   # the warm-up took every arrival
+                    return ledger.finish(state, t0)
 
 
 def _replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -576,7 +714,7 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     state = init_state(sys, start)
-    _, t_pos = _simulate(sys, state, _uniform_pairs(seed), 0, -1, t_end)
+    _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, -1, t_end)
     if _d12_positive(sys, state.q1, state.q2):
         t_pos += t_end - state.clock
     return math.sqrt(sys.n) * (t_pos - pi_ref * t_end)

@@ -12,8 +12,8 @@ from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             _truncated_solve,
                             asymptotic_variance, busy_period_moments,
                             drift_kernel, drift_rates, ftsp_rates,
-                            ftsp_summary, is_positive_recurrent, pi_12,
-                            pi_12_stationary, pi_from_drifts, simulate_ftsp)
+                            ftsp_summary, is_positive_recurrent,
+                            PI12_METHODS, pi_12, pi_12_stationary, pi_from_drifts, simulate_ftsp)
 
 from overloadx.fluid import stationary_point
 
@@ -199,6 +199,18 @@ def test_pi12_degenerate_values(base_params):
     d_plus, _ = drift_rates(ftsp_rates(p, g))
     assert d_plus > 0.0
     assert pi_12(p, g) == 1.0
+
+
+def test_pi12_rejects_unknown_method_at_every_state(base_params):
+    # the degenerate early return used to skip the method check, so a
+    # misspelt method passed silently at a state that is not recurrent
+    transient = FluidState(8.0, 0.0, 1.0)
+    assert not is_positive_recurrent(base_params, transient)
+    assert is_positive_recurrent(base_params, XSTAR)
+    for g in (transient, XSTAR):
+        with pytest.raises(ValueError, match="unknown pi12 method 'nonsense'"):
+            pi_12(base_params, g, "nonsense")
+    assert [pi_12(base_params, transient, m) for m in PI12_METHODS] == [0.0] * 4
 
 
 def test_pi12_matches_zero_velocity_identity(base_params):

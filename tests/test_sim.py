@@ -1,5 +1,8 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings, strategies
 from overloadx.params import scale
 from overloadx.ftsp import FluidState, FtspRates, ftsp_rates
 from overloadx.fluid import stationary_point
-from overloadx.sim import (SimState, aggregate_runs, apply_event,
+from overloadx.sim import (_CHUNK, SimState, _simulate, _uniform_blocks,
+                           aggregate_runs, apply_event,
                            difference_jump_rates, indicator_integral,
                            init_state, replicate, run, step)
 
@@ -229,6 +233,124 @@ def test_supplied_stream_used_to_last_pair(sys100):
                uniforms=exact.tolist()) == stats
     with pytest.raises(RuntimeError, match="exhausted"):
         run(sys100, 1000, warmup_fraction=0.1, uniforms=exact[:-1])
+
+
+def _step_window(sysn, uniforms, arrivals, warm, start="fluid"):
+    """Drive ``step`` through a run whose first ``warm`` arrivals are warm-up.
+
+    The window's sums are added in event order, as the run's definition
+    has them.  Returns the final state, the clock at the warm-up's last
+    arrival, the event count, and the window's length and integrals of
+    Q1, Q2 and Z12.
+    """
+    replay = _Replay(uniforms)
+    st = init_state(sysn, start)
+    window_start = st.clock
+    count = events = 0
+    T = s_q1 = s_q2 = s_z = 0.0
+    while count < arrivals:
+        q1, q2, z12 = st.q1, st.q2, st.z12
+        st, event, dt = step(sysn, st, replay)
+        events += 1
+        if count >= warm:
+            T += dt
+            s_q1 += q1 * dt
+            s_q2 += q2 * dt
+            s_z += z12 * dt
+        if event in ("arr1", "arr2"):
+            count += 1
+            if count == warm:
+                window_start = st.clock
+    return st, window_start, events, T, (s_q1, s_q2, s_z)
+
+
+@pytest.mark.parametrize("n,arrivals,warmup", [
+    (25, 6000, 0.0),     # several chunks, measured from the first event
+    (100, 4000, 0.3),    # the warm-up ends inside the second chunk
+])
+def test_chunked_run_matches_step_exactly(base_params, n, arrivals, warmup):
+    sysn = scale(base_params, n)
+    uniforms = np.random.default_rng(n).random(40000)
+    stats = run(sysn, arrivals, warmup_fraction=warmup, uniforms=uniforms)
+    warm = math.ceil(warmup * arrivals)
+    st, window_start, events, T, areas = _step_window(sysn, uniforms,
+                                                      arrivals, warm)
+    assert stats.events == events > 2 * _CHUNK
+    assert stats.window_start == window_start
+    assert stats.window_end == st.clock
+    assert stats.final_in_system == st.in_system()
+    assert (stats.mean_q1, stats.mean_q2, stats.mean_z12) == tuple(
+        a / T for a in areas)
+
+
+def test_time_stopped_loop_matches_step(sys100):
+    # the chain runs past the stop inside its last chunk; the state at the
+    # stop is rebuilt from the outcome codes
+    uniforms = np.random.default_rng(12).random(30000)
+    t_stop = 12.0
+    replay = _Replay(uniforms)
+    st = init_state(sys100, "fluid")
+    t_pos = 0.0
+    events = 0
+    while True:
+        positive = st.q1 - sys100.k12n - st.q2 > 0
+        nxt, _, dt = step(sys100, st, replay)
+        if nxt.clock >= t_stop:
+            break
+        if positive:
+            t_pos += dt
+        st = nxt
+        events += 1
+    assert events > 2 * _CHUNK
+    # a stream that ends with the event crossing t_stop is enough
+    used = 2 * (events + 1)
+    for stream in (uniforms, uniforms[:used]):
+        state = init_state(sys100, "fluid")
+        measured, got = _simulate(sys100, state, _uniform_blocks(None, stream),
+                                  0, -1, t_stop)
+        assert (got, state, measured["events"]) == (t_pos, st, events)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        _simulate(sys100, init_state(sys100, "fluid"),
+                  _uniform_blocks(None, uniforms[:used - 1]), 0, -1, t_stop)
+
+
+def test_holding_times_match_step_bit_for_bit(base_params):
+    # A long run's sums absorb a last-bit change of one holding time, so
+    # time single events: from the empty state only arrivals can happen,
+    # and a one-arrival run's clock is its one holding time, every bit.
+    # (np.log, for one, differs from math.log on a few inputs in 1000.)
+    sys25 = scale(base_params, 25)
+    uniforms = np.random.default_rng(3).random(4000)
+    for pair in uniforms.reshape(-1, 2):
+        stats = run(sys25, 1, warmup_fraction=0.0, start="empty",
+                    uniforms=pair)
+        _, _, dt = step(sys25, init_state(sys25, "empty"), _Replay(pair))
+        assert stats.window_end == dt
+
+
+def _encoded(stats):
+    return {f.name: (v.hex() if isinstance(v, float)
+                     else list(v) if isinstance(v, tuple) else v)
+            for f in fields(stats) for v in [getattr(stats, f.name)]}
+
+
+def test_seeded_results_bit_identical_to_golden(base_params):
+    # Recorded with the event-by-event loop that preceded the chunked time
+    # accounting: every float, by its hex form.  The runs cross several
+    # blocks of 2**15 uniforms and end their warm-up inside a block.
+    golden = json.loads((Path(__file__).parent / "sim_golden.json").read_text())
+    assert len(golden["run"]) == 8
+    for case in golden["run"]:
+        ratio = Fraction(case["ratio"])
+        p = replace(base_params, r12=ratio, r21=ratio)
+        stats = run(scale(p, case["n"]), 40000, seed=case["seed"],
+                    start=case["start"])
+        assert _encoded(stats) == case["stats"], case
+    sys400 = scale(base_params, 400)
+    for case in golden["indicator_integral"]:
+        seed = np.random.SeedSequence(entropy=1010, spawn_key=(0,))
+        value = indicator_integral(sys400, case["t_end"], seed, 0.17)
+        assert value.hex() == case["value"], case
 
 
 def test_replicate_reference_scale(base_params, sys100):
