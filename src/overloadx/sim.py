@@ -410,9 +410,11 @@ class _Ledger:
         c = np.frombuffer(codes, dtype=np.uint8)
         m = len(c)
         x = np.concatenate((self.x[None], _DELTAS[c])).cumsum(axis=0)
-        if x[:, :2].max() > self.q_exact:
-            raise OverflowError("queue length beyond the exact range of the "
-                                "jump chain's float arithmetic")
+        longest = int(x[:, :2].max())
+        if longest > self.q_exact:
+            raise OverflowError(
+                f"queue length {longest} exceeds {self.q_exact}, the longest "
+                "the event loop computes exactly with these queue ratios")
         pre = x[:m]
         r = pre * self.coef   # theta1 Q1, theta2 Q2, mu11 Z11, ..., mu22 Z22
         total = (self.lam12 + r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3]

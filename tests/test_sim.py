@@ -235,7 +235,7 @@ def test_supplied_stream_used_to_last_pair(sys100):
         run(sys100, 1000, warmup_fraction=0.1, uniforms=exact[:-1])
 
 
-def _step_window(sysn, uniforms, arrivals, warm, start="fluid"):
+def _step_window(sysn, uniforms, arrivals, warm):
     """Drive ``step`` through a run whose first ``warm`` arrivals are warm-up.
 
     The window's sums are added in event order, as the run's definition
@@ -244,7 +244,7 @@ def _step_window(sysn, uniforms, arrivals, warm, start="fluid"):
     Q1, Q2 and Z12.
     """
     replay = _Replay(uniforms)
-    st = init_state(sysn, start)
+    st = init_state(sysn, "fluid")
     window_start = st.clock
     count = events = 0
     T = s_q1 = s_q2 = s_z = 0.0
@@ -266,7 +266,7 @@ def _step_window(sysn, uniforms, arrivals, warm, start="fluid"):
 
 @pytest.mark.parametrize("n,arrivals,warmup", [
     (25, 6000, 0.0),     # several chunks, measured from the first event
-    (100, 4000, 0.3),    # the warm-up ends inside the second chunk
+    (100, 4000, 0.3),    # the warm-up ends at event 2436, after a full chunk
 ])
 def test_chunked_run_matches_step_exactly(base_params, n, arrivals, warmup):
     sysn = scale(base_params, n)
@@ -399,9 +399,16 @@ def test_indicator_integral_basic(base_params):
         indicator_integral(sys25, 0.0, seed=7, pi_ref=0.17)
 
 
+def test_run_rejects_queues_beyond_exact_arithmetic(base_params):
+    # the event loop tests the differences on integer-valued floats and
+    # squares counts in int64; 2**51 in a ratio leaves no exact room
+    p = replace(base_params, r12=Fraction(2**51 + 1, 2**51))
+    with pytest.raises(OverflowError, match="computes exactly"):
+        run(scale(p, 25), 100, seed=1)
+
+
 def test_run_general_ratio(base_params):
     # 3:2 ratio exercises the exact integer difference tests (j != k)
-    from fractions import Fraction
     p = replace(base_params, r12=Fraction(3, 2), r21=Fraction(3, 2))
     sysn = scale(p, 50)
     assert sysn.k12n == 5
