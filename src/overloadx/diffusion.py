@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .params import ModelParams
 from .ftsp import asymptotic_variance, sigma2_columns
@@ -292,7 +291,8 @@ def solve_lyapunov(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     eig = np.linalg.eigvals(M)
     if np.any(eig.real >= 0.0):
         raise ValueError(f"drift matrix is not stable: eigenvalues {eig}")
-    return scipy.linalg.solve_continuous_lyapunov(M, -np.asarray(V))
+    from scipy.linalg import solve_continuous_lyapunov
+    return solve_continuous_lyapunov(M, -np.asarray(V))
 
 
 def _drift_entries(p: ModelParams):

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .params import ModelParams
 
@@ -280,6 +279,19 @@ def _nonzero(rates: dict) -> dict:
     return {jump: rate for jump, rate in rates.items() if rate > 0.0}
 
 
+def _left_sum(terms):
+    """The terms added left to right, floats or arrays alike.
+
+    Builtin ``sum`` compensates float sums from Python 3.12 on (but not
+    array sums), which would move the last bits of a float evaluation away
+    from its array twin and from one interpreter to the next.
+    """
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def drift_rates(model: FtspRates) -> tuple[float, float]:
     """Regime drifts (delta_plus, delta_minus) in original D units.
 
@@ -291,8 +303,8 @@ def drift_rates(model: FtspRates) -> tuple[float, float]:
     pos, neg = model.pos_rates, model.neg_rates
     if model.birth_death:   # the sums below, spelled out
         return pos[1] - pos[-1], neg[1] - neg[-1]
-    d_plus = sum(jump * rate for jump, rate in pos.items()) / model.k
-    d_minus = sum(jump * rate for jump, rate in neg.items()) / model.k
+    d_plus = _left_sum(jump * rate for jump, rate in pos.items()) / model.k
+    d_minus = _left_sum(jump * rate for jump, rate in neg.items()) / model.k
     return d_plus, d_minus
 
 
@@ -495,8 +507,8 @@ def _stationary_banded(gen: np.ndarray, anchor: int) -> np.ndarray:
         band_t[b + d] = np.roll(gen[b - d], -d)
     rhs = np.zeros(gen.shape[1])
     rhs[anchor] = 1.0
-    x = scipy.linalg.solve_banded((b, b), _pin(band_t, anchor), rhs,
-                                  overwrite_ab=True)
+    from scipy.linalg import solve_banded
+    x = solve_banded((b, b), _pin(band_t, anchor), rhs, overwrite_ab=True)
     return x / x.sum()
 
 
@@ -539,8 +551,8 @@ def _truncated_solve(lattice: FtspRates, tol: float, sigma2: bool = False) -> fl
             rhs = -fbar
             rhs[nmax] = 0.0
             b = (gen.shape[0] - 1) // 2
-            g = scipy.linalg.solve_banded((b, b), _pin(gen, nmax), rhs,
-                                          overwrite_ab=True)
+            from scipy.linalg import solve_banded
+            g = solve_banded((b, b), _pin(gen, nmax), rhs, overwrite_ab=True)
             val = float(2.0 * np.sum(dist * fbar * g))
         if prev is not None:
             change = abs(val - prev)
@@ -617,7 +629,8 @@ def _closed_form_sigma2(model: FtspRates, d_plus, d_minus, method: str):
         return ((1.0 - pi) * (1.0 - pi) * var1 + pi * pi * var2) / cycle
     if method == "poisson_numeric":
         gap = d_minus - d_plus   # pi = d_minus / gap, 1 - pi = -d_plus / gap
-        s_plus, s_minus = (sum(jump * jump * rate for jump, rate in rates.items())
+        s_plus, s_minus = (_left_sum(jump * jump * rate
+                                     for jump, rate in rates.items())
                            for rates in (model.pos_rates, model.neg_rates))
         return ((d_minus * s_plus - d_plus * s_minus)
                 / (model.k * model.k * (gap * gap * gap)))
@@ -756,8 +769,8 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
     """Event-by-event walk on the k*D lattice; used for r != 1."""
     pos_jumps = sorted(lattice.pos_rates.items())
     neg_jumps = sorted(lattice.neg_rates.items())
-    pos_total = sum(r for _, r in pos_jumps)
-    neg_total = sum(r for _, r in neg_jumps)
+    pos_total = _left_sum(r for _, r in pos_jumps)
+    neg_total = _left_sum(r for _, r in neg_jumps)
     state = 0
     t = 0.0
     change_times = [0.0]       # times at which the sign of the state changes

@@ -32,10 +32,15 @@ Python, draws each event's category, routes it and records one outcome
 code (``_OUTCOMES``).  Once per ``_CHUNK`` events a ``_Ledger`` does the
 time accounting in numpy: it rebuilds the pre-event states from the codes
 and computes the holding times, the clock and the time-weighted sums, each
-value bit for bit what an event-by-event loop computes.  ``step`` and
+value bit for bit what an event-by-event loop computes.  A time-stopped
+loop sizes each chunk from the time left and the current total rate, so
+that the chain routes few events past the stop.  ``step`` and
 ``apply_event`` are its oracle, one event at a time.  A seed's uniforms
 come in blocks of 2**15, of which the first 2**15 - 2 are used.
-``replicate`` aggregates independent-stream runs into t-based intervals.
+``replicate`` aggregates independent-stream runs into t-based intervals;
+the t quantile is this module's one use of scipy, imported by
+``aggregate_runs`` when it first runs, so that importing the package
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -43,11 +48,9 @@ from __future__ import annotations
 import math
 import os
 from itertools import islice
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .params import ModelParams, ScaledSystem
 from .fluid import stationary_point
@@ -212,7 +215,10 @@ def step(sys: ScaledSystem, state: SimState, rng: np.random.Generator):
     uniform stream, holding time by holding time.
     """
     rates = _event_rates(sys, state)
-    total = sum(rates)
+    # added left to right, as the ledger adds them; builtin sum compensates
+    # float sums from Python 3.12 on
+    lam1, lam2, ab1, ab2, s11, s12, s21, s22 = rates
+    total = lam1 + lam2 + ab1 + ab2 + s11 + s12 + s21 + s22
     dt = -math.log(1.0 - rng.random()) / total
     u = rng.random() * total
     idx = 0
@@ -494,8 +500,10 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     to ``stop_arrivals`` arrivals (-1: no limit), or stops before the first
     event at or after ``t_stop``, the state holding from ``state.clock`` on.
     Past a time stop, the chain's last chunk is cut where the ledger finds
-    it.  Returns the ``RunStats`` fields it measured and the measured time
-    with D12 > 0.
+    it; so that little is cut, a time-stopped chunk holds at most the
+    expected number of events left before the stop, at the current total
+    rate, plus three standard deviations.  Returns the ``RunStats`` fields
+    it measured and the measured time with D12 > 0.
     """
     p = sys.parent
     lam1n, lam2n = float(sys.lambda1n), float(sys.lambda2n)
@@ -518,13 +526,19 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     measure = warm_arrivals == 0
     stop = stop_arrivals if measure else warm_arrivals
 
+    size = _CHUNK
     for hold, cats in blocks:
         chain = iter(cats)
         lo = 0
         while lo < len(cats):
+            if t_stop < math.inf:
+                left = (t_stop - ledger.t) * (
+                    lam12 + th1 * q1 + th2 * q2 + mu11 * z11 + mu12 * z12
+                    + mu21 * z21 + mu22 * z22)
+                size = min(_CHUNK, int(left + 3.0 * math.sqrt(left)) + 1)
             codes = bytearray()
             append = codes.append
-            for ub in islice(chain, _CHUNK):
+            for ub in islice(chain, size):
                 r_ab1 = th1 * q1
                 r_ab2 = th2 * q2
                 r_s11 = mu11 * z11
@@ -648,7 +662,8 @@ def aggregate_runs(stats: list, base_seed: int = -1) -> SimEstimate:
     if empty:
         raise ValueError(f"replications {empty} at n={stats[0].n} have an empty "
                          "measurement window; raise the arrival count")
-    tmult = float(scipy.stats.t.ppf(0.975, R - 1))
+    from scipy.special import stdtrit   # what scipy.stats.t.ppf calls
+    tmult = float(stdtrit(R - 1, 0.975))
     est = SimEstimate(n=stats[0].n, replications=R, base_seed=base_seed,
                       t_multiplier=tmult, runs=stats)
     for name in QUANTITIES:
@@ -665,15 +680,24 @@ def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
     """R independent-stream runs aggregated into t confidence intervals.
 
     Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications execute in
-    parallel when the OVERLOADX_THREADS environment variable is above 1;
-    results do not depend on the scheduling.
+    parallel when the OVERLOADX_THREADS environment variable, a positive
+    integer (default 1), is above 1; results do not depend on the
+    scheduling.
     """
     if R < 2:
         raise ValueError("need at least two replications for an interval")
-    threads = int(os.environ.get("OVERLOADX_THREADS", "1"))
+    raw = os.environ.get("OVERLOADX_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError("OVERLOADX_THREADS must be a positive integer, "
+                         f"got {raw!r}")
     jobs = [(sys, horizon_arrivals, warmup_fraction, base_seed, i, start)
             for i in range(R)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             stats = list(pool.map(_run_one, jobs))
     else:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import overloadx.ftsp
+import overloadx.sim
 from overloadx.params import ModelParams, check_overload
 from overloadx.fluid import stationary_point
 
@@ -46,3 +50,45 @@ def random_admissible_params(rng: np.random.Generator, count: int,
             continue
         out.append(p)
     return out
+
+
+def compensated_sum(iterable, start=0):
+    """Builtin ``sum`` as Python 3.12 and later compute it.
+
+    Once the running total is a float, float terms are added with
+    Neumaier's compensation and the correction is added at the end; any
+    other term ends the compensation and is added with ``+``.
+    """
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    comp = 0.0
+    for item in items:
+        if type(item) is not float:
+            if comp and math.isfinite(comp):
+                total += comp
+            total = total + item
+            for item in items:
+                total = total + item
+            return total
+        t = total + item
+        if abs(total) >= abs(item):
+            comp += (total - t) + item
+        else:
+            comp += (item - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """``sim`` and ``ftsp`` see the compensated builtin ``sum`` of 3.12+."""
+    for module in (overloadx.sim, overloadx.ftsp):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -201,6 +204,47 @@ def test_main_execution_error(capsys):
     assert main(["--config", "/nonexistent.json", "stationary"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
+def test_main_rejects_bad_thread_count(monkeypatch, capsys, value):
+    monkeypatch.setenv("OVERLOADX_THREADS", value)
+    code = main(["simulate", "--n", "25", "--runs", "2", "--arrivals", "100"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: OVERLOADX_THREADS must be a positive integer, got {value!r}\n")
+
+
+def test_commands_without_simulation_load_no_scipy():
+    # numpy gives every closed form; scipy is imported only where a
+    # replication interval or a lattice or Lyapunov cross-check needs it.
+    # A fresh interpreter: this session has imported scipy already.
+    argvs = [["stationary", "--json"],
+             ["ftsp", "--state", "0.6556,0.5556,0.2111", "--json"],
+             ["ftsp", "--state", "0.6556,0.5556,0.2111",
+              "--method", "poisson_numeric", "--json"],
+             ["fluid", "--x0", "1.0,0.2,0.0", "--T", "2", "--h", "0.01"],
+             ["diffusion", "--n", "100", "--sigma2-method", "paper_r1",
+              "--psi-convention", "paper-sec10"],
+             ["diffusion", "--n", "100", "--sigma2-method", "poisson_numeric",
+              "--psi-convention", "plus", "--scaled-threshold"],
+             ["echo-config"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import overloadx, overloadx.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert overloadx.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.partition('.')[0] == 'scipy')))\n")
+    src = str(Path(overloadx.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 def test_main_echo_config(tmp_path, capsys):

@@ -312,6 +312,18 @@ def test_sigma2_row_matches_per_point_asymptotic_variance(base_params, ratio,
         for s in path.states.tolist()]
 
 
+def test_sigma2_row_matches_per_point_with_compensated_sum(base_params,
+                                                           python312_sum):
+    # Python >= 3.12 compensates float sums but not array sums; the jump
+    # moments are added left to right, so the two routes still agree
+    p = replace(base_params, r12="3/2", r21="3/2")
+    path = integrate_fluid(p, FluidState(1.0, 0.2, 0.0), T=0.5, h=1e-2)
+    tc = time_changes(p, path, "poisson_numeric", "plus")
+    assert tc.sigma2.tolist() == [
+        asymptotic_variance(p, FluidState(*s), "poisson_numeric")
+        for s in path.states.tolist()]
+
+
 @pytest.mark.parametrize("bad", [(8.0, 0.0, 1.0), (-0.5, 0.5, 0.2)])
 def test_transient_covariance_rejects_bad_kept_point(base_params,
                                                      stationary_path, bad):
