@@ -327,8 +327,8 @@ def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
     return np.array([[a11, a12], [0.0, a22(pi)]])
 
 
-# Rows of the path converted to Python floats at a time in
-# transient_covariance: whole-path lists would raise the peak memory.
+# Steps of transient_covariance whose columns are converted to Python
+# floats at a time: whole-path lists would raise the peak memory.
 _CHUNK = 1024
 
 
@@ -348,7 +348,11 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
 
     Sigma stays symmetric, so the steps carry its three distinct entries as
     Python floats; ``sigma0`` enters through its symmetric part, which is
-    also the part checked for positive semidefiniteness.
+    also the part checked for positive semidefiniteness.  Per ``_CHUNK``
+    steps, everything that does not depend on Sigma (the step sizes, A's
+    (2,2) entry and V at each step's start, midpoint and end) is computed
+    first as numpy columns, by the same IEEE operations as on floats; the
+    steps then do only the RK4 arithmetic, written out.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
@@ -369,38 +373,42 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     out[0] = sigma0
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
-
-    def rhs(s11, s12, s22, b22, w11, w12, w22):
-        # entries (1,1), (1,2), (2,2) of A Sigma + Sigma A^T + V, summed in
-        # that order, for A = [[a11, a12], [0, b22]] and symmetric Sigma
-        return (2.0 * (a11 * s11 + a12 * s12) + w11,
-                a11 * s12 + a12 * s22 + b22 * s12 + w12,
-                2.0 * (b22 * s22) + w22)
-
     s11, s12, s22 = sym0[[0, 0, 1], [0, 1, 1]].tolist()
     for lo in range(0, n - 1, _CHUNK):
         hi = min(lo + _CHUNK, n - 1)
-        tt, pp, x11, x12, x22 = (a[lo:hi + 1].tolist()
-                                 for a in (t, pis, v11, v12, v22))
+        # per step: h, h/2, h/6, then A's (2,2) entry and V's entries at
+        # the step's start, midpoint and end
+        tt, pp = t[lo:hi + 1], pis[lo:hi + 1]
+        dt = tt[1:] - tt[:-1]
+        cols = [dt, 0.5 * dt, dt / 6.0,
+                a22(pp[:-1]), a22(0.5 * (pp[:-1] + pp[1:])), a22(pp[1:])]
+        for v in (v11, v12, v22):
+            v0, v1 = v[lo:hi], v[lo + 1:hi + 1]
+            cols += [v0, 0.5 * (v0 + v1), v1]
         steps = []
-        for i in range(hi - lo):
-            h = tt[i + 1] - tt[i]
-            h2, h6 = 0.5 * h, h / 6.0
-            b0, b1 = a22(pp[i]), a22(pp[i + 1])
-            bm = a22(0.5 * (pp[i] + pp[i + 1]))
-            v0 = x11[i], x12[i], x22[i]
-            v1 = x11[i + 1], x12[i + 1], x22[i + 1]
-            vm = [0.5 * (e0 + e1) for e0, e1 in zip(v0, v1)]
-            k1 = rhs(s11, s12, s22, b0, *v0)
-            k2 = rhs(s11 + h2 * k1[0], s12 + h2 * k1[1], s22 + h2 * k1[2],
-                     bm, *vm)
-            k3 = rhs(s11 + h2 * k2[0], s12 + h2 * k2[1], s22 + h2 * k2[2],
-                     bm, *vm)
-            k4 = rhs(s11 + h * k3[0], s12 + h * k3[1], s22 + h * k3[2],
-                     b1, *v1)
-            s11, s12, s22 = (
-                s + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                for s, c1, c2, c3, c4 in zip((s11, s12, s22), k1, k2, k3, k4))
+        for (h, h2, h6, b0, bm, b1, w11, m11, u11, w12, m12, u12, w22, m22,
+             u22) in np.column_stack(cols).tolist():
+            # RK4 stages: entries (1,1), (1,2), (2,2) of
+            # A Sigma + Sigma A^T + V, summed in that order, for
+            # A = [[a11, a12], [0, b]] and symmetric Sigma
+            k11 = 2.0 * (a11 * s11 + a12 * s12) + w11
+            k12 = a11 * s12 + a12 * s22 + b0 * s12 + w12
+            k22 = 2.0 * (b0 * s22) + w22
+            x11, x12, x22 = s11 + h2 * k11, s12 + h2 * k12, s22 + h2 * k22
+            l11 = 2.0 * (a11 * x11 + a12 * x12) + m11
+            l12 = a11 * x12 + a12 * x22 + bm * x12 + m12
+            l22 = 2.0 * (bm * x22) + m22
+            x11, x12, x22 = s11 + h2 * l11, s12 + h2 * l12, s22 + h2 * l22
+            n11 = 2.0 * (a11 * x11 + a12 * x12) + m11
+            n12 = a11 * x12 + a12 * x22 + bm * x12 + m12
+            n22 = 2.0 * (bm * x22) + m22
+            x11, x12, x22 = s11 + h * n11, s12 + h * n12, s22 + h * n22
+            e11 = 2.0 * (a11 * x11 + a12 * x12) + u11
+            e12 = a11 * x12 + a12 * x22 + b1 * x12 + u12
+            e22 = 2.0 * (b1 * x22) + u22
+            s11 = s11 + h6 * (k11 + 2.0 * l11 + 2.0 * n11 + e11)
+            s12 = s12 + h6 * (k12 + 2.0 * l12 + 2.0 * n12 + e12)
+            s22 = s22 + h6 * (k22 + 2.0 * l22 + 2.0 * n22 + e22)
             steps.append((s11, s12, s12, s22))
         flat[lo + 1:hi + 1] = steps
     return t, out

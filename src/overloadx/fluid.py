@@ -44,6 +44,10 @@ REGIME_PI_ZERO = 2   # d below the band: no class-1 overflow, pi = 0
 
 _REGIME_NAMES = {REGIME_AP: "ap", REGIME_PI_ONE: "pi1", REGIME_PI_ZERO: "pi0"}
 
+# Rows of the path that integrate_fluid holds as Python tuples before it
+# writes them into its arrays: whole-path lists would raise the peak memory.
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class StationaryPoint:
@@ -189,8 +193,12 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     FTSP evaluation (the per-step recurrence test, the stored pi and the
     four reduced-step stages) goes through one :func:`drift_kernel` built
     for ``p``, with pi12 from the drifts by :func:`pi_from_drifts`.  No
-    ``FluidState`` or ``FtspRates`` is built per evaluation.  A grid of
-    T/h + 1 points that cannot be allocated raises ``ValueError``.
+    ``FluidState`` or ``FtspRates`` is built per evaluation.  The clamps
+    into S are comparisons that give what ``max(x, 0.0)`` and
+    ``min(x, m2)`` give, and the stored rows are buffered as tuples,
+    ``_CHUNK`` at a time, before they are written into the path's arrays.
+    A grid of T/h + 1 points that cannot be allocated raises
+    ``ValueError``.
     """
     if not 0.0 < h < math.inf:   # False for NaN too
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -211,74 +219,93 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     escape = 10.0 * h
     rhs = _rhs_on_floats(p)
     drifts = drift_kernel(p)
-    kappa, m2 = p.kappa12, p.m2
+    kappa, m2, r1 = p.kappa12, p.m2, 1.0 + r
     # terms of the total event rate, which sets the default band
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
     theta1, theta2, mu12, mu22 = p.theta1, p.theta2, p.mu12, p.mu22
     h2, h6, band_per_rate = 0.5 * h, h / 6.0, 10.0 * h
+    # The clamps compare as the builtins do: max(x, 0.0) is x unless
+    # 0.0 > x and min(x, m2) is x unless m2 < x, so -0.0 and nan pass.
 
     def queues_from_manifold(qs):
-        q2 = max((qs - kappa) / (1.0 + r), 0.0)
+        q2 = (qs - kappa) / r1
+        if 0.0 > q2:
+            q2 = 0.0
         return qs - q2, q2
 
     def reduced_rhs(qs, z):
         # queues from the manifold and pi re-evaluated at every stage keep
         # both the constraint and the order exact
         q1s, q2s = queues_from_manifold(qs)
-        z = min(max(z, 0.0), m2)
+        if 0.0 > z:
+            z = 0.0
+        if m2 < z:
+            z = m2
         dq1, dq2, dz = rhs(q1s, q2s, z, pi_from_drifts(*drifts(q1s, q2s, z)))
         return dq1 + dq2, dz
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
-    for i in range(n_steps + 1):
-        d = q1 - kappa - r * q2
-        band = tol_manifold if tol_manifold is not None else band_per_rate * (
-            arrivals + theta1 * q1 + theta2 * q2 + pool1 + mu12 * z
-            + mu22 * (m2 - z))
-        d_plus, d_minus = drifts(q1, q2, z)
-        recurrent = d_plus < 0.0 and d_minus > 0.0
-        on_manifold = False
-        if d > band:
-            pi, regime = 1.0, REGIME_PI_ONE
-        elif d < -band:
-            pi, regime = 0.0, REGIME_PI_ZERO
-        elif recurrent:
-            on_manifold, regime = True, REGIME_AP
-            q1, q2 = queues_from_manifold(q1 + q2)
-            pi = pi_from_drifts(*drifts(q1, q2, z))
-        else:
-            pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
-        states[i] = q1, q2, z
-        pis[i] = pi
-        regimes[i] = regime
-        in_a[i] = recurrent
-        if i == n_steps:
-            break
+    for lo in range(0, n_steps + 1, _CHUNK):
+        rows = []
+        for i in range(lo, min(lo + _CHUNK, n_steps + 1)):
+            d = q1 - kappa - r * q2
+            band = tol_manifold if tol_manifold is not None else (
+                band_per_rate * (arrivals + theta1 * q1 + theta2 * q2 + pool1
+                                 + mu12 * z + mu22 * (m2 - z)))
+            d_plus, d_minus = drifts(q1, q2, z)
+            recurrent = d_plus < 0.0 and d_minus > 0.0
+            on_manifold = False
+            if d > band:
+                pi, regime = 1.0, REGIME_PI_ONE
+            elif d < -band:
+                pi, regime = 0.0, REGIME_PI_ZERO
+            elif recurrent:
+                on_manifold, regime = True, REGIME_AP
+                q1, q2 = queues_from_manifold(q1 + q2)
+                pi = pi_from_drifts(*drifts(q1, q2, z))
+            else:
+                pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
+            rows.append((q1, q2, z, pi, regime, recurrent))
+            if i == n_steps:
+                break
 
-        if on_manifold:
-            qs = q1 + q2
-            k1s, k1z = reduced_rhs(qs, z)
-            k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
-            k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
-            k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
-            qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            q1_new, q2_new = queues_from_manifold(max(qs, 0.0))
-        else:
-            k1 = rhs(q1, q2, z, pi)
-            k2 = rhs(q1 + h2 * k1[0], q2 + h2 * k1[1], z + h2 * k1[2], pi)
-            k3 = rhs(q1 + h2 * k2[0], q2 + h2 * k2[1], z + h2 * k2[2], pi)
-            k4 = rhs(q1 + h * k3[0], q2 + h * k3[1], z + h * k3[2], pi)
-            q1_new, q2_new, z_new = (
-                x + h6 * (a + 2.0 * b + 2.0 * c + e)
-                for x, a, b, c, e in zip((q1, q2, z), k1, k2, k3, k4))
-        overshoot = max(-q1_new, -q2_new, -z_new, z_new - m2, 0.0)
-        if overshoot > escape:
-            raise RuntimeError(
-                f"state escaped the fluid state space by {overshoot:.3g} "
-                f"at t = {t[i]:.6g} (more than 10h); reduce the step size")
-        q1, q2 = max(q1_new, 0.0), max(q2_new, 0.0)
-        z = min(max(z_new, 0.0), m2)
+            if on_manifold:
+                qs = q1 + q2
+                k1s, k1z = reduced_rhs(qs, z)
+                k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
+                k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
+                k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
+                qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+                q1_new, q2_new = queues_from_manifold(0.0 if 0.0 > qs else qs)
+            else:
+                a1, a2, a3 = rhs(q1, q2, z, pi)
+                b1, b2, b3 = rhs(q1 + h2 * a1, q2 + h2 * a2, z + h2 * a3, pi)
+                c1, c2, c3 = rhs(q1 + h2 * b1, q2 + h2 * b2, z + h2 * b3, pi)
+                e1, e2, e3 = rhs(q1 + h * c1, q2 + h * c2, z + h * c3, pi)
+                q1_new = q1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+                q2_new = q2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
+                z_new = z + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + e3)
+            # x < -escape is -x > escape; max() still decides, as it did
+            if (q1_new < -escape or q2_new < -escape or z_new < -escape
+                    or z_new - m2 > escape):
+                overshoot = max(-q1_new, -q2_new, -z_new, z_new - m2, 0.0)
+                if overshoot > escape:
+                    raise RuntimeError(
+                        f"state escaped the fluid state space by "
+                        f"{overshoot:.3g} at t = {t[i]:.6g} (more than "
+                        f"10h); reduce the step size")
+            q1 = 0.0 if 0.0 > q1_new else q1_new
+            q2 = 0.0 if 0.0 > q2_new else q2_new
+            z = 0.0 if 0.0 > z_new else z_new
+            if m2 < z:
+                z = m2
+        block = np.array(rows)
+        hi = lo + len(rows)
+        states[lo:hi] = block[:, :3]
+        pis[lo:hi] = block[:, 3]
+        regimes[lo:hi] = block[:, 4]
+        in_a[lo:hi] = block[:, 5]
 
     return FluidPath(t=t, states=states, pi=pis, regime=regimes, in_A=in_a,
                      h=h, params=p)

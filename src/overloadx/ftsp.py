@@ -312,26 +312,41 @@ def drift_kernel(p: ModelParams):
     """``drifts(q1, q2, z12) -> (delta_plus, delta_minus)`` on Python floats.
 
     Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
-    with no state, rates or dicts built at r = 1: the path integrators
-    call it at every step and RK4 stage.  A state outside S raises the
-    ``ValueError`` of :meth:`FluidState.validate`.
+    with no state, rates or dicts built: the path integrators call it at
+    every step and RK4 stage.  At r = 1 the closure spells out
+    :func:`_regime_terms` and :func:`_birth_death_rates`, the same
+    operations in the same order; for r != 1 it builds the lattice rates of
+    :func:`_lattice_rates`.  A state outside S raises the ``ValueError`` of
+    :meth:`FluidState.validate`.
     """
-    terms = _regime_terms(p)
     j, k = p.r12.as_integer_ratio()
     m2, inf = p.m2, math.inf
+    if j != k:
+        terms = _regime_terms(p)
 
-    def drifts(q1, q2, z12):
-        # FluidState.validate's comparisons; the state is built to raise
+        def drifts(q1, q2, z12):
+            # FluidState.validate's comparisons; the state is built to raise
+            if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
+                FluidState(q1, q2, z12).validate(p)
+            # zero-rate jumps add exact zeros to drift_rates' sums
+            return drift_rates(FtspRates(j, k, *_lattice_rates(
+                j, k, *terms(q1, q2, z12))))
+
+        return drifts
+
+    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
+    pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
+
+    def birth_death_drifts(q1, q2, z12):
         if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
             FluidState(q1, q2, z12).validate(p)
-        if j == k:
-            lam1, mu1, lam2, mu2 = _birth_death_rates(*terms(q1, q2, z12))
-            return lam1 - mu1, mu2 - lam2
-        # zero-rate jumps add exact zeros to drift_rates' sums
-        return drift_rates(FtspRates(j, k, *_lattice_rates(
-            j, k, *terms(q1, q2, z12))))
+        # up1 + up2 and down1 + down2 of the terms; lam1 - mu1, mu2 - lam2
+        up = lambda1 + theta2 * q2
+        down = theta1 * q1 + pool1 + lambda2
+        pool2 = mu12 * z12 + mu22 * (m2 - z12)
+        return up - (down + pool2), up + pool2 - down
 
-    return drifts
+    return birth_death_drifts
 
 
 def is_positive_recurrent(p: ModelParams, gamma: FluidState) -> bool:

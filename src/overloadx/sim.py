@@ -381,7 +381,8 @@ class _Ledger:
     ``np.cumsum`` with the carry in front, which adds left to right as an
     event-by-event loop does; ``np.sum`` (pairwise) and ``np.log`` (SIMD)
     would move the last bits.  A measured chunk stops before its first
-    event at or after ``t_stop``.
+    event at or after ``t_stop``.  Without ``moments`` only the first two
+    sums are kept, by the same running sums.
     """
 
     # The sums, in order: measured time, time with D12 > 0, time with a
@@ -389,7 +390,8 @@ class _Ledger:
     # and of their squares.
     _SUMS = 13
 
-    def __init__(self, sys: ScaledSystem, state: SimState, t_stop: float):
+    def __init__(self, sys: ScaledSystem, state: SimState, t_stop: float,
+                 moments: bool = True):
         p = sys.parent
         self.lam12 = float(sys.lambda1n) + float(sys.lambda2n)
         self.coef = np.array([p.theta1, p.theta2, p.mu11, p.mu12, p.mu21,
@@ -407,7 +409,8 @@ class _Ledger:
                            state.z21, state.z22], dtype=np.int64)
         self.t = state.clock
         self.t_stop = t_stop
-        self.sums = np.zeros(self._SUMS)
+        self.moments = moments
+        self.sums = np.zeros(self._SUMS if moments else 2)
         self.counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
         self.violations = 0
 
@@ -433,20 +436,21 @@ class _Ledger:
             if late.size:
                 k = int(late[0])
             pre, dt = pre[:k], dt[:k]
-            q1, q2, z11, z12, z22 = (pre[:, 0], pre[:, 1], pre[:, 2],
-                                     pre[:, 3], pre[:, 5])
+            q1, q2 = pre[:, 0], pre[:, 1]
             d12s = self.r12d * q1 - self.c12 - self.r12n * q2
-            d = d12s / self.r12d
-            qs = q1 + q2
-            short = (z11 < self.m1n) | (z12 + z22 < self.m2n)
-            terms = np.empty((self._SUMS, k + 1))
+            terms = np.empty((len(self.sums), k + 1))
             terms[:, 0] = self.sums
             terms[0, 1:] = dt
             terms[1, 1:] = np.where(d12s > 0, dt, 0.0)
-            terms[2, 1:] = np.where(short, dt, 0.0)
-            for row, v in enumerate((q1, q2, qs, z12, d), start=3):
-                terms[row, 1:] = v * dt
-                terms[row + 5, 1:] = v * v * dt
+            if self.moments:
+                z11, z12, z22 = pre[:, 2], pre[:, 3], pre[:, 5]
+                d = d12s / self.r12d
+                qs = q1 + q2
+                short = (z11 < self.m1n) | (z12 + z22 < self.m2n)
+                terms[2, 1:] = np.where(short, dt, 0.0)
+                for row, v in enumerate((q1, q2, qs, z12, d), start=3):
+                    terms[row, 1:] = v * dt
+                    terms[row + 5, 1:] = v * v * dt
             self.sums = terms.cumsum(axis=1)[:, -1]
         self.violations += int(np.count_nonzero((pre[:k, 3] > 0)
                                                 & (pre[:k, 4] > 0)))
@@ -456,15 +460,25 @@ class _Ledger:
         return k == m
 
     def finish(self, state: SimState, t0: float):
-        """Write the final state back; the measured fields and D12 > 0 time."""
+        """Write the final state back; the measured fields and D12 > 0 time.
+
+        Without ``moments`` the fields are the window and the counts.
+        """
         state.q1, state.q2, state.z11, state.z12, state.z21, state.z22 = (
             self.x.tolist())
         state.clock = t = self.t
-        (T, t_pos, t_short, s_q1, s_q2, s_qs, s_z, s_d,
-         s2_q1, s2_q2, s2_qs, s2_z, s2_d) = self.sums.tolist()
         per_event = np.zeros(len(_EVENTS), dtype=np.int64)
         np.add.at(per_event, _CODE_EVENT, self.counts)
         arr1, arr2, ab1, ab2, s11, s12, s21, s22 = per_event.tolist()
+        measured = dict(
+            window_start=t0, window_end=t, events=int(self.counts.sum()),
+            one_way_violations=self.violations, arrivals=(arr1, arr2),
+            services=(s11 + s12, s21 + s22), abandonments=(ab1, ab2),
+            final_in_system=state.in_system())
+        if not self.moments:
+            return measured, float(self.sums[1])
+        (T, t_pos, t_short, s_q1, s_q2, s_qs, s_z, s_d,
+         s2_q1, s2_q2, s2_qs, s2_z, s2_d) = self.sums.tolist()
         degenerate = T <= 0.0
         T = math.nan if degenerate else T   # nan: every statistic is nan
 
@@ -472,11 +486,7 @@ class _Ledger:
             return math.sqrt(max(s2 / T - (s / T) ** 2, 0.0))
 
         return dict(
-            window_start=t0, window_end=t, degenerate=degenerate,
-            events=int(self.counts.sum()),
-            one_way_violations=self.violations, arrivals=(arr1, arr2),
-            services=(s11 + s12, s21 + s22), abandonments=(ab1, ab2),
-            final_in_system=state.in_system(),
+            measured, degenerate=degenerate,
             mean_q1=s_q1 / T, mean_q2=s_q2 / T, mean_qs=s_qs / T,
             mean_z12=s_z / T, std_q1=std_of(s_q1, s2_q1),
             std_q2=std_of(s_q2, s2_q2), std_qs=std_of(s_qs, s2_qs),
@@ -486,7 +496,8 @@ class _Ledger:
 
 
 def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
-              stop_arrivals: int, t_stop: float = math.inf):
+              stop_arrivals: int, t_stop: float = math.inf,
+              moments: bool = True):
     """The event loop behind ``run`` and ``indicator_integral``.
 
     Advances ``state`` in place in two stages.  The jump chain, in Python,
@@ -503,7 +514,9 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     it; so that little is cut, a time-stopped chunk holds at most the
     expected number of events left before the stop, at the current total
     rate, plus three standard deviations.  Returns the ``RunStats`` fields
-    it measured and the measured time with D12 > 0.
+    it measured and the measured time with D12 > 0; without ``moments``
+    the ledger sums only the measured time and that time, and the fields
+    leave out the means, stds and fractions.
     """
     p = sys.parent
     lam1n, lam2n = float(sys.lambda1n), float(sys.lambda2n)
@@ -520,7 +533,7 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     q1, q2 = float(state.q1), float(state.q2)
     z11, z12, z21, z22 = (float(state.z11), float(state.z12),
                           float(state.z21), float(state.z22))
-    ledger = _Ledger(sys, state, t_stop)
+    ledger = _Ledger(sys, state, t_stop, moments)
     t0 = state.clock
     arrivals = 0
     measure = warm_arrivals == 0
@@ -740,7 +753,8 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     state = init_state(sys, start)
-    _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, -1, t_end)
+    _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, -1, t_end,
+                         moments=False)
     if _d12_positive(sys, state.q1, state.q2):
         t_pos += t_end - state.clock
     return math.sqrt(sys.n) * (t_pos - pi_ref * t_end)

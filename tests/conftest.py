@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import overloadx.diffusion
+import overloadx.fluid
 import overloadx.ftsp
 import overloadx.sim
 from overloadx.params import ModelParams, check_overload
@@ -89,6 +91,8 @@ def compensated_sum(iterable, start=0):
 
 @pytest.fixture
 def python312_sum(monkeypatch):
-    """``sim`` and ``ftsp`` see the compensated builtin ``sum`` of 3.12+."""
-    for module in (overloadx.sim, overloadx.ftsp):
+    """``sim``, ``ftsp``, ``fluid`` and ``diffusion`` see the compensated
+    builtin ``sum`` of 3.12+."""
+    for module in (overloadx.sim, overloadx.ftsp, overloadx.fluid,
+                   overloadx.diffusion):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,3 +473,87 @@ def test_queue_split_identity(base_params):
         g = gaussian_queue_approx(p, 100, sigma2_method=method,
                                   psi_convention="plus")
         assert g.std_q1 / g.std_q2 == pytest.approx(float(p.r12), rel=1e-12)
+
+
+def _hex_rows(a, rows):
+    """Rows ``rows`` of ``a`` as nested lists of ``float.hex`` strings."""
+    return [[v.hex() for v in np.ravel(row).tolist()] for row in a[rows]]
+
+
+def _sampled_rows(n):
+    return sorted({*range(0, n, 250), n - 1})
+
+
+def _digest(arrays):
+    """SHA-256 of the arrays' values, as little-endian doubles."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _transient_record(p, case):
+    """The pipeline's outputs for one case of ``transient_golden.json``:
+    every 250th and the last point of the fluid path, the time changes and
+    the covariance matrices, floats by ``float.hex``, and a digest of all
+    points (a last-bit change can fade out between two sampled points)."""
+    path = integrate_fluid(p, FluidState(*case["x0"]), T=case["T"],
+                           h=case["h"], tol_manifold=case["tol_manifold"])
+    flags = dict(sigma2_method=case["sigma2_method"],
+                 psi_convention=case["psi_convention"])
+    tc = time_changes(p, path, **flags)
+    _, cov = transient_covariance(p, path, np.array(case["sigma0"]), **flags)
+    rows = _sampled_rows(len(path.t))
+    record = {"points": len(path.t), "rows": rows,
+              "t": _hex_rows(path.t, rows),
+              "states": _hex_rows(path.states, rows),
+              "pi": _hex_rows(path.pi, rows),
+              "regime": path.regime[rows].tolist(),
+              "in_A": path.in_A[rows].tolist(),
+              "psi": _hex_rows(tc.psi, rows),
+              "sigma2": _hex_rows(tc.sigma2, rows),
+              "cov": _hex_rows(cov, rows)}
+    for name, values in tc.all_functions().items():
+        record[name] = _hex_rows(values, rows)
+    record["sha256"] = _digest([
+        path.t, path.states, path.pi, path.regime, path.in_A, tc.psi,
+        tc.sigma2, *tc.all_functions().values(), cov])
+    return path, record
+
+
+def _covariance_edge_record(p, path, edge):
+    """``transient_covariance`` cut at ``edge["T"]``, sampled like
+    :func:`_transient_record`."""
+    _, cov = transient_covariance(p, path, np.array(edge["sigma0"]),
+                                  edge["T"], sigma2_method="regenerative",
+                                  psi_convention="plus")
+    rows = _sampled_rows(len(cov))
+    return {"points": len(cov), "rows": rows, "cov": _hex_rows(cov, rows),
+            "sha256": _digest([cov])}
+
+
+def test_transient_pipeline_bit_identical_to_golden(base_params,
+                                                    python312_sum):
+    # Recorded with the step loops that preceded the chunk-precomputed ones:
+    # fluid path, time changes and transient covariance, every float by its
+    # hex form.  Cases: r = 1 off the manifold over three covariance chunks
+    # (2,501 points), r = 3/2 with poisson_numeric, a start below the band
+    # (pi0 steps) and a fixed band; then the first path's covariance on
+    # 1 and 2 points and on 1,025 points, which end on a chunk edge.  Run
+    # with the compensated sum of Python >= 3.12: a builtin sum in the
+    # float loops would then fail here on every version.
+    golden = json.loads(
+        (Path(__file__).parent / "transient_golden.json").read_text())
+    assert len(golden["pipeline"]) == 4
+    paths = []
+    for case in golden["pipeline"]:
+        p = replace(base_params, r12=Fraction(case["ratio"]),
+                    r21=Fraction(case["ratio"]))
+        path, record = _transient_record(p, case)
+        assert record == case["record"], case["ratio"]
+        paths.append(path)
+    assert [e["record"]["points"] for e in golden["covariance_edges"]] == [
+        1, 2, 1025]
+    for edge in golden["covariance_edges"]:
+        assert _covariance_edge_record(base_params, paths[0], edge) == (
+            edge["record"]), edge["T"]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,54 @@ def test_integrate_matches_reference_loop(base_params, ratio, x0, T, h, tol):
     assert np.array_equal(path.in_A, ref[:, 5].astype(bool))
     n = len(ref)
     assert np.array_equal(path.t, np.linspace(0.0, (n - 1) * h, n))
+
+
+def assert_path_equals_reference(path, ref):
+    assert np.array_equal(path.states, ref[:, :3])
+    assert np.array_equal(path.pi, ref[:, 3])
+    assert np.array_equal(path.regime, ref[:, 4].astype(np.int8))
+    assert np.array_equal(path.in_A, ref[:, 5].astype(bool))
+
+
+RATES = ("lambda1", "lambda2", "theta1", "theta2", "mu11", "mu12", "mu21",
+         "mu22")
+
+
+@pytest.mark.parametrize("speed, changes, x0, T, h, tol, clamped", [
+    # qs < kappa12 on the manifold: q2 clamped to 0 at every stage and step
+    (1.0, dict(kappa12=3.0), (2.0, 0.0, 0.3), 2.0, 0.1, 5.0, ("q2", 0.0)),
+    # z12 clamped at 0 in reduced stages and after a step
+    (3.0, dict(kappa12=3.0), (0.07, 0.97, 0.86), 4.0, 1.0, 5.0,
+     ("z12", 0.0)),
+    # z12 clamped at m2 after pi0 steps, which overshoot at h mu12 = 3
+    (1.0, dict(mu12=6.0), (0.0, 1.5, 0.42), 2.0, 0.5, 0.5, ("z12", 1.0)),
+    # r = 3/2: z12 clamped at m2 and at 0 in reduced stages, at 0 after a step
+    (3.0, dict(theta2=1.0, r12=Fraction(3, 2), r21=Fraction(3, 2)),
+     (1.02, 0.91, 0.55), 4.0, 1.0, 0.5, ("z12", 0.0)),
+])
+def test_integrate_clamps_match_reference_loop(base_params, speed, changes,
+                                               x0, T, h, tol, clamped):
+    # steps so long that stages and steps leave S and are clamped back
+    p = replace(base_params, **changes)
+    p = replace(p, **{name: getattr(p, name) * speed for name in RATES})
+    path = integrate_fluid(p, FluidState(*x0), T=T, h=h, tol_manifold=tol)
+    ref = reference_integrate(p, FluidState(*x0), T=T, h=h, tol_manifold=tol)
+    name, bound = clamped
+    assert bound in getattr(path, name)[1:]
+    assert_path_equals_reference(path, ref)
+
+
+def test_integrate_buffer_edges_match_reference_loop(base_params):
+    # paths of 1 and 2 points and paths that end on either side of the
+    # 1,024-row buffer's edges are prefixes of the reference path
+    h = 1e-3
+    ref = reference_integrate(base_params, FluidState(1.0, 0.2, 0.0),
+                              T=2049 * h, h=h)
+    for points in (1, 2, 1024, 1025, 1026, 2048, 2049, 2050):
+        path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
+                               T=max(points - 1, 0.1) * h, h=h)
+        assert len(path.t) == points
+        assert_path_equals_reference(path, ref[:points])
 
 
 def test_integrate_escape_matches_reference_loop(base_params):

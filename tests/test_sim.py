@@ -336,6 +336,23 @@ def test_time_stopped_loop_matches_step(sys100):
                   _uniform_blocks(None, uniforms[:used - 1]), 0, -1, t_stop)
 
 
+@pytest.mark.parametrize("n, t_stop", [(400, 0.01), (400, 5.0), (25, 60.0)])
+def test_d12_time_alone_matches_full_ledger(base_params, n, t_stop):
+    # the ledger without moments keeps the measured time and the D12 > 0
+    # time by the same running sums: same bits, state and counts
+    sysn = scale(base_params, n)
+    for seed in range(4):
+        got = []
+        for moments in (True, False):
+            state = init_state(sysn, "fluid")
+            measured, t_pos = _simulate(sysn, state, _uniform_blocks(seed),
+                                        0, -1, t_stop, moments)
+            got.append((t_pos.hex(), state, measured["events"],
+                        measured["window_end"]))
+        assert got[0] == got[1]
+        assert "mean_q1" not in measured
+
+
 def test_holding_times_match_step_bit_for_bit(base_params):
     # A long run's sums absorb a last-bit change of one holding time, so
     # time single events: from the empty state only arrivals can happen,
