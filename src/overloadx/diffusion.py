@@ -347,8 +347,10 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
       the queue equation negatively and the z12 equation with opposite signs).
 
     Sigma stays symmetric, so the steps carry its three distinct entries as
-    Python floats; ``sigma0`` enters through its symmetric part, which is
-    also the part checked for positive semidefiniteness.  Per ``_CHUNK``
+    Python floats.  ``sigma0`` must be symmetric up to rounding (its
+    asymmetry at most 1e-12 of its largest entry, else ``ValueError``); its
+    symmetric part is the first matrix returned, the start of the steps and
+    the part checked for positive semidefiniteness.  Per ``_CHUNK``
     steps, everything that does not depend on Sigma (the step sizes, A's
     (2,2) entry and V at each step's start, midpoint and end) is computed
     first as numpy columns, by the same IEEE operations as on floats; the
@@ -357,6 +359,8 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
+    if np.max(np.abs(sigma0 - sigma0.T)) > 1e-12 * np.max(np.abs(sigma0)):
+        raise ValueError("initial covariance must be symmetric")
     sym0 = 0.5 * (sigma0 + sigma0.T)
     eig = np.linalg.eigvalsh(sym0)
     if np.any(eig < -1e-12):
@@ -370,7 +374,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
     v12 = rows["phi12"] - rows["phi22"]
     out = np.empty((n, 2, 2))
-    out[0] = sigma0
+    out[0] = sym0
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
     s11, s12, s22 = sym0[[0, 0, 1], [0, 1, 1]].tolist()

@@ -190,10 +190,15 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     faster than the total queue moves.
 
     The steps run on Python floats, one coordinate at a time, and every
-    FTSP evaluation (the per-step recurrence test, the stored pi and the
-    four reduced-step stages) goes through one :func:`drift_kernel` built
-    for ``p``, with pi12 from the drifts by :func:`pi_from_drifts`.  No
-    ``FluidState`` or ``FtspRates`` is built per evaluation.  The clamps
+    FTSP evaluation goes through one :func:`drift_kernel` built for ``p``,
+    with pi12 from the drifts by :func:`pi_from_drifts`; no ``FluidState``
+    or ``FtspRates`` is built per evaluation.  Each point is evaluated
+    once: every step evaluates the drifts at its state for the recurrence
+    test; a recurrent averaging-principle step reuses them for the stored
+    pi when the projection onto the manifold leaves the coordinates equal
+    (``==``), and reuses that pi for its first reduced stage when the
+    manifold queues of q1 + q2 equal the stored (q1, q2).  On the manifold
+    a step thus makes four evaluations instead of six.  The clamps
     into S are comparisons that give what ``max(x, 0.0)`` and
     ``min(x, m2)`` give, and the stored rows are buffered as tuples,
     ``_CHUNK`` at a time, before they are written into the path's arrays.
@@ -261,8 +266,12 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                 pi, regime = 0.0, REGIME_PI_ZERO
             elif recurrent:
                 on_manifold, regime = True, REGIME_AP
-                q1, q2 = queues_from_manifold(q1 + q2)
-                pi = pi_from_drifts(*drifts(q1, q2, z))
+                q1_m, q2_m = queues_from_manifold(q1 + q2)
+                # a state already on the manifold keeps its drifts
+                if q1_m != q1 or q2_m != q2:
+                    d_plus, d_minus = drifts(q1_m, q2_m, z)
+                q1, q2 = q1_m, q2_m
+                pi = pi_from_drifts(d_plus, d_minus)
             else:
                 pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
             rows.append((q1, q2, z, pi, regime, recurrent))
@@ -271,7 +280,13 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
 
             if on_manifold:
                 qs = q1 + q2
-                k1s, k1z = reduced_rhs(qs, z)
+                if queues_from_manifold(qs) == (q1, q2):
+                    # stage 1 sits at the stored point, whose pi is known;
+                    # z is already in [0, m2]
+                    a1, a2, k1z = rhs(q1, q2, z, pi)
+                    k1s = a1 + a2
+                else:
+                    k1s, k1z = reduced_rhs(qs, z)
                 k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
                 k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
                 k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)

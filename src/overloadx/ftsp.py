@@ -312,30 +312,38 @@ def drift_kernel(p: ModelParams):
     """``drifts(q1, q2, z12) -> (delta_plus, delta_minus)`` on Python floats.
 
     Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
-    with no state, rates or dicts built: the path integrators call it at
-    every step and RK4 stage.  At r = 1 the closure spells out
-    :func:`_regime_terms` and :func:`_birth_death_rates`, the same
-    operations in the same order; for r != 1 it builds the lattice rates of
-    :func:`_lattice_rates`.  A state outside S raises the ``ValueError`` of
+    with no state, :class:`FtspRates` or rate dict built at any ratio: the
+    path integrators call it at every step and RK4 stage.  The closure
+    spells out :func:`_regime_terms` and, at r = 1,
+    :func:`_birth_death_rates`; at r = j/k != 1, the sums of
+    :func:`drift_rates` over the dicts of :func:`_lattice_rates`, jumps
+    k, -k, j, -j, left to right.  The same operations run in the same
+    order.  A state outside S raises the ``ValueError`` of
     :meth:`FluidState.validate`.
     """
     j, k = p.r12.as_integer_ratio()
     m2, inf = p.m2, math.inf
+    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
+    pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
     if j != k:
-        terms = _regime_terms(p)
+        # jump * rate multiplies the rate by the jump as a float, and the
+        # sum starts from the int 0, which adds nothing to a float; the
+        # products of the constant rates are taken once.  Zero rates, which
+        # ftsp_rates leaves out, add exact zeros.
+        fj, fk = float(j), float(k)
+        up1_k, mk, down2_mj = fk * lambda1, -fk, -fj * lambda2
 
-        def drifts(q1, q2, z12):
+        def lattice_drifts(q1, q2, z12):
             # FluidState.validate's comparisons; the state is built to raise
             if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
                 FluidState(q1, q2, z12).validate(p)
-            # zero-rate jumps add exact zeros to drift_rates' sums
-            return drift_rates(FtspRates(j, k, *_lattice_rates(
-                j, k, *terms(q1, q2, z12))))
+            down1 = theta1 * q1 + pool1
+            up2 = theta2 * q2
+            pool2 = mu12 * z12 + mu22 * (m2 - z12)
+            return ((up1_k + mk * (down1 + pool2) + fj * up2 + down2_mj) / fk,
+                    (up1_k + mk * down1 + fj * (up2 + pool2) + down2_mj) / fk)
 
-        return drifts
-
-    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
-    pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
+        return lattice_drifts
 
     def birth_death_drifts(q1, q2, z12):
         if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):

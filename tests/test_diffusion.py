@@ -357,6 +357,24 @@ def test_transient_covariance_rejects_indefinite_start(base_params, stationary_p
                              psi_convention="plus")
 
 
+def test_transient_covariance_rejects_asymmetric_start(base_params,
+                                                      stationary_path):
+    # the steps start from the symmetric part, so an asymmetric sigma0
+    # would be stored as a first matrix that the path does not continue
+    with pytest.raises(ValueError, match="symmetric"):
+        transient_covariance(base_params, stationary_path,
+                             np.array([[1.0, 0.4], [0.0, 1.0]]),
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+    # asymmetry at rounding level is accepted and stored symmetrized
+    sigma0 = np.array([[1.0, 0.4], [0.4 + 1e-13, 1.0]])
+    _, cov = transient_covariance(base_params, stationary_path, sigma0, 0.01,
+                                  sigma2_method="regenerative",
+                                  psi_convention="plus")
+    assert np.array_equal(cov[0], 0.5 * (sigma0 + sigma0.T))
+    assert cov[0, 0, 1] == cov[0, 1, 0]
+
+
 def test_pool_dependent_reduction(base_params):
     p = replace(base_params, mu12=1.0)
     sp = stationary_point(p)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from overloadx.ftsp import FluidState, drift_rates, ftsp_rates, pi_12
+import overloadx.fluid
+from overloadx.ftsp import (FluidState, drift_kernel, drift_rates, ftsp_rates,
+                            pi_12)
 from overloadx.fluid import (REGIME_AP, REGIME_PI_ONE, REGIME_PI_ZERO,
                              integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
@@ -86,6 +88,9 @@ def reference_integrate(p, x0, T, h, tol_manifold=None):
     ("1/1", (0.0, 12.0, 0.5), 1.0, 1e-2, 100.0),
     ("3/2", (1.0, 0.2, 0.0), 2.0, 1e-2, None),
     ("3/2", (0.9, 0.5, 0.3), 2.0, 2e-3, None),
+    # a band entry whose projected queues, projected again, move by an
+    # ulp: stage 1 evaluates its own drifts, and its pi shows in the path
+    ("3/2", (2.06, 1.33, 0.3), 1.0, 0.25, 0.05),
 ])
 def test_integrate_matches_reference_loop(base_params, ratio, x0, T, h, tol):
     p = replace(base_params, r12=ratio, r21=ratio)
@@ -156,6 +161,37 @@ def test_integrate_escape_matches_reference_loop(base_params):
     for integrate in (reference_integrate, integrate_fluid):
         with pytest.raises(RuntimeError, match="escaped"):
             integrate(p, x0, T=1.0, h=0.1, tol_manifold=0.0)
+
+
+@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
+                                                   ratio):
+    # every row costs one drift evaluation, for its regime test; a
+    # recurrent AP step adds stages 2-4 only, since the projected state
+    # and stage 1 reuse the row's drifts while they stay where they are.
+    # Entering the band moves the state once, which costs one more.
+    calls = []
+
+    def counting_kernel(p):
+        drifts = drift_kernel(p)
+
+        def counted(q1, q2, z12):
+            calls.append((q1, q2, z12))
+            return drifts(q1, q2, z12)
+
+        return counted
+
+    monkeypatch.setattr(overloadx.fluid, "drift_kernel", counting_kernel)
+    p = replace(base_params, r12=ratio, r21=ratio)
+    x0 = FluidState(1.0, 0.2, 0.0)
+    path = integrate_fluid(p, x0, T=2.0, h=1e-2)
+    ap = (path.regime == REGIME_AP) & path.in_A
+    steps = int(np.count_nonzero(ap[:-1]))
+    entries = int(np.count_nonzero(ap[1:] & ~ap[:-1])) + int(ap[0])
+    assert steps > 150 and entries == 1
+    assert len(calls) <= len(path.t) + 3 * steps + entries
+    assert_path_equals_reference(
+        path, reference_integrate(p, x0, T=2.0, h=1e-2))
 
 
 def test_stationary_point_reference(base_params):

@@ -109,9 +109,10 @@ def test_lattice_drift_vs_jump_weighted_sum(base_params):
 _COORD = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 4.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(derandomize=True, deadline=None, max_examples=140)
 @given(param_seed=strategies.integers(0, 2**32 - 1),
-       ratio=strategies.sampled_from(["1/1", "3/2", "2/1", "5/3"]),
+       ratio=strategies.sampled_from(["1/1", "3/2", "2/1", "5/3", "2/3",
+                                      "1/2", "3/4"]),
        q1=_COORD, q2=_COORD, z_frac=strategies.floats(0.0, 1.0))
 def test_drift_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
                                                     z_frac):
@@ -126,7 +127,7 @@ def test_drift_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
     assert pi_from_drifts(*got).hex() == pi_12(p, g).hex()
 
 
-@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+@pytest.mark.parametrize("ratio", ["1/1", "3/2", "2/3"])
 @pytest.mark.parametrize("state", [
     (-0.1, 0.5, 0.2), (0.5, -1e-12, 0.2), (0.5, 0.5, 1.5),
     (math.nan, 0.5, 0.2), (0.5, 0.5, math.nan), (0.5, math.inf, 0.2),
