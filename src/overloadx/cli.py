@@ -20,8 +20,9 @@ from .params import ModelParams, check_overload, scale
 from .ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
                    busy_period_moments, ftsp_rates, ftsp_summary)
 from .fluid import integrate_fluid, stationary_point
-from .diffusion import (PSI_CONVENTIONS, bou_matrices, gaussian_queue_approx,
-                        psi_mix, steady_state_covariance)
+from .diffusion import (PSI_CONVENTIONS, REFERENCE_CONVENTIONS, bou_matrices,
+                        gaussian_queue_approx, psi_mix,
+                        steady_state_covariance)
 from .sim import START_MODES, replicate
 
 __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
@@ -30,10 +31,6 @@ __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
 
 _CONFIG_KEYS = {"params", "scales", "runs", "arrivals", "warmup", "seed",
                 "start", "output"}
-
-# The conventions under which validate reproduces the reference arithmetic.
-REFERENCE_CONVENTIONS = {"sigma2_method": "paper_r1",
-                         "psi_convention": "paper-sec10"}
 
 
 def reference_params() -> ModelParams:

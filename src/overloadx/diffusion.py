@@ -18,6 +18,10 @@ than hidden, each behind an explicit flag:
   (``"plus"``, the form consistent with the martingale decomposition) while
   the reference worked example uses the minus combination (``"paper-sec10"``).
 
+The steady-state OU and the transient covariance share one drift matrix,
+:func:`sde_drift_matrix`.  The reference M22 = -mu12 mu22 m2 z12*/mix_plus is
+tied to the pair ``REFERENCE_CONVENTIONS``, which selects it with no flag.
+
 No silent defaults: both flags are mandatory in every operation where they
 matter, and every report carries them.  Each function evaluates at the
 parameters it is given; the realized threshold k_n/n of the n-th system is
@@ -37,12 +41,16 @@ from .fluid import FluidPath, stationary_point, integrate_fluid
 
 __all__ = [
     "TimeChanges", "BouModel", "SteadyStateCov", "OuParams", "GaussianApprox",
-    "psi_mix", "time_changes", "bou_matrices", "steady_state_covariance",
-    "solve_lyapunov", "sde_drift_matrix", "transient_covariance",
-    "pool_dependent_reduction", "gaussian_queue_approx",
+    "REFERENCE_CONVENTIONS", "psi_mix", "time_changes", "bou_matrices",
+    "steady_state_covariance", "solve_lyapunov", "sde_drift_matrix",
+    "transient_covariance", "pool_dependent_reduction", "gaussian_queue_approx",
 ]
 
 PSI_CONVENTIONS = ("plus", "paper-sec10")
+
+# validate's conventions; under them bou_matrices keeps the reference M22.
+REFERENCE_CONVENTIONS = {"sigma2_method": "paper_r1",
+                         "psi_convention": "paper-sec10"}
 
 
 def psi_mix(p: ModelParams, z12, convention: str):
@@ -220,12 +228,48 @@ def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
                        psi_convention=psi_convention)
 
 
+def _drift_entries(p: ModelParams):
+    """Entries of :func:`sde_drift_matrix` as Python floats.
+
+    Returns ``(a11, a12, a22)``, where a11 and a12 are constants and
+    ``a22(pi)`` is a function; the (2,1) entry is zero.
+    """
+    p1, p2 = queue_split(p)
+    a12 = p.mu22 - p.mu12
+    mu12 = p.mu12
+
+    def a22(pi):
+        return -(a12 * pi + mu12)
+
+    return -(p1 * p.theta1 + p2 * p.theta2), a12, a22
+
+
+def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
+    """Instantaneous drift matrix of the diffusion-scale pair.
+
+    Rows follow the two drift integrands of the limit equations:
+    the total queue relaxes at the split-weighted abandonment rate and feels
+    z12-hat through mu22 - mu12; z12-hat relaxes at
+    (mu22 - mu12) pi + mu12 = pi mu22 + (1 - pi) mu12.
+
+    At the stationary point it is the M of :func:`bou_matrices` under every
+    pair of conventions but ``REFERENCE_CONVENTIONS``; there its (2,2) entry
+    equals -mu12 mu22 m2 / mix_plus.
+    """
+    a11, a12, a22 = _drift_entries(p)
+    return np.array([[a11, a12], [0.0, a22(pi)]])
+
+
 def bou_matrices(p: ModelParams, *, sigma2_method: str,
                  psi_convention: str) -> BouModel:
     """Drift matrix M and diffusion matrix S at the stationary fluid point.
 
-    All entries follow the stationary specialization of the time changes:
-    the xi / eta constants are their slopes, S11^2 sums to 2(lambda1+lambda2)
+    M is :func:`sde_drift_matrix` at pi*, the drift that
+    :func:`transient_covariance` relaxes under, but for
+    ``REFERENCE_CONVENTIONS``, whose M22 is the reference constant
+    -mu12 mu22 m2 z12* / mix_plus; xi5 is derived from M.
+    S follows the stationary specialization of the time changes: the
+    xi / eta constants are their slopes, S11^2 sums to 2(lambda1+lambda2)
     exactly, and the off-diagonal S entries vanish because the two pool-2
     completion streams balance at stationarity.
     """
@@ -245,9 +289,12 @@ def bou_matrices(p: ModelParams, *, sigma2_method: str,
     eta22 = p.mu22 * pi_star * (p.m2 - z)
     xi2 = psi * psi * sigma2
     xi4 = 2.0 * p.mu12 * p.mu22 * z * (p.m2 - z) / mix_plus
-    m11 = -(p1 * p.theta1 + p2 * p.theta2)
-    m12 = p.mu22 - p.mu12
-    m22 = -p.mu12 * p.mu22 * p.m2 * z / mix_plus
+    m11, m12, a22 = _drift_entries(p)
+    if {"sigma2_method": sigma2_method,
+            "psi_convention": psi_convention} == REFERENCE_CONVENTIONS:
+        m22 = -p.mu12 * p.mu22 * p.m2 * z / mix_plus
+    else:
+        m22 = a22(pi_star)
     xi5 = m12 / abs(m11 + m22)
     s = np.array([
         [math.sqrt(xi1 + xi12 + xi22 + eta12 + eta22), 0.0],
@@ -293,38 +340,6 @@ def solve_lyapunov(M: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise ValueError(f"drift matrix is not stable: eigenvalues {eig}")
     from scipy.linalg import solve_continuous_lyapunov
     return solve_continuous_lyapunov(M, -np.asarray(V))
-
-
-def _drift_entries(p: ModelParams):
-    """Entries of :func:`sde_drift_matrix` as Python floats.
-
-    Returns ``(a11, a12, a22)``, where a11 and a12 are constants and
-    ``a22(pi)`` is a function; the (2,1) entry is zero.
-    """
-    p1, p2 = queue_split(p)
-    a12 = p.mu22 - p.mu12
-    mu12 = p.mu12
-
-    def a22(pi):
-        return -(a12 * pi + mu12)
-
-    return -(p1 * p.theta1 + p2 * p.theta2), a12, a22
-
-
-def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
-    """Instantaneous drift matrix of the diffusion-scale pair.
-
-    Rows follow the two drift integrands of the limit equations:
-    the total queue relaxes at the split-weighted abandonment rate and feels
-    z12-hat through mu22 - mu12; z12-hat relaxes at
-    (mu22 - mu12) pi + mu12 = pi mu22 + (1 - pi) mu12.
-
-    At a stationary point the (2,2) entry equals -mu12 mu22 m2 / mix_plus,
-    which differs from the M22 entry of :func:`bou_matrices` (that one is
-    kept in its reference form, for reproducing that arithmetic chain).
-    """
-    a11, a12, a22 = _drift_entries(p)
-    return np.array([[a11, a12], [0.0, a22(pi)]])
 
 
 # Steps of transient_covariance whose columns are converted to Python

@@ -257,39 +257,23 @@ def check_overload(p: ModelParams) -> OverloadVerdict:
     )
 
 
-def scale(p: ModelParams, n: int, threshold_scheme: str = "proportional",
-          c: float | None = None, a: float | None = None) -> ScaledSystem:
+def scale(p: ModelParams, n: int) -> ScaledSystem:
     """Produce the n-th system.
 
     Pool sizes are rounded to the nearest integer (ties up), which keeps the
-    rounding error o(sqrt(n)); arrival rates scale exactly.  Thresholds
-    follow ``threshold_scheme``:
-
-    * ``"proportional"``: k_n = ceil(kappa * n), the choice that makes
-      different system sizes directly comparable;
-    * ``"sublinear"``: k_n = ceil(c * n**a) with 1/2 < a < 1, the regime the
-      limit theory assumes.
+    rounding error o(sqrt(n)); arrival rates scale exactly.  Thresholds are
+    k_n = ceil(kappa * n), the choice that makes different system sizes
+    directly comparable.
     """
     if n < 1:
         raise ValueError("scale parameter n must be >= 1")
-    if threshold_scheme == "proportional":
-        k12n = math.ceil(p.kappa12 * n)
-        k21n = math.ceil(p.kappa21 * n)
-    elif threshold_scheme == "sublinear":
-        if c is None or a is None:
-            raise ValueError("sublinear thresholds need both c and a")
-        if not 0.5 < a < 1.0:
-            raise ValueError("sublinear exponent must satisfy 1/2 < a < 1")
-        k12n = k21n = math.ceil(c * n ** a)
-    else:
-        raise ValueError(f"unknown threshold scheme {threshold_scheme!r}")
     return ScaledSystem(
         n=n,
         lambda1n=n * p.lambda1,
         lambda2n=n * p.lambda2,
         m1n=_round_half_up(n * p.m1),
         m2n=_round_half_up(n * p.m2),
-        k12n=k12n,
-        k21n=k21n,
+        k12n=math.ceil(p.kappa12 * n),
+        k21n=math.ceil(p.kappa21 * n),
         parent=p,
     )

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from overloadx.params import scale
-from overloadx.ftsp import FluidState, asymptotic_variance, sigma2_columns
+from overloadx.ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
+                            sigma2_columns)
 from overloadx.fluid import integrate_fluid, stationary_point
-from overloadx.diffusion import (bou_matrices, gaussian_queue_approx,
+from overloadx.diffusion import (PSI_CONVENTIONS, REFERENCE_CONVENTIONS,
+                                 bou_matrices, gaussian_queue_approx,
                                  pool_dependent_reduction, psi_mix,
                                  sde_drift_matrix, solve_lyapunov,
                                  steady_state_covariance, time_changes,
@@ -78,12 +80,16 @@ def test_steady_state_covariance_reference_chain(base_params):
 
 
 def test_z1_addend_identity_on_random_sets(base_params):
-    # xi4 / (2 |M22|) telescopes to 1 - z*/m2 exactly
+    # xi4 / (2 |M22|) telescopes to 1 - z*/m2 with the reference M22, and
+    # to z* (1 - z*/m2) with a22(pi*) = -mu12 mu22 m2 / mix_plus
     rng = np.random.default_rng(8)
     for p in random_admissible_params(rng, 50):
+        ref = steady_state_covariance(bou_matrices(p, **REFERENCE_FLAGS))
         m = bou_matrices(p, sigma2_method="regenerative", psi_convention="plus")
         cov = steady_state_covariance(m)
-        assert cov.z1_addend == pytest.approx(1.0 - m.z12_star / p.m2, rel=1e-10)
+        z = m.z12_star
+        assert ref.z1_addend == pytest.approx(1.0 - z / p.m2, rel=1e-10)
+        assert cov.z1_addend == pytest.approx(z * (1.0 - z / p.m2), rel=1e-10)
 
 
 def test_single_class_reduction_exact(base_params):
@@ -432,6 +438,55 @@ def test_gaussian_approx_reference_scales(base_params):
     assert g25.kappa_eff == pytest.approx(0.12)
     assert g25.mean_q1 == pytest.approx(16.6, abs=0.1)
     assert g25.mean_q2 == pytest.approx(13.6, abs=0.1)
+
+
+# every convention pair but the reference one, closed-form sigma2 methods
+NON_REFERENCE_PAIRS = [(m, c) for m in ("paper_r1", "regenerative",
+                                        "poisson_numeric")
+                       for c in PSI_CONVENTIONS
+                       if {"sigma2_method": m, "psi_convention": c}
+                       != REFERENCE_CONVENTIONS]
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_gaussian_approx_z12_spread_is_possible(base_params, n):
+    # Popoviciu: a count in [0, m2n] has a standard deviation of at most m2n/2
+    sysn = scale(base_params, n)
+    p_n = base_params.with_kappa12(sysn.kappa_eff)
+    for method in SIGMA2_METHODS:
+        for psi in PSI_CONVENTIONS:
+            g = gaussian_queue_approx(p_n, n, sigma2_method=method,
+                                      psi_convention=psi)
+            assert g.std_z12 <= sysn.m2n / 2, (method, psi, g.std_z12)
+
+
+def test_bou_drift_is_sde_drift_outside_reference_pair(base_params):
+    rng = np.random.default_rng(13)
+    sets = [(p, NON_REFERENCE_PAIRS) for p in random_admissible_params(rng, 50)]
+    r32_pairs = [("poisson_numeric", psi) for psi in PSI_CONVENTIONS]
+    sets += [(p, r32_pairs)
+             for p in random_admissible_params(rng, 20, ratio="3/2")]
+    for p, pairs in sets:
+        pi_star = stationary_point(p).pi_star
+        for method, psi in pairs:
+            m = bou_matrices(p, sigma2_method=method, psi_convention=psi)
+            assert np.array_equal(m.M, sde_drift_matrix(p, pi_star))
+            assert m.xi5 == m.M[0, 1] / abs(m.M[0, 0] + m.M[1, 1])
+
+
+@pytest.mark.parametrize("method,psi", NON_REFERENCE_PAIRS)
+def test_transient_covariance_relaxes_to_steady_state(base_params, method,
+                                                      psi):
+    # both diffusion layers share one drift, so the transient covariance
+    # from the stationary point ends at the steady-state covariance
+    sp = stationary_point(base_params)
+    path = integrate_fluid(base_params, sp.as_state(), T=60.0, h=5e-3)
+    _, cc = transient_covariance(base_params, path, np.zeros((2, 2)),
+                                 sigma2_method=method, psi_convention=psi)
+    steady = steady_state_covariance(
+        bou_matrices(base_params, sigma2_method=method,
+                     psi_convention=psi)).matrix()
+    assert np.max(np.abs(cc[-1] - steady)) <= 1e-6 * np.max(np.abs(steady))
 
 
 def test_gaussian_approx_rejects_n_below_one(base_params):

@@ -97,18 +97,6 @@ def test_scale_identity_at_n1(base_params):
 def test_scale_errors(base_params):
     with pytest.raises(ValueError):
         scale(base_params, 0)
-    with pytest.raises(ValueError):
-        scale(base_params, 100, "sublinear")          # missing c, a
-    with pytest.raises(ValueError):
-        scale(base_params, 100, "sublinear", c=1.0, a=0.4)
-    with pytest.raises(ValueError):
-        scale(base_params, 100, "nope")
-
-
-def test_scale_sublinear(base_params):
-    s = scale(base_params, 100, "sublinear", c=1.0, a=0.6)
-    assert s.k12n == math.ceil(100 ** 0.6)
-    assert s.k12n / 100 < 0.2   # o(n) regime: far below the proportional 10
 
 
 def test_scale_rate_consistency(base_params):
