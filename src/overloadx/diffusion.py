@@ -19,8 +19,9 @@ than hidden, each behind an explicit flag:
   the reference worked example uses the minus combination (``"paper-sec10"``).
 
 The steady-state OU and the transient covariance share one drift matrix,
-:func:`sde_drift_matrix`.  The reference M22 = -mu12 mu22 m2 z12*/mix_plus is
-tied to the pair ``REFERENCE_CONVENTIONS``, which selects it with no flag.
+:func:`sde_drift_matrix`, and one set of noise rates, :func:`_integrand_rows`
+(the OU's at x*).  The reference M22 = -mu12 mu22 m2 z12*/mix_plus is tied to
+the pair ``REFERENCE_CONVENTIONS``, which selects it with no flag.
 
 No silent defaults: both flags are mandatory in every operation where they
 matter, and every report carries them.  Each function evaluates at the
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ModelParams
+# asymptotic_variance stays bound for callers that look it up on this module
 from .ftsp import asymptotic_variance, sigma2_columns
 from .fluid import FluidPath, stationary_point, integrate_fluid
 
@@ -181,22 +183,23 @@ class GaussianApprox:
     cov: SteadyStateCov = field(repr=False, compare=False)
 
 
-def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
-                    psi_convention: str, stop: int | None = None):
-    """Pointwise derivatives of the seven time changes along the path.
+def _integrand_rows(p: ModelParams, states: np.ndarray, pi: np.ndarray,
+                    sigma2_method: str, psi_convention: str):
+    """Time-change derivatives at the points ``states`` (rows q1, q2, z12).
 
-    Each row is an array over the first ``stop`` points (all by default).
+    ``pi`` holds each point's pi12.  The noise rates of both layers: along a
+    path for :func:`transient_covariance`, at x* for :func:`bou_matrices`.
     """
     p1, p2 = queue_split(p)
-    states = path.states[:stop]
     q1, q2, z = states[:, 0], states[:, 1], states[:, 2]
-    pi = path.pi[:stop]
     qs = q1 + q2
     sig = sigma2_columns(p, states, sigma2_method)
     psi = psi_mix(p, z, psi_convention)
     rows = {
+        # theta1 q1 + theta2 q2; the last term is +-0.0 when theta1 == theta2
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)
-                  + (p1 * p.theta1 + p2 * p.theta2) * qs,
+                  + (p1 * p.theta1 + p2 * p.theta2) * qs
+                  + (p.theta1 - p.theta2) * (q1 - p1 * qs),
         "phi12": p.mu12 * (1.0 - pi) * z,
         "phi22": p.mu22 * pi * (p.m2 - z),
         "gamma12": p.mu12 * pi * z,
@@ -204,7 +207,20 @@ def _integrand_rows(p: ModelParams, path: FluidPath, sigma2_method: str,
         "gamma2": psi * psi * sig,
         "gamma3": sig,
     }
-    return rows, psi, sig
+    return rows, psi
+
+
+def _noise_entries(rows: dict):
+    """Entries (v11, v12, v22) of the noise matrix V from the rows.
+
+    The two pool-2 streams shared by both equations enter the queue equation
+    negatively and the z12 equation with opposite signs.
+    """
+    v11 = (rows["gamma1"] + rows["gamma12"] + rows["gamma22"] + rows["phi12"]
+           + rows["phi22"])
+    v12 = rows["phi12"] - rows["phi22"]
+    v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
+    return v11, v12, v22
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -218,12 +234,13 @@ def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
     """Trapezoidal cumulative integrals of the seven time-change integrands."""
     if path.pi is None or len(path.pi) != len(path.t):
         raise ValueError("path must carry a pi value per step")
-    rows, psi, sig = _integrand_rows(p, path, sigma2_method, psi_convention)
+    rows, psi = _integrand_rows(p, path.states, path.pi, sigma2_method,
+                                psi_convention)
     cum = {name: _cumtrapz(vals, path.t) for name, vals in rows.items()}
     return TimeChanges(t=path.t, gamma1=cum["gamma1"], phi12=cum["phi12"],
                        phi22=cum["phi22"], gamma12=cum["gamma12"],
                        gamma22=cum["gamma22"], gamma2=cum["gamma2"],
-                       gamma3=cum["gamma3"], psi=psi, sigma2=sig,
+                       gamma3=cum["gamma3"], psi=psi, sigma2=rows["gamma3"],
                        sigma2_method=sigma2_method,
                        psi_convention=psi_convention)
 
@@ -268,10 +285,9 @@ def bou_matrices(p: ModelParams, *, sigma2_method: str,
     :func:`transient_covariance` relaxes under, but for
     ``REFERENCE_CONVENTIONS``, whose M22 is the reference constant
     -mu12 mu22 m2 z12* / mix_plus; xi5 is derived from M.
-    S follows the stationary specialization of the time changes: the
-    xi / eta constants are their slopes, S11^2 sums to 2(lambda1+lambda2)
-    exactly, and the off-diagonal S entries vanish because the two pool-2
-    completion streams balance at stationarity.
+    S is the rows' V at x*: the xi / eta constants are the
+    :func:`_integrand_rows` rates at (x*, pi*), and S is diagonal because
+    the pool-2 streams balance there (v12 = phi12 - phi22 is rounding).
     """
     sp = stationary_point(p)
     z = sp.z12
@@ -279,31 +295,24 @@ def bou_matrices(p: ModelParams, *, sigma2_method: str,
         raise ValueError("stationary z12 must be interior to (0, m2)")
     p1, p2 = queue_split(p)
     pi_star = sp.pi_star
-    mix_plus = p.mu12 * z + p.mu22 * (p.m2 - z)
-    sigma2 = asymptotic_variance(p, sp.as_state(), sigma2_method)
-    psi = psi_mix(p, z, psi_convention)
-    xi1 = 2.0 * (p.lambda1 + p.lambda2) - mix_plus
-    xi12 = p.mu12 * pi_star * z
-    xi22 = p.mu22 * (1.0 - pi_star) * (p.m2 - z)
-    eta12 = p.mu12 * (1.0 - pi_star) * z
-    eta22 = p.mu22 * pi_star * (p.m2 - z)
-    xi2 = psi * psi * sigma2
-    xi4 = 2.0 * p.mu12 * p.mu22 * z * (p.m2 - z) / mix_plus
+    rows, _ = _integrand_rows(p, np.array([sp.as_state()]), np.array([pi_star]),
+                              sigma2_method, psi_convention)
+    r = {name: float(vals[0]) for name, vals in rows.items()}
+    v11, _, v22 = _noise_entries(r)
     m11, m12, a22 = _drift_entries(p)
     if {"sigma2_method": sigma2_method,
             "psi_convention": psi_convention} == REFERENCE_CONVENTIONS:
+        mix_plus = p.mu12 * z + p.mu22 * (p.m2 - z)
         m22 = -p.mu12 * p.mu22 * p.m2 * z / mix_plus
     else:
         m22 = a22(pi_star)
     xi5 = m12 / abs(m11 + m22)
-    s = np.array([
-        [math.sqrt(xi1 + xi12 + xi22 + eta12 + eta22), 0.0],
-        [0.0, math.sqrt(xi2 + xi4)],
-    ])
+    s = np.array([[math.sqrt(v11), 0.0], [0.0, math.sqrt(v22)]])
     m = np.array([[m11, m12], [0.0, m22]])
-    return BouModel(M=m, S=s, xi1=xi1, xi12=xi12, xi22=xi22, eta12=eta12,
-                    eta22=eta22, xi2=xi2, xi3=sigma2, xi4=xi4, xi5=xi5,
-                    p1=p1, p2=p2, z12_star=z, pi_star=pi_star,
+    return BouModel(M=m, S=s, xi1=r["gamma1"], xi12=r["gamma12"],
+                    xi22=r["gamma22"], eta12=r["phi12"], eta22=r["phi22"],
+                    xi2=r["gamma2"], xi3=r["gamma3"], xi5=xi5, p1=p1, p2=p2,
+                    xi4=r["phi12"] + r["phi22"], z12_star=z, pi_star=pi_star,
                     sigma2_method=sigma2_method, psi_convention=psi_convention)
 
 
@@ -354,12 +363,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
 
     Integrates dSigma/dt = A(t) Sigma + Sigma A(t)^T + V(t) by RK4, where
     A(t) is :func:`sde_drift_matrix` at pi(x(t)) and V(t) assembles the
-    time-change derivatives:
-
-    * variance rate of qs-hat: gamma1' + gamma12' + gamma22' + phi12' + phi22'
-    * variance rate of z12-hat: phi12' + phi22' + gamma2'
-    * covariance rate: phi12' - phi22' (the two shared pool-2 streams enter
-      the queue equation negatively and the z12 equation with opposite signs).
+    time-change derivatives, as :func:`_noise_entries` writes them out.
 
     Sigma stays symmetric, so the steps carry its three distinct entries as
     Python floats.  ``sigma0`` must be symmetric up to rounding (its
@@ -383,11 +387,8 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
     t, pis = path.t[:n], path.pi[:n]
-    rows, _, _ = _integrand_rows(p, path, sigma2_method, psi_convention, n)
-    v11 = (rows["gamma1"] + rows["gamma12"] + rows["gamma22"] + rows["phi12"]
-           + rows["phi22"])
-    v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
-    v12 = rows["phi12"] - rows["phi22"]
+    v11, v12, v22 = _noise_entries(_integrand_rows(
+        p, path.states[:n], pis, sigma2_method, psi_convention)[0])
     out = np.empty((n, 2, 2))
     out[0] = sym0
     flat = out.reshape(n, 4)
@@ -458,10 +459,9 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
     qs0 = path.qs[0]
     g1t = (2.0 * (p.lambda1 + p.lambda2) * path.t
            + (qs0 - eta1 / eta2) * (1.0 - np.exp(-eta2 * path.t)))
-    rows, _, _ = _integrand_rows(p, path, sigma2_method, psi_convention)
-    z, pi = path.z12, path.pi
-    mix_integrand = nu * (p.m2 * pi + z - 2.0 * pi * z)
-    g2t = _cumtrapz(mix_integrand, path.t) + _cumtrapz(rows["gamma2"], path.t)
+    rows, _ = _integrand_rows(p, path.states, path.pi, sigma2_method,
+                              psi_convention)
+    g2t = _cumtrapz(_noise_entries(rows)[2], path.t)
     return OuParams(eta1=eta1, eta2=eta2, nu=nu, t=path.t,
                     gamma1_tilde=g1t, gamma2_tilde=g2t)
 

@@ -266,7 +266,8 @@ def test_invariants_transient_covariance_vs_sde_simulation(base_params):
 
     path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
                            T=5.0, h=5e-3)
-    rows, _, _ = _integrand_rows(base_params, path, "regenerative", "plus")
+    rows, _ = _integrand_rows(base_params, path.states, path.pi,
+                              "regenerative", "plus")
     _, cc = transient_covariance(base_params, path, np.zeros((2, 2)),
                                  sigma2_method="regenerative",
                                  psi_convention="plus")

@@ -188,8 +188,8 @@ def test_transient_covariance_fixed_point(base_params, stationary_path):
     sp = stationary_point(base_params)
     a = sde_drift_matrix(base_params, sp.pi_star)
     from overloadx.diffusion import _integrand_rows
-    rows, _, _ = _integrand_rows(base_params, stationary_path,
-                                 "regenerative", "plus")
+    rows, _ = _integrand_rows(base_params, stationary_path.states,
+                              stationary_path.pi, "regenerative", "plus")
     v = np.array([
         [rows["gamma1"][0] + rows["gamma12"][0] + rows["gamma22"][0]
          + rows["phi12"][0] + rows["phi22"][0],
@@ -216,7 +216,8 @@ def test_transient_covariance_relaxation(base_params):
     assert np.all(np.diff(trace) >= -1e-10)
     a = sde_drift_matrix(base_params, sp.pi_star)
     from overloadx.diffusion import _integrand_rows
-    rows, _, _ = _integrand_rows(base_params, path, "regenerative", "plus")
+    rows, _ = _integrand_rows(base_params, path.states, path.pi,
+                              "regenerative", "plus")
     v = np.array([
         [rows["gamma1"][0] + rows["gamma12"][0] + rows["gamma22"][0]
          + rows["phi12"][0] + rows["phi22"][0],
@@ -236,7 +237,8 @@ def reference_transient_covariance(p, path, sigma0, T=None):
     """RK4 of dSigma/dt = A Sigma + Sigma A^T + V on 2x2 numpy matrices,
     with A from sde_drift_matrix: the oracle of the float loop."""
     from overloadx.diffusion import _integrand_rows
-    rows, _, _ = _integrand_rows(p, path, "regenerative", "plus")
+    rows, _ = _integrand_rows(p, path.states, path.pi, "regenerative",
+                              "plus")
     v11 = (rows["gamma1"] + rows["gamma12"] + rows["gamma22"]
            + rows["phi12"] + rows["phi22"])
     v22 = rows["phi12"] + rows["phi22"] + rows["gamma2"]
@@ -487,6 +489,31 @@ def test_transient_covariance_relaxes_to_steady_state(base_params, method,
         bou_matrices(base_params, sigma2_method=method,
                      psi_convention=psi)).matrix()
     assert np.max(np.abs(cc[-1] - steady)) <= 1e-6 * np.max(np.abs(steady))
+
+
+@pytest.mark.parametrize("ratio,seed", [("1/1", 14), ("3/2", 15)])
+def test_layers_share_noise_rates_on_random_sets(ratio, seed):
+    # with theta1 != theta2 and kappa > 0, x* has q1 != p1 qs, so the
+    # abandonment rate theta1 q1 + theta2 q2 is not (p1 theta1 + p2 theta2) qs;
+    # both layers read it off _integrand_rows.  T = 60 leaves a relaxation
+    # tail of about exp(-120 |m11|), below 1e-6 for |m11| > 0.12.
+    from overloadx.diffusion import _integrand_rows, _noise_entries
+    flags = dict(sigma2_method="poisson_numeric", psi_convention="plus")
+    for p in random_admissible_params(np.random.default_rng(seed), 4,
+                                      ratio=ratio):
+        assert p.theta1 != p.theta2 and p.kappa12 > 0.0
+        sp = stationary_point(p)
+        m = bou_matrices(p, **flags)
+        rows, _ = _integrand_rows(p, np.array([sp.as_state()]),
+                                  np.array([sp.pi_star]), **flags)
+        v11, v12, v22 = (float(v[0]) for v in _noise_entries(rows))
+        assert v11 == pytest.approx(m.S[0, 0] ** 2, rel=1e-12)
+        assert v22 == pytest.approx(m.S[1, 1] ** 2, rel=1e-12)
+        assert abs(v12) <= 1e-15 * v22
+        path = integrate_fluid(p, sp.as_state(), T=60.0, h=5e-3)
+        _, cc = transient_covariance(p, path, np.zeros((2, 2)), **flags)
+        steady = steady_state_covariance(m).matrix()
+        assert np.max(np.abs(cc[-1] - steady)) <= 1e-6 * np.max(np.abs(steady))
 
 
 def test_gaussian_approx_rejects_n_below_one(base_params):
