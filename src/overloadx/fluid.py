@@ -229,6 +229,10 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
     theta1, theta2, mu12, mu22 = p.theta1, p.theta2, p.mu12, p.mu22
     h2, h6, band_per_rate = 0.5 * h, h / 6.0, 10.0 * h
+    # dqs/dt <= lambda1 + lambda2 - m1 mu11 - min(theta) qs, so the exact qs
+    # never exceeds this bound; the clamps into S may add up to 10h
+    qs_limit = max(x0.q1 + x0.q2, (arrivals - pool1) / min(theta1, theta2)
+                   ) + escape
     # The clamps compare as the builtins do: max(x, 0.0) is x unless
     # 0.0 > x and min(x, m2) is x unless m2 < x, so -0.0 and nan pass.
 
@@ -316,6 +320,13 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
             if m2 < z:
                 z = m2
         block = np.array(rows)
+        qs = block[:, 0] + block[:, 1]
+        if not qs.max() <= qs_limit:   # a NaN max fails too
+            i = int(np.flatnonzero(~(qs <= qs_limit))[0])
+            raise RuntimeError(
+                f"q1 + q2 = {qs[i]:.6g} at t = {t[lo + i]:.6g} exceeds "
+                f"{qs_limit:.6g}, the exact path's bound plus 10h; reduce "
+                f"the step size")
         hi = lo + len(rows)
         states[lo:hi] = block[:, :3]
         pis[lo:hi] = block[:, 3]

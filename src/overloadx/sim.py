@@ -37,10 +37,10 @@ loop sizes each chunk from the time left and the current total rate, so
 that the chain routes few events past the stop.  ``step`` and
 ``apply_event`` are its oracle, one event at a time.  A seed's uniforms
 come in blocks of 2**15, of which the first 2**15 - 2 are used.
-``replicate`` aggregates independent-stream runs into t-based intervals;
-the t quantile is this module's one use of scipy, imported by
-``aggregate_runs`` when it first runs, so that importing the package
-needs numpy alone.
+``replicate`` aggregates independent-stream runs into t-based intervals.
+The module uses two functions of ``scipy.special``: the ledger's
+logarithm ``xlogy`` and the t quantile ``stdtrit``.  Each is imported
+where it is first used, so that importing the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -320,12 +320,14 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
 
 
 def _uniform_blocks(seed, uniforms=None):
-    """A run's uniforms, one block at a time, split into its event pairs.
+    """A run's uniforms, one piece at a time, split into its event pairs.
 
-    Each block is (holding, category): the first and second uniform of
+    Each piece is (holding, category): the first and second uniform of
     every pair, as an array and as a list.  Seeded: blocks of 2**15 draws,
-    the last two unused.  A supplied ``uniforms`` stream is one block, used
-    to its last full pair.
+    the last two unused, each drawn in pieces of one chunk's pairs, so that
+    a short run draws little past its stop.  ``Generator.random`` draws in
+    sequence, so the pieces are the whole block's stream.  A supplied
+    ``uniforms`` stream is one piece, used to its last full pair.
     """
     if uniforms is not None:
         u = np.asarray(uniforms, dtype=float)
@@ -333,9 +335,12 @@ def _uniform_blocks(seed, uniforms=None):
         yield u[0::2], u[1::2].tolist()
         raise RuntimeError("uniform stream exhausted")
     rng = np.random.default_rng(seed)
+    full, rest = divmod((1 << 15) - 2, 2 * _CHUNK)
     while True:
-        u = rng.random(1 << 15)[:-2]
-        yield u[0::2], u[1::2].tolist()
+        for size in (2 * _CHUNK,) * full + (rest,):
+            u = rng.random(size)
+            yield u[0::2], u[1::2].tolist()
+        rng.random(2)
 
 
 # Events between two time accountings: the jump chain records this many
@@ -374,15 +379,18 @@ class _Ledger:
     """The time accounting of the jump chain, one chunk of codes at a time.
 
     From the state before a chunk and its outcome codes it rebuilds every
-    pre-event state (an integer cumsum of the code deltas), the rates and
-    the holding times ``-log(1 - u) / total``, with ``math.log`` and the
-    rates added in ``_event_rates`` order, so each equals the one ``step``
-    computes.  The clock and the time-weighted sums are running sums,
-    ``np.cumsum`` with the carry in front, which adds left to right as an
-    event-by-event loop does; ``np.sum`` (pairwise) and ``np.log`` (SIMD)
-    would move the last bits.  A measured chunk stops before its first
-    event at or after ``t_stop``.  Without ``moments`` only the first two
-    sums are kept, by the same running sums.
+    pre-event state, one row per coordinate (an integer cumsum of the code
+    deltas along the row), the rates and the holding times
+    ``-log(1 - u) / total``, with the rates added in ``_event_rates``
+    order.  The logarithm is ``scipy.special.xlogy(1.0, 1 - u)``, which is
+    1.0 times libm's ``log``, the function ``math.log`` calls, so each
+    holding time equals the one ``step`` computes; ``np.log`` is a SIMD
+    log that differs from libm's in the last bit on a few inputs in 1000.
+    The clock and the time-weighted sums are running sums, ``np.cumsum``
+    with the carry in front, which adds left to right as an event-by-event
+    loop does; ``np.sum`` (pairwise) would move the last bits.  A measured
+    chunk stops before its first event at or after ``t_stop``.  Without
+    ``moments`` only the first two sums are kept, by the same running sums.
     """
 
     # The sums, in order: measured time, time with D12 > 0, time with a
@@ -395,7 +403,7 @@ class _Ledger:
         p = sys.parent
         self.lam12 = float(sys.lambda1n) + float(sys.lambda2n)
         self.coef = np.array([p.theta1, p.theta2, p.mu11, p.mu12, p.mu21,
-                              p.mu22])
+                              p.mu22])[:, None]
         self.m1n, self.m2n = sys.m1n, sys.m2n
         self.r12n, self.r12d = p.r12.numerator, p.r12.denominator
         self.c12 = self.r12d * sys.k12n
@@ -413,37 +421,43 @@ class _Ledger:
         self.sums = np.zeros(self._SUMS if moments else 2)
         self.counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
         self.violations = 0
+        from scipy.special import xlogy   # libm's log, see above
+        self.xlogy = xlogy
 
     def add(self, codes: bytearray, ua: np.ndarray, measure: bool) -> bool:
         """Account for one chunk; False if it stopped at ``t_stop``."""
         c = np.frombuffer(codes, dtype=np.uint8)
         m = len(c)
-        x = np.concatenate((self.x[None], _DELTAS[c])).cumsum(axis=0)
-        longest = int(x[:, :2].max())
+        # one row per coordinate: x[:, j] is the state before event j
+        x = np.empty((6, m + 1), dtype=np.int64)
+        x[:, 0] = self.x
+        _DELTAS.T.take(c, axis=1, out=x[:, 1:])
+        np.cumsum(x, axis=1, out=x)
+        longest = int(x[:2].max())
         if longest > self.q_exact:
             raise OverflowError(
                 f"queue length {longest} exceeds {self.q_exact}, the longest "
                 "the event loop computes exactly with these queue ratios")
-        pre = x[:m]
+        pre = x[:, :m]
         r = pre * self.coef   # theta1 Q1, theta2 Q2, mu11 Z11, ..., mu22 Z22
-        total = (self.lam12 + r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3]
-                 + r[:, 4] + r[:, 5])
-        dt = -np.fromiter(map(math.log, (1.0 - ua).tolist()), float, m) / total
+        total = self.lam12 + r[0] + r[1] + r[2] + r[3] + r[4] + r[5]
+        dt = -self.xlogy(1.0, 1.0 - ua) / total
         clock = np.concatenate(((self.t,), dt)).cumsum()
         k = m
         if measure:
-            late = np.flatnonzero(clock[1:] >= self.t_stop)
-            if late.size:
-                k = int(late[0])
-            pre, dt = pre[:k], dt[:k]
-            q1, q2 = pre[:, 0], pre[:, 1]
+            # the clock never decreases: only a chunk whose last value
+            # reaches t_stop is cut
+            if clock[m] >= self.t_stop:
+                k = int(np.flatnonzero(clock[1:] >= self.t_stop)[0])
+            pre, dt = pre[:, :k], dt[:k]
+            q1, q2 = pre[0], pre[1]
             d12s = self.r12d * q1 - self.c12 - self.r12n * q2
             terms = np.empty((len(self.sums), k + 1))
             terms[:, 0] = self.sums
             terms[0, 1:] = dt
             terms[1, 1:] = np.where(d12s > 0, dt, 0.0)
             if self.moments:
-                z11, z12, z22 = pre[:, 2], pre[:, 3], pre[:, 5]
+                z11, z12, z22 = pre[2], pre[3], pre[5]
                 d = d12s / self.r12d
                 qs = q1 + q2
                 short = (z11 < self.m1n) | (z12 + z22 < self.m2n)
@@ -452,10 +466,10 @@ class _Ledger:
                     terms[row, 1:] = v * dt
                     terms[row + 5, 1:] = v * v * dt
             self.sums = terms.cumsum(axis=1)[:, -1]
-        self.violations += int(np.count_nonzero((pre[:k, 3] > 0)
-                                                & (pre[:k, 4] > 0)))
+        self.violations += int(np.count_nonzero((pre[3, :k] > 0)
+                                                & (pre[4, :k] > 0)))
         self.counts += np.bincount(c[:k], minlength=len(_OUTCOMES))
-        self.x = x[k]
+        self.x = x[:, k]
         self.t = float(clock[k])
         return k == m
 
@@ -504,7 +518,7 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     draws each event's category from the second uniform of its pair,
     applies the rules of ``apply_event`` and records one outcome code; it
     needs no clock, as nothing in the routing depends on time.  Every
-    ``_CHUNK`` events, and wherever the stop rule or a block of ``blocks``
+    ``_CHUNK`` events, and wherever the stop rule or a piece of ``blocks``
     ends a chunk sooner, a ``_Ledger`` turns the codes and the first
     uniforms into states, holding times and time-weighted sums.  Warm-up
     runs to ``warm_arrivals`` arrivals with no sums; then measurement runs

@@ -163,6 +163,19 @@ def test_integrate_escape_matches_reference_loop(base_params):
             integrate(p, x0, T=1.0, h=0.1, tol_manifold=0.0)
 
 
+def test_integrate_runaway_step_raises(base_params):
+    # every rate 10 times the reference: h mu12 = 4 is past RK4's stability
+    # bound on the real axis, so the pi = 0 steps blow q1 up, while the
+    # exact q1 + q2 stays below max(qs(0), (lambda1 + lambda2 - m1 mu11)
+    # / min(theta)) = 1.77.  No step leaves S by more than 10h, so only
+    # that bound catches it.
+    p = replace(base_params, lambda1=13.0, lambda2=9.0, theta1=20.0,
+                theta2=20.0, mu11=10.0, mu12=8.0, mu21=8.0, mu22=10.0)
+    with pytest.raises(RuntimeError, match="reduce the step size"):
+        integrate_fluid(p, FluidState(0.68, 1.09, 0.42), T=4.0, h=0.5,
+                        tol_manifold=0.5)
+
+
 @pytest.mark.parametrize("ratio", ["1/1", "3/2"])
 def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
                                                    ratio):

@@ -367,6 +367,38 @@ def test_holding_times_match_step_bit_for_bit(base_params):
         assert stats.window_end == dt
 
 
+def test_xlogy_is_libm_log():
+    # The ledger takes its holding times' logarithm from scipy's xlogy(1.0,
+    # y): one ufunc call per chunk, and 1.0 times libm's log, the function
+    # math.log calls.  A scipy whose xlogy stops calling libm's log fails
+    # here rather than deep in the golden comparison below.
+    from scipy.special import xlogy
+    y = 1.0 - np.random.default_rng(15).random(1 << 16)
+    edges = [1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 1e-300, 5e-324]
+    y = np.concatenate((y, edges))
+    got = xlogy(1.0, y)
+    want = np.array([math.log(v) for v in y.tolist()])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (
+        f"scipy.special.xlogy(1.0, y) differs from math.log(y) on "
+        f"{differ.size} of {y.size} inputs, first at y = {y[differ[0]]!r}; "
+        "the simulator's holding times would lose their bits")
+
+
+def test_uniform_pieces_are_the_block_stream():
+    # a seeded stream comes in pieces of one chunk's pairs; joined, the
+    # pieces of each block are its first 2**15 - 2 draws
+    rng = np.random.default_rng(8)
+    pieces = _uniform_blocks(8)
+    for _ in range(2):
+        u = rng.random(1 << 15)[:-2]
+        got = [next(pieces) for _ in range(len(u) // (2 * _CHUNK) + 1)]
+        assert max(len(cats) for _, cats in got) == _CHUNK
+        hold = np.concatenate([h for h, _ in got])
+        cats = [c for _, piece in got for c in piece]
+        assert np.array_equal(hold, u[0::2]) and cats == u[1::2].tolist()
+
+
 def _encoded(stats):
     return {f.name: (v.hex() if isinstance(v, float)
                      else list(v) if isinstance(v, tuple) else v)
