@@ -203,7 +203,9 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     ``min(x, m2)`` give, and the stored rows are buffered as tuples,
     ``_CHUNK`` at a time, before they are written into the path's arrays.
     A grid of T/h + 1 points that cannot be allocated raises
-    ``ValueError``.
+    ``ValueError``.  A step that leaves S by more than 10h, a stored
+    q1 + q2 past the exact path's bound, or a state the drift kernel
+    rejects raises ``RuntimeError``: reduce the step size.
     """
     if not 0.0 < h < math.inf:   # False for NaN too
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -254,84 +256,94 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         return dq1 + dq2, dz
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
-    for lo in range(0, n_steps + 1, _CHUNK):
-        rows = []
-        for i in range(lo, min(lo + _CHUNK, n_steps + 1)):
-            d = q1 - kappa - r * q2
-            band = tol_manifold if tol_manifold is not None else (
-                band_per_rate * (arrivals + theta1 * q1 + theta2 * q2 + pool1
-                                 + mu12 * z + mu22 * (m2 - z)))
-            d_plus, d_minus = drifts(q1, q2, z)
-            recurrent = d_plus < 0.0 and d_minus > 0.0
-            on_manifold = False
-            if d > band:
-                pi, regime = 1.0, REGIME_PI_ONE
-            elif d < -band:
-                pi, regime = 0.0, REGIME_PI_ZERO
-            elif recurrent:
-                on_manifold, regime = True, REGIME_AP
-                q1_m, q2_m = queues_from_manifold(q1 + q2)
-                # a state already on the manifold keeps its drifts
-                if q1_m != q1 or q2_m != q2:
-                    d_plus, d_minus = drifts(q1_m, q2_m, z)
-                q1, q2 = q1_m, q2_m
-                pi = pi_from_drifts(d_plus, d_minus)
-            else:
-                pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
-            rows.append((q1, q2, z, pi, regime, recurrent))
-            if i == n_steps:
-                break
-
-            if on_manifold:
-                qs = q1 + q2
-                if queues_from_manifold(qs) == (q1, q2):
-                    # stage 1 sits at the stored point, whose pi is known;
-                    # z is already in [0, m2]
-                    a1, a2, k1z = rhs(q1, q2, z, pi)
-                    k1s = a1 + a2
+    # x0 passed validate(), so a state the drift kernel rejects inside
+    # the loop, a stored point or an RK4 stage, was produced by a step
+    try:
+        for lo in range(0, n_steps + 1, _CHUNK):
+            rows = []
+            for i in range(lo, min(lo + _CHUNK, n_steps + 1)):
+                d = q1 - kappa - r * q2
+                band = tol_manifold if tol_manifold is not None else (
+                    band_per_rate * (arrivals + theta1 * q1 + theta2 * q2
+                                     + pool1 + mu12 * z + mu22 * (m2 - z)))
+                d_plus, d_minus = drifts(q1, q2, z)
+                recurrent = d_plus < 0.0 and d_minus > 0.0
+                on_manifold = False
+                if d > band:
+                    pi, regime = 1.0, REGIME_PI_ONE
+                elif d < -band:
+                    pi, regime = 0.0, REGIME_PI_ZERO
+                elif recurrent:
+                    on_manifold, regime = True, REGIME_AP
+                    q1_m, q2_m = queues_from_manifold(q1 + q2)
+                    # a state already on the manifold keeps its drifts
+                    if q1_m != q1 or q2_m != q2:
+                        d_plus, d_minus = drifts(q1_m, q2_m, z)
+                    q1, q2 = q1_m, q2_m
+                    pi = pi_from_drifts(d_plus, d_minus)
                 else:
-                    k1s, k1z = reduced_rhs(qs, z)
-                k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
-                k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
-                k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
-                qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-                z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-                q1_new, q2_new = queues_from_manifold(0.0 if 0.0 > qs else qs)
-            else:
-                a1, a2, a3 = rhs(q1, q2, z, pi)
-                b1, b2, b3 = rhs(q1 + h2 * a1, q2 + h2 * a2, z + h2 * a3, pi)
-                c1, c2, c3 = rhs(q1 + h2 * b1, q2 + h2 * b2, z + h2 * b3, pi)
-                e1, e2, e3 = rhs(q1 + h * c1, q2 + h * c2, z + h * c3, pi)
-                q1_new = q1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
-                q2_new = q2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
-                z_new = z + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + e3)
-            # x < -escape is -x > escape; max() still decides, as it did
-            if (q1_new < -escape or q2_new < -escape or z_new < -escape
-                    or z_new - m2 > escape):
-                overshoot = max(-q1_new, -q2_new, -z_new, z_new - m2, 0.0)
-                if overshoot > escape:
-                    raise RuntimeError(
-                        f"state escaped the fluid state space by "
-                        f"{overshoot:.3g} at t = {t[i]:.6g} (more than "
-                        f"10h); reduce the step size")
-            q1 = 0.0 if 0.0 > q1_new else q1_new
-            q2 = 0.0 if 0.0 > q2_new else q2_new
-            z = 0.0 if 0.0 > z_new else z_new
-            if m2 < z:
-                z = m2
-        block = np.array(rows)
-        qs = block[:, 0] + block[:, 1]
-        if not qs.max() <= qs_limit:   # a NaN max fails too
-            i = int(np.flatnonzero(~(qs <= qs_limit))[0])
-            raise RuntimeError(
-                f"q1 + q2 = {qs[i]:.6g} at t = {t[lo + i]:.6g} exceeds "
-                f"{qs_limit:.6g}, the exact path's bound plus 10h; reduce "
-                f"the step size")
-        hi = lo + len(rows)
-        states[lo:hi] = block[:, :3]
-        pis[lo:hi] = block[:, 3]
-        regimes[lo:hi] = block[:, 4]
-        in_a[lo:hi] = block[:, 5]
+                    pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
+                rows.append((q1, q2, z, pi, regime, recurrent))
+                if i == n_steps:
+                    break
+
+                if on_manifold:
+                    qs = q1 + q2
+                    if queues_from_manifold(qs) == (q1, q2):
+                        # stage 1 sits at the stored point, whose pi is known;
+                        # z is already in [0, m2]
+                        a1, a2, k1z = rhs(q1, q2, z, pi)
+                        k1s = a1 + a2
+                    else:
+                        k1s, k1z = reduced_rhs(qs, z)
+                    k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
+                    k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
+                    k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
+                    qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                    z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+                    q1_new, q2_new = queues_from_manifold(
+                        0.0 if 0.0 > qs else qs)
+                else:
+                    a1, a2, a3 = rhs(q1, q2, z, pi)
+                    b1, b2, b3 = rhs(q1 + h2 * a1, q2 + h2 * a2,
+                                     z + h2 * a3, pi)
+                    c1, c2, c3 = rhs(q1 + h2 * b1, q2 + h2 * b2,
+                                     z + h2 * b3, pi)
+                    e1, e2, e3 = rhs(q1 + h * c1, q2 + h * c2, z + h * c3, pi)
+                    q1_new = q1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+                    q2_new = q2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
+                    z_new = z + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + e3)
+                # x < -escape is -x > escape; max() still decides, as it did
+                if (q1_new < -escape or q2_new < -escape or z_new < -escape
+                        or z_new - m2 > escape):
+                    overshoot = max(-q1_new, -q2_new, -z_new, z_new - m2, 0.0)
+                    if overshoot > escape:
+                        raise RuntimeError(
+                            f"state escaped the fluid state space by "
+                            f"{overshoot:.3g} at t = {t[i]:.6g} (more than "
+                            f"10h); reduce the step size")
+                q1 = 0.0 if 0.0 > q1_new else q1_new
+                q2 = 0.0 if 0.0 > q2_new else q2_new
+                z = 0.0 if 0.0 > z_new else z_new
+                if m2 < z:
+                    z = m2
+            block = np.array(rows)
+            qs = block[:, 0] + block[:, 1]
+            if not qs.max() <= qs_limit:   # a NaN max fails too
+                i = int(np.flatnonzero(~(qs <= qs_limit))[0])
+                raise RuntimeError(
+                    f"q1 + q2 = {qs[i]:.6g} at t = {t[lo + i]:.6g} exceeds "
+                    f"{qs_limit:.6g}, the exact path's bound plus 10h; reduce "
+                    f"the step size")
+            hi = lo + len(rows)
+            states[lo:hi] = block[:, :3]
+            pis[lo:hi] = block[:, 3]
+            regimes[lo:hi] = block[:, 4]
+            in_a[lo:hi] = block[:, 5]
+    except ValueError as exc:
+        raise RuntimeError(
+            f"a step left the fluid state space near t = {t[i]:.6g} "
+            f"({exc}); reduce the step size") from exc
 
     return FluidPath(t=t, states=states, pi=pis, regime=regimes, in_A=in_a,
                      h=h, params=p)

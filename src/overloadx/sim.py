@@ -29,13 +29,15 @@ which is proportional to elapsed time at the constant total arrival rate)
 and for ``indicator_integral`` (stopped at a time).  No routing decision
 depends on time, so the loop runs in two stages.  The jump chain, in
 Python, draws each event's category, routes it and records one outcome
-code (``_OUTCOMES``).  Once per ``_CHUNK`` events a ``_Ledger`` does the
-time accounting in numpy: it rebuilds the pre-event states from the codes
-and computes the holding times, the clock and the time-weighted sums, each
-value bit for bit what an event-by-event loop computes.  A time-stopped
-loop sizes each chunk from the time left and the current total rate, so
-that the chain routes few events past the stop.  ``step`` and
-``apply_event`` are its oracle, one event at a time.  A seed's uniforms
+code (``_OUTCOMES``); it keeps the six state-dependent rates and
+recomputes a rate only when an event changes its count.  Once per
+``_CHUNK`` events a ``_Ledger`` does the time accounting in numpy: it
+rebuilds the pre-event states from the codes and computes the holding
+times, the clock and the time-weighted sums, each value bit for bit what
+an event-by-event loop computes.  A time-stopped loop sizes each chunk
+from the time left and the current total rate, so that the chain routes
+few events past the stop.  ``step`` and ``apply_event`` are its oracle,
+one event at a time.  A seed's uniforms
 come in blocks of 2**15, of which the first 2**15 - 2 are used.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
 The module uses two functions of ``scipy.special``: the ledger's
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import islice
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,7 +518,11 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     Advances ``state`` in place in two stages.  The jump chain, in Python,
     draws each event's category from the second uniform of its pair,
     applies the rules of ``apply_event`` and records one outcome code; it
-    needs no clock, as nothing in the routing depends on time.  Every
+    needs no clock, as nothing in the routing depends on time.  It keeps
+    the rates theta_i Q_i and mu_ij Z_ij between events; each outcome
+    recomputes, as the product ``_event_rates`` forms, only those whose
+    counts it changed, so the total and every category test see the
+    floats ``step`` sees.  Every
     ``_CHUNK`` events, and wherever the stop rule or a piece of ``blocks``
     ends a chunk sooner, a ``_Ledger`` turns the codes and the first
     uniforms into states, holding times and time-weighted sums.  Warm-up
@@ -547,6 +552,10 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     q1, q2 = float(state.q1), float(state.q2)
     z11, z12, z21, z22 = (float(state.z11), float(state.z12),
                           float(state.z21), float(state.z22))
+    # the event rates, each recomputed where its count changes
+    r_ab1, r_ab2 = th1 * q1, th2 * q2
+    r_s11, r_s12 = mu11 * z11, mu12 * z12
+    r_s21, r_s22 = mu21 * z21, mu22 * z22
     ledger = _Ledger(sys, state, t_stop, moments)
     t0 = state.clock
     arrivals = 0
@@ -555,47 +564,45 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
 
     size = _CHUNK
     for hold, cats in blocks:
-        chain = iter(cats)
         lo = 0
         while lo < len(cats):
             if t_stop < math.inf:
                 left = (t_stop - ledger.t) * (
-                    lam12 + th1 * q1 + th2 * q2 + mu11 * z11 + mu12 * z12
-                    + mu21 * z21 + mu22 * z22)
+                    lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22)
                 size = min(_CHUNK, int(left + 3.0 * math.sqrt(left)) + 1)
             codes = bytearray()
             append = codes.append
-            for ub in islice(chain, size):
-                r_ab1 = th1 * q1
-                r_ab2 = th2 * q2
-                r_s11 = mu11 * z11
-                r_s12 = mu12 * z12
-                r_s21 = mu21 * z21
-                r_s22 = mu22 * z22
+            for ub in cats[lo:lo + size]:
                 u = ub * (lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21
                           + r_s22)
                 if u < lam12:
                     if u < lam1n:
                         if z11 + z21 < m1n:
                             z11 += 1.0
+                            r_s11 = mu11 * z11
                             append(0)
                         elif (z12 + z22 < m2n and z21 == 0.0
                               and r12d * q1 - c12 - r12n * q2 > 0.0):
                             z12 += 1.0
+                            r_s12 = mu12 * z12
                             append(1)
                         else:
                             q1 += 1.0
+                            r_ab1 = th1 * q1
                             append(2)
                     else:
                         if z12 + z22 < m2n:
                             z22 += 1.0
+                            r_s22 = mu22 * z22
                             append(3)
                         elif (z11 + z21 < m1n and z12 == 0.0
                               and r21n * q2 - c21 - r21d * q1 > 0.0):
                             z21 += 1.0
+                            r_s21 = mu21 * z21
                             append(4)
                         else:
                             q2 += 1.0
+                            r_ab2 = th2 * q2
                             append(5)
                     arrivals += 1
                     if arrivals == stop:
@@ -605,56 +612,91 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
                     r_ab = r_ab1 + r_ab2
                     if u < r_ab1:
                         q1 -= 1.0
+                        r_ab1 = th1 * q1
                         append(6)
                     elif u < r_ab:
                         q2 -= 1.0
+                        r_ab2 = th2 * q2
                         append(7)
                     else:
                         u -= r_ab
                         r_p1 = r_s11 + r_s21
+                        # A freed agent takes the other class's queue when
+                        # the one-way guard allows and that difference is
+                        # positive or its own class's queue is empty; else
+                        # its own class's queue; else it idles.  Taking the
+                        # class it just served leaves the server counts,
+                        # and their rates, as they were.
                         if u < r_p1:
-                            if u < r_s11:
-                                z11 -= 1.0
-                                code = 8
-                            else:
-                                z21 -= 1.0
-                                code = 11
                             # freed pool-1 agent
                             if (z12 == 0.0 and q2 > 0.0
-                                    and r21n * q2 - c21 - r21d * q1 > 0.0):
-                                z21 += 1.0
+                                    and (q1 == 0.0
+                                         or r21n * q2 - c21 - r21d * q1
+                                         > 0.0)):
                                 q2 -= 1.0
+                                r_ab2 = th2 * q2
+                                if u < r_s11:
+                                    z11 -= 1.0
+                                    z21 += 1.0
+                                    r_s11 = mu11 * z11
+                                    r_s21 = mu21 * z21
+                                    append(8)
+                                else:
+                                    append(11)
                             elif q1 > 0.0:
-                                z11 += 1.0
                                 q1 -= 1.0
-                                code += 1
-                            elif q2 > 0.0 and z12 == 0.0:
-                                z21 += 1.0
-                                q2 -= 1.0
+                                r_ab1 = th1 * q1
+                                if u < r_s11:
+                                    append(9)
+                                else:
+                                    z11 += 1.0
+                                    z21 -= 1.0
+                                    r_s11 = mu11 * z11
+                                    r_s21 = mu21 * z21
+                                    append(12)
+                            elif u < r_s11:
+                                z11 -= 1.0
+                                r_s11 = mu11 * z11
+                                append(10)
                             else:
-                                code += 2
+                                z21 -= 1.0
+                                r_s21 = mu21 * z21
+                                append(13)
                         else:
-                            if u - r_p1 < r_s12:
-                                z12 -= 1.0
-                                code = 14
-                            else:
-                                z22 -= 1.0
-                                code = 17
                             # freed pool-2 agent
                             if (z21 == 0.0 and q1 > 0.0
-                                    and r12d * q1 - c12 - r12n * q2 > 0.0):
-                                z12 += 1.0
+                                    and (q2 == 0.0
+                                         or r12d * q1 - c12 - r12n * q2
+                                         > 0.0)):
                                 q1 -= 1.0
+                                r_ab1 = th1 * q1
+                                if u - r_p1 < r_s12:
+                                    append(14)
+                                else:
+                                    z12 += 1.0
+                                    z22 -= 1.0
+                                    r_s12 = mu12 * z12
+                                    r_s22 = mu22 * z22
+                                    append(17)
                             elif q2 > 0.0:
-                                z22 += 1.0
                                 q2 -= 1.0
-                                code += 1
-                            elif q1 > 0.0 and z21 == 0.0:
-                                z12 += 1.0
-                                q1 -= 1.0
+                                r_ab2 = th2 * q2
+                                if u - r_p1 < r_s12:
+                                    z12 -= 1.0
+                                    z22 += 1.0
+                                    r_s12 = mu12 * z12
+                                    r_s22 = mu22 * z22
+                                    append(15)
+                                else:
+                                    append(18)
+                            elif u - r_p1 < r_s12:
+                                z12 -= 1.0
+                                r_s12 = mu12 * z12
+                                append(16)
                             else:
-                                code += 2
-                        append(code)
+                                z22 -= 1.0
+                                r_s22 = mu22 * z22
+                                append(19)
 
             if not ledger.add(codes, hold[lo:lo + len(codes)], measure):
                 return ledger.finish(state, t0)    # stopped at t_stop

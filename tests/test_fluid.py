@@ -171,9 +171,17 @@ def test_integrate_runaway_step_raises(base_params):
     # that bound catches it.
     p = replace(base_params, lambda1=13.0, lambda2=9.0, theta1=20.0,
                 theta2=20.0, mu11=10.0, mu12=8.0, mu21=8.0, mu22=10.0)
+    x0 = FluidState(0.68, 1.09, 0.42)
     with pytest.raises(RuntimeError, match="reduce the step size"):
-        integrate_fluid(p, FluidState(0.68, 1.09, 0.42), T=4.0, h=0.5,
-                        tol_manifold=0.5)
+        integrate_fluid(p, x0, T=4.0, h=0.5, tol_manifold=0.5)
+    # The drift kernel's rejection of a state that a step produced is a
+    # step-size failure too, not bad input: over 1,200 steps q1 reaches inf
+    # inside the first block, before that bound is checked; with the
+    # default band the first step's reduced RK4 stage makes q1 negative.
+    for T, band in ((600.0, 0.5), (4.0, None)):
+        with pytest.raises(RuntimeError, match="reduce the step size") as info:
+            integrate_fluid(p, x0, T=T, h=0.5, tol_manifold=band)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("ratio", ["1/1", "3/2"])

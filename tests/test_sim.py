@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies
 from overloadx.params import scale
 from overloadx.ftsp import FluidState, FtspRates, ftsp_rates
 from overloadx.fluid import stationary_point
-from overloadx.sim import (_CHUNK, SimState, _Ledger, _simulate,
+from overloadx.sim import (_CHUNK, _OUTCOMES, SimState, _Ledger, _simulate,
                            _uniform_blocks, aggregate_runs, apply_event,
                            difference_jump_rates, indicator_integral,
                            init_state, replicate, run, step)
@@ -209,6 +209,23 @@ def test_step_equivalent_to_run_loop(sys100):
     # with one shared uniform stream; they must visit the same states
     uniforms = np.random.default_rng(31).random(60000)
     _assert_run_matches_step(sys100, uniforms, 2000)
+
+
+def test_event_loop_matches_step_on_every_outcome(base_params, monkeypatch):
+    # each outcome branch of the jump chain updates the rates its counts
+    # change; from an empty start at n = 5 this stream visits all 20 codes,
+    # the rare ones (4, 8, 11, 12, 13, 16, 19) included
+    seen = set()
+    add = _Ledger.add
+
+    def recording_add(self, codes, ua, measure):
+        seen.update(codes)
+        return add(self, codes, ua, measure)
+
+    monkeypatch.setattr(_Ledger, "add", recording_add)
+    uniforms = np.random.default_rng(3).random(40000)
+    _assert_run_matches_step(scale(base_params, 5), uniforms, 5000, "empty")
+    assert seen == set(range(len(_OUTCOMES)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
