@@ -28,16 +28,20 @@ a number of arrivals, after a warm-up prefix also measured in arrivals,
 which is proportional to elapsed time at the constant total arrival rate)
 and for ``indicator_integral`` (stopped at a time).  No routing decision
 depends on time, so the loop runs in two stages.  The jump chain, in
-Python, draws each event's category, routes it and records one outcome
-code (``_OUTCOMES``); it keeps the six state-dependent rates and
-recomputes a rate only when an event changes its count.  Once per
-``_CHUNK`` events a ``_Ledger`` does the time accounting in numpy: it
-rebuilds the pre-event states from the codes and computes the holding
+Python, only routes: it draws each event's category, routes it and
+records one outcome code (``_OUTCOMES``), and keeps the six
+state-dependent rates, recomputing a rate only when an event changes its
+count.  Once per ``_CHUNK`` events a ``_Ledger`` does the rest in numpy:
+it rebuilds the pre-event states from the codes and computes the holding
 times, the clock and the time-weighted sums, each value bit for bit what
-an event-by-event loop computes.  A time-stopped loop sizes each chunk
-from the time left and the current total rate, so that the chain routes
-few events past the stop.  ``step`` and ``apply_event`` are its oracle,
-one event at a time.  A seed's uniforms
+an event-by-event loop computes, and it finds both stops on the chunk,
+the warm-up's last arrival and the run's last arrival or stop time.  It
+carries its running sums two to a complex128 row: numpy adds complex
+numbers as two IEEE adds, one per part, and a cumsum adds in sequence, so
+each part is the float running sum, every bit.  A measured chunk is sized
+from the arrivals or the time left and the current total rate, so that
+the chain routes few events past the stop.  ``step`` and ``apply_event``
+are its oracle, one event at a time.  A seed's uniforms
 come in blocks of 2**15, of which the first 2**15 - 2 are used.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
 The module uses two functions of ``scipy.special``: the ledger's
@@ -48,6 +52,7 @@ where it is first used, so that importing the package needs numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -303,8 +308,10 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
     discarded.  Runs are deterministic given the seed.  ``uniforms`` is a
     testing hook: a pre-drawn stream consumed two per event, to its last pair.
     """
-    if horizon_arrivals < 1:
-        raise ValueError("horizon must be at least one arrival")
+    if (not isinstance(horizon_arrivals, numbers.Integral)
+            or isinstance(horizon_arrivals, bool) or horizon_arrivals < 1):
+        raise ValueError("horizon must be a whole number of arrivals, at "
+                         f"least one, got {horizon_arrivals!r}")
     if warmup_fraction is None:
         warmup_fraction = default_warmup(start)
     if not 0.0 <= warmup_fraction < 1.0:
@@ -313,7 +320,7 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
     init_sys = state.in_system()
     measured, _ = _simulate(sys, state, _uniform_blocks(seed, uniforms),
                             math.ceil(warmup_fraction * horizon_arrivals),
-                            horizon_arrivals)
+                            int(horizon_arrivals))
     return RunStats(
         n=sys.n, seed=seed if isinstance(seed, int) else -1,
         start_mode=start, warmup_fraction=warmup_fraction,
@@ -373,106 +380,139 @@ _OUTCOMES = (
     (7, (0, 0, 0, 0, 0, -1)),     # 19 s22, the agent idles
 )
 _CODE_EVENT = np.array([event for event, _ in _OUTCOMES])
-_DELTAS = np.array([delta for _, delta in _OUTCOMES], dtype=np.int64)
+# The changes as three complex rows: Q1 + iQ2, Z11 + iZ12 and Z21 + iZ22.
+_DELTAS = np.array([delta for _, delta in _OUTCOMES], dtype=float).view(
+    complex).T.copy()
 
 
 class _Ledger:
     """The time accounting of the jump chain, one chunk of codes at a time.
 
     From the state before a chunk and its outcome codes it rebuilds every
-    pre-event state, one row per coordinate (an integer cumsum of the code
-    deltas along the row), the rates and the holding times
-    ``-log(1 - u) / total``, with the rates added in ``_event_rates``
-    order.  The logarithm is ``scipy.special.xlogy(1.0, 1 - u)``, which is
-    1.0 times libm's ``log``, the function ``math.log`` calls, so each
-    holding time equals the one ``step`` computes; ``np.log`` is a SIMD
-    log that differs from libm's in the last bit on a few inputs in 1000.
-    The clock and the time-weighted sums are running sums, ``np.cumsum``
-    with the carry in front, which adds left to right as an event-by-event
-    loop does; ``np.sum`` (pairwise) would move the last bits.  A measured
-    chunk stops before its first event at or after ``t_stop``.  Without
-    ``moments`` only the first two sums are kept, by the same running sums.
-    """
+    pre-event state (a cumsum of the code deltas along each row), the rates
+    and the holding times ``-log(1 - u) / total``, with the rates added in
+    ``_event_rates`` order.  The logarithm is ``scipy.special.xlogy(1.0,
+    1 - u)``, which is 1.0 times libm's ``log``, the function ``math.log``
+    calls, so each holding time equals the one ``step`` computes;
+    ``np.log`` is a SIMD log that differs from libm's in the last bit on a
+    few inputs in 1000.  The clock and the time-weighted sums are running
+    sums, ``np.cumsum`` with the carry in front, which adds left to right as
+    an event-by-event loop does; ``np.sum`` (pairwise) would move the last
+    bits.
 
-    # The sums, in order: measured time, time with D12 > 0, time with a
-    # pool short of agents, then the integrals of Q1, Q2, Q1 + Q2, Z12, D12
-    # and of their squares.
-    _SUMS = 13
+    The running sums go two to a complex128 row, and so do the states'
+    counts, as integer-valued floats (exact below 2**53).  numpy adds two
+    complex numbers as two independent IEEE adds, one per part, and
+    ``accumulate`` adds in sequence by definition, so each part of a
+    complex cumsum is, bit for bit, the float cumsum of that part: one pass
+    carries two sums.  A row's parts interleave in its float view, so each
+    part is a strided row, multiplied row by row.
+
+    The ledger also finds the stops.  It cuts a chunk after the arrival
+    that uses up ``left``, the arrivals left before the stop, and a
+    measured chunk before its first event at or after ``t_stop``.  Without
+    ``moments`` only the measured time and the time with D12 > 0 are summed.
+    """
 
     def __init__(self, sys: ScaledSystem, state: SimState, t_stop: float,
                  moments: bool = True):
         p = sys.parent
         self.lam12 = float(sys.lambda1n) + float(sys.lambda2n)
-        self.coef = np.array([p.theta1, p.theta2, p.mu11, p.mu12, p.mu21,
-                              p.mu22])[:, None]
+        self.coef = (p.theta1, p.theta2, p.mu11, p.mu12, p.mu21, p.mu22)
         self.m1n, self.m2n = sys.m1n, sys.m2n
         self.r12n, self.r12d = p.r12.numerator, p.r12.denominator
         self.c12 = self.r12d * sys.k12n
-        # the jump chain tests the differences on integer-valued floats,
-        # exact while each product stays below 2**52; squares of Q1 + Q2
-        # below 2**62 fit the ledger's int64
+        # the jump chain and the ledger test the differences on
+        # integer-valued floats, exact while each product stays below 2**52;
+        # squares of Q1 + Q2 below 2**62 round as an exact square does
         parts = max(p.r12.numerator, p.r12.denominator, p.r21.numerator,
                     p.r21.denominator)
         self.q_exact = min(2**30, 2**52 // parts)
         self.x = np.array([state.q1, state.q2, state.z11, state.z12,
-                           state.z21, state.z22], dtype=np.int64)
+                           state.z21, state.z22], dtype=float).view(complex)
+        # (clock, measured time), (D12 > 0 time, time with a pool short of
+        # agents), then the integrals of Q1, Q2, Q1 + Q2, Z12, D12 and of
+        # their squares, in that order, two to an entry
+        self.sums = np.zeros(7 if moments else 2, dtype=complex)
+        self.sums[0] = state.clock
         self.t = state.clock
         self.t_stop = t_stop
+        self.left = math.inf
         self.moments = moments
-        self.sums = np.zeros(self._SUMS if moments else 2)
         self.counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
         self.violations = 0
         from scipy.special import xlogy   # libm's log, see above
         self.xlogy = xlogy
 
-    def add(self, codes: bytearray, ua: np.ndarray, measure: bool) -> bool:
-        """Account for one chunk; False if it stopped at ``t_stop``."""
+    def add(self, codes: bytearray, ua: np.ndarray, measure: bool) -> int:
+        """Account for one chunk up to its stop; the number of codes taken."""
         c = np.frombuffer(codes, dtype=np.uint8)
         m = len(c)
-        # one row per coordinate: x[:, j] is the state before event j
-        x = np.empty((6, m + 1), dtype=np.int64)
+        # column j holds the state before event j
+        x = np.empty((3, m + 1), dtype=complex)
         x[:, 0] = self.x
-        _DELTAS.T.take(c, axis=1, out=x[:, 1:])
+        _DELTAS.take(c, axis=1, out=x[:, 1:])
         np.cumsum(x, axis=1, out=x)
-        longest = int(x[:2].max())
+        xf = x.view(float)
+        longest = int(xf[0].max())
         if longest > self.q_exact:
             raise OverflowError(
                 f"queue length {longest} exceeds {self.q_exact}, the longest "
                 "the event loop computes exactly with these queue ratios")
-        pre = x[:, :m]
-        r = pre * self.coef   # theta1 Q1, theta2 Q2, mu11 Z11, ..., mu22 Z22
-        total = self.lam12 + r[0] + r[1] + r[2] + r[3] + r[4] + r[5]
+        q1, q2, z11, z12, z21, z22 = (xf[i // 2, i % 2:2 * m:2]
+                                      for i in range(6))
+        th1, th2, mu11, mu12, mu21, mu22 = self.coef
+        total = (self.lam12 + th1 * q1 + th2 * q2 + mu11 * z11 + mu12 * z12
+                 + mu21 * z21 + mu22 * z22)
         dt = -self.xlogy(1.0, 1.0 - ua) / total
-        clock = np.concatenate(((self.t,), dt)).cumsum()
-        k = m
+        rows = len(self.sums) if measure else 1
+        w = np.empty((rows, m + 1), dtype=complex)
+        w[:, 0] = self.sums[:rows]
+        wf = w.view(float)
+        wf[0, 2::2] = dt
+        wf[0, 3::2] = dt if measure else 0.0
         if measure:
-            # the clock never decreases: only a chunk whose last value
-            # reaches t_stop is cut
-            if clock[m] >= self.t_stop:
-                k = int(np.flatnonzero(clock[1:] >= self.t_stop)[0])
-            pre, dt = pre[:, :k], dt[:k]
-            q1, q2 = pre[0], pre[1]
             d12s = self.r12d * q1 - self.c12 - self.r12n * q2
-            terms = np.empty((len(self.sums), k + 1))
-            terms[:, 0] = self.sums
-            terms[0, 1:] = dt
-            terms[1, 1:] = np.where(d12s > 0, dt, 0.0)
-            if self.moments:
-                z11, z12, z22 = pre[2], pre[3], pre[5]
-                d = d12s / self.r12d
-                qs = q1 + q2
+            np.multiply(dt, d12s > 0.0, out=wf[1, 2::2])
+            if not self.moments:
+                wf[1, 3::2] = 0.0
+            else:
                 short = (z11 < self.m1n) | (z12 + z22 < self.m2n)
-                terms[2, 1:] = np.where(short, dt, 0.0)
-                for row, v in enumerate((q1, q2, qs, z12, d), start=3):
-                    terms[row, 1:] = v * dt
-                    terms[row + 5, 1:] = v * v * dt
-            self.sums = terms.cumsum(axis=1)[:, -1]
-        self.violations += int(np.count_nonzero((pre[3, :k] > 0)
-                                                & (pre[4, :k] > 0)))
-        self.counts += np.bincount(c[:k], minlength=len(_OUTCOMES))
-        self.x = x[:, k]
-        self.t = float(clock[k])
-        return k == m
+                np.multiply(dt, short, out=wf[1, 3::2])
+                d = d12s / self.r12d
+                # sum s, in the order of __init__, is part s % 2 of entry
+                # s // 2: the increments of Q1 dt, ..., D dt are sums 4-8,
+                # those of Q1**2 dt, ..., D**2 dt sums 9-13
+                for s, v in enumerate((q1, q2, q1 + q2, z12, d), start=4):
+                    np.multiply(v, dt, out=wf[s // 2, 2 + s % 2::2])
+                    s += 5
+                    np.multiply(v * v, dt, out=wf[s // 2, 2 + s % 2::2])
+        np.cumsum(w, axis=1, out=w)
+        k = self._cut(c, wf[0, 0::2], measure)
+        self.sums[:rows] = w[:, k]
+        self.t = float(wf[0, 2 * k])
+        self.x = x[:, k].copy()
+        self.violations += int(np.count_nonzero(z12[:k] * z21[:k]))
+        counts = np.bincount(c[:k], minlength=len(_OUTCOMES))
+        self.counts += counts
+        self.left -= int(counts[:6].sum())
+        return k
+
+    def _cut(self, c: np.ndarray, clock: np.ndarray, measure: bool) -> int:
+        """The events of a chunk before its stop.
+
+        The arrival that uses up ``left`` is the chunk's last event; in a
+        measured chunk, the first event that ends at or after ``t_stop``
+        is cut with what follows.
+        """
+        k = len(c)
+        arrived = c < 6    # the codes of arrivals
+        if np.count_nonzero(arrived) >= self.left:
+            k = int(np.flatnonzero(arrived)[self.left - 1]) + 1
+        # the clock never decreases
+        if measure and clock[k] >= self.t_stop:
+            k = int(np.searchsorted(clock[1:k + 1], self.t_stop))
+        return k
 
     def finish(self, state: SimState, t0: float):
         """Write the final state back; the measured fields and D12 > 0 time.
@@ -480,7 +520,7 @@ class _Ledger:
         Without ``moments`` the fields are the window and the counts.
         """
         state.q1, state.q2, state.z11, state.z12, state.z21, state.z22 = (
-            self.x.tolist())
+            self.x.view(float).astype(np.int64).tolist())
         state.clock = t = self.t
         per_event = np.zeros(len(_EVENTS), dtype=np.int64)
         np.add.at(per_event, _CODE_EVENT, self.counts)
@@ -490,10 +530,11 @@ class _Ledger:
             one_way_violations=self.violations, arrivals=(arr1, arr2),
             services=(s11 + s12, s21 + s22), abandonments=(ab1, ab2),
             final_in_system=state.in_system())
+        _, T, t_pos, *sums = self.sums.view(float).tolist()
         if not self.moments:
-            return measured, float(self.sums[1])
-        (T, t_pos, t_short, s_q1, s_q2, s_qs, s_z, s_d,
-         s2_q1, s2_q2, s2_qs, s2_z, s2_d) = self.sums.tolist()
+            return measured, t_pos
+        (t_short, s_q1, s_q2, s_qs, s_z, s_d,
+         s2_q1, s2_q2, s2_qs, s2_z, s2_d) = sums
         degenerate = T <= 0.0
         T = math.nan if degenerate else T   # nan: every statistic is nan
 
@@ -516,22 +557,23 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     """The event loop behind ``run`` and ``indicator_integral``.
 
     Advances ``state`` in place in two stages.  The jump chain, in Python,
-    draws each event's category from the second uniform of its pair,
-    applies the rules of ``apply_event`` and records one outcome code; it
-    needs no clock, as nothing in the routing depends on time.  It keeps
-    the rates theta_i Q_i and mu_ij Z_ij between events; each outcome
-    recomputes, as the product ``_event_rates`` forms, only those whose
-    counts it changed, so the total and every category test see the
-    floats ``step`` sees.  Every
-    ``_CHUNK`` events, and wherever the stop rule or a piece of ``blocks``
-    ends a chunk sooner, a ``_Ledger`` turns the codes and the first
-    uniforms into states, holding times and time-weighted sums.  Warm-up
-    runs to ``warm_arrivals`` arrivals with no sums; then measurement runs
-    to ``stop_arrivals`` arrivals (-1: no limit), or stops before the first
-    event at or after ``t_stop``, the state holding from ``state.clock`` on.
-    Past a time stop, the chain's last chunk is cut where the ledger finds
-    it; so that little is cut, a time-stopped chunk holds at most the
-    expected number of events left before the stop, at the current total
+    only routes: it draws each event's category from the second uniform of
+    its pair, applies the rules of ``apply_event`` and records one outcome
+    code; it needs no clock, as nothing in the routing depends on time, and
+    no arrival count.  It keeps the rates theta_i Q_i and mu_ij Z_ij
+    between events; each outcome recomputes, as the product
+    ``_event_rates`` forms, only those whose counts it changed, so the
+    total and every category test see the floats ``step`` sees.  Every
+    ``_CHUNK`` events, or sooner where a piece of ``blocks`` ends, a
+    ``_Ledger`` turns the codes and the first uniforms into states, holding
+    times and time-weighted sums, and finds the stops.  Warm-up runs to the
+    ``warm_arrivals``-th arrival with no sums, and a chunk it ends in is
+    split there; then measurement runs to the ``stop_arrivals``-th arrival
+    (-1: no limit), or stops before the first event at or after ``t_stop``,
+    the state holding from ``state.clock`` on.  The chain routes past a stop
+    to the end of its chunk, and the ledger's state is the one kept; so
+    that little is routed in vain, a chunk holds at most the expected
+    number of events left before the run's stop, at the current total
     rate, plus three standard deviations.  Returns the ``RunStats`` fields
     it measured and the measured time with D12 > 0; without ``moments``
     the ledger sums only the measured time and that time, and the fields
@@ -558,18 +600,21 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     r_s21, r_s22 = mu21 * z21, mu22 * z22
     ledger = _Ledger(sys, state, t_stop, moments)
     t0 = state.clock
-    arrivals = 0
+    stop = math.inf if stop_arrivals < 0 else stop_arrivals
     measure = warm_arrivals == 0
-    stop = stop_arrivals if measure else warm_arrivals
+    # the ledger stops at the warm-up's last arrival, then at the run's;
+    # ``after`` arrivals lie between the ledger's stop and the run's
+    ledger.left, after = ((stop, 0) if measure else
+                          (warm_arrivals, stop - warm_arrivals))
 
-    size = _CHUNK
     for hold, cats in blocks:
         lo = 0
         while lo < len(cats):
-            if t_stop < math.inf:
-                left = (t_stop - ledger.t) * (
-                    lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22)
-                size = min(_CHUNK, int(left + 3.0 * math.sqrt(left)) + 1)
+            # the expected events before the run's stop
+            total = lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22
+            left = min(_CHUNK, (t_stop - ledger.t) * total,
+                       (ledger.left + after) * total / lam12)
+            size = min(_CHUNK, int(left + 3.0 * math.sqrt(left)) + 1)
             codes = bytearray()
             append = codes.append
             for ub in cats[lo:lo + size]:
@@ -604,9 +649,6 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
                             q2 += 1.0
                             r_ab2 = th2 * q2
                             append(5)
-                    arrivals += 1
-                    if arrivals == stop:
-                        break
                 else:
                     u -= lam12
                     r_ab = r_ab1 + r_ab2
@@ -698,15 +740,20 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
                                 r_s22 = mu22 * z22
                                 append(19)
 
-            if not ledger.add(codes, hold[lo:lo + len(codes)], measure):
-                return ledger.finish(state, t0)    # stopped at t_stop
+            piece = hold[lo:lo + len(codes)]
             lo += len(codes)
-            if arrivals == stop:
+            while True:
+                k = ledger.add(codes, piece, measure)
+                if k == len(codes) and ledger.left:
+                    break
                 if measure:
                     return ledger.finish(state, t0)
-                measure, t0, stop = True, ledger.t, stop_arrivals
-                if arrivals == stop:   # the warm-up took every arrival
+                # the warm-up's last arrival is code k - 1: measure the rest
+                measure, t0 = True, ledger.t
+                ledger.left, after = after, 0
+                if not ledger.left:   # the warm-up took every arrival
                     return ledger.finish(state, t0)
+                codes, piece = codes[k:], piece[k:]
 
 
 def _replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -806,8 +853,8 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     fast-process time change gamma3.  The events come from ``_simulate``
     with a seeded stream, stopped at ``t_end``.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     state = init_state(sys, start)
     _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, -1, t_end,
                          moments=False)

@@ -149,6 +149,17 @@ def test_run_warmup_defaults(sys100):
         run(sys100, 100, warmup_fraction=1.0, seed=2)
 
 
+@pytest.mark.parametrize("horizon", [1000.5, 2.0, True, 0, -3])
+def test_run_rejects_a_horizon_that_is_not_a_whole_count(sys100, horizon):
+    # the stop is the horizon-th arrival: a fraction or a bool has none
+    with pytest.raises(ValueError, match="whole number of arrivals"):
+        run(sys100, horizon, seed=1)
+
+
+def test_run_accepts_a_numpy_integer_horizon(sys100):
+    assert run(sys100, np.int64(300), seed=1) == run(sys100, 300, seed=1)
+
+
 class _Replay:
     """A pre-drawn uniform stream with the ``random()`` method ``step`` calls."""
 
@@ -322,6 +333,54 @@ def test_chunked_run_matches_step_exactly(base_params, n, arrivals, warmup):
         a / T for a in areas)
 
 
+def _assert_stops_match_step(sysn, uniforms, arrivals, warmup):
+    # run and step on one stream: the window, the events, the final state
+    # and the means, every bit
+    stats = run(sysn, arrivals, warmup_fraction=warmup, uniforms=uniforms)
+    warm = math.ceil(warmup * arrivals)
+    st, window_start, events, T, areas = _step_window(sysn, uniforms,
+                                                      arrivals, warm)
+    assert stats.events == events
+    assert (stats.window_start, stats.window_end) == (window_start, st.clock)
+    assert stats.final_in_system == st.in_system()
+    assert (stats.mean_q1, stats.mean_q2, stats.mean_z12) == tuple(
+        a / T for a in areas)
+    state = init_state(sysn, "fluid")
+    _simulate(sysn, state, _uniform_blocks(None, uniforms), warm, arrivals)
+    assert state == st
+
+
+def test_stop_rules_match_step_at_chunk_edges(sys100):
+    # seed 4 at n = 100: events 2047 and 2048, the last code of the first
+    # chunk and the first code of the second, are both arrivals; the last
+    # two codes of the second chunk are not
+    uniforms = np.random.default_rng(4).random(20000)
+    replay = _Replay(uniforms)
+    st = init_state(sys100, "fluid")
+    kinds = []
+    for _ in range(2 * _CHUNK):
+        st, event, _ = step(sys100, st, replay)
+        kinds.append(event in ("arr1", "arr2"))
+    assert kinds[_CHUNK - 1] and kinds[_CHUNK] and not any(kinds[-2:])
+    # the warm-up's last arrival ends the first chunk, starts the next, or
+    # is the last arrival of a chunk that goes on
+    for events in (_CHUNK, _CHUNK + 1, 2 * _CHUNK):
+        warm = sum(kinds[:events])
+        _assert_stops_match_step(sys100, uniforms, 2 * warm, 0.5)
+    _assert_stops_match_step(sys100, uniforms, 1, 0.0)
+    # warm-up and stop in the first chunk
+    _assert_stops_match_step(sys100, uniforms, 100, 0.2)
+
+
+def test_stream_ending_before_the_stop_raises(sys100):
+    uniforms = np.random.default_rng(4).random(20000)
+    events = run(sys100, 1000, warmup_fraction=0.5, uniforms=uniforms).events
+    # the stream ends in the warm-up, or between its end and the stop
+    for used in (200, 2 * events - 2):
+        with pytest.raises(RuntimeError, match="uniform stream exhausted"):
+            run(sys100, 1000, warmup_fraction=0.5, uniforms=uniforms[:used])
+
+
 def test_time_stopped_loop_matches_step(sys100):
     # the chain runs past the stop inside its last chunk; the state at the
     # stop is rebuilt from the outcome codes
@@ -400,6 +459,32 @@ def test_xlogy_is_libm_log():
         f"scipy.special.xlogy(1.0, y) differs from math.log(y) on "
         f"{differ.size} of {y.size} inputs, first at y = {y[differ[0]]!r}; "
         "the simulator's holding times would lose their bits")
+
+
+def test_complex_cumsum_is_two_float_cumsums():
+    # The ledger carries its running sums two to a complex128 row: numpy
+    # adds complex numbers as two IEEE adds, one per part, and accumulate
+    # adds in sequence, so each part of a complex cumsum must be the float
+    # cumsum of that part, every bit.
+    rng = np.random.default_rng(16)
+    size = 1 << 12
+    parts = rng.random((6, size)) * 10.0 ** rng.integers(-300, 300, (6, size))
+    parts[4:] = rng.random((2, size)) * 2.0**-1060   # subnormal sums
+    parts *= rng.choice([-1.0, 1.0], (6, size))
+    edges = [5e-324, -5e-324, 2.0**-1022, 0.0, -0.0, 1e300, -1e300, 1.0,
+             2.0**53, 1.0 + 2.0**-52, 0.1]
+    parts[:4, :len(edges)] = edges
+    parts[1:4:2, :len(edges)] = edges[::-1]
+    # complex row i has the real parts parts[2i], the imaginary parts[2i+1]
+    rows = np.stack((parts[0::2], parts[1::2]), axis=-1).view(complex)[..., 0]
+    np.cumsum(rows, axis=1, out=rows)
+    got = np.concatenate((rows.real, rows.imag))
+    want = np.cumsum(np.concatenate((parts[0::2], parts[1::2])), axis=1)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (
+        f"a complex128 np.cumsum differs from the float64 np.cumsum of its "
+        f"parts at {differ.size} of {want.size} sums; the simulator's "
+        "seeded runs would lose their bits")
 
 
 def test_uniform_pieces_are_the_block_stream():
@@ -492,6 +577,12 @@ def test_indicator_integral_basic(base_params):
     assert abs(v1) < 5.0 * math.sqrt(25) * 5.0
     with pytest.raises(ValueError):
         indicator_integral(sys25, 0.0, seed=7, pi_ref=0.17)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0])
+def test_indicator_integral_rejects_a_stop_never_reached(base_params, t_end):
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        indicator_integral(scale(base_params, 25), t_end, seed=7, pi_ref=0.17)
 
 
 def test_run_rejects_queues_beyond_exact_arithmetic(base_params):
