@@ -351,8 +351,9 @@ def solve_lyapunov(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return solve_continuous_lyapunov(M, -np.asarray(V))
 
 
-# Steps of transient_covariance whose columns are converted to Python
-# floats at a time: whole-path lists would raise the peak memory.
+# Steps of transient_covariance per chunk: their columns are converted to
+# Python floats, and their covariances held in one flat list, a chunk at a
+# time, since whole-path lists would raise the peak memory.
 _CHUNK = 1024
 
 
@@ -366,18 +367,24 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     time-change derivatives, as :func:`_noise_entries` writes them out.
 
     Sigma stays symmetric, so the steps carry its three distinct entries as
-    Python floats.  ``sigma0`` must be symmetric up to rounding (its
-    asymmetry at most 1e-12 of its largest entry, else ``ValueError``); its
-    symmetric part is the first matrix returned, the start of the steps and
-    the part checked for positive semidefiniteness.  Per ``_CHUNK``
-    steps, everything that does not depend on Sigma (the step sizes, A's
-    (2,2) entry and V at each step's start, midpoint and end) is computed
-    first as numpy columns, by the same IEEE operations as on floats; the
-    steps then do only the RK4 arithmetic, written out.
+    Python floats.  ``sigma0`` must be finite and symmetric up to rounding
+    (its asymmetry at most 1e-12 of its largest entry), else ``ValueError``;
+    its symmetric part is the first matrix returned, the start of the steps
+    and the part checked for positive semidefiniteness.  The path is cut at
+    ``T``; a ``T`` before the path's first time, or NaN, raises
+    ``ValueError``.  Per ``_CHUNK`` steps, everything that does not depend
+    on Sigma (the step sizes, A's (2,2) entry and V at each step's midpoint
+    and end) is computed first as numpy columns, by the same IEEE
+    operations as on floats; a step's start values are the previous step's
+    end values, carried as floats.  The steps then do only the RK4
+    arithmetic, written out, and collect the entries in a flat list that
+    is written into the result by column.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
+    if not np.all(np.isfinite(sigma0)):
+        raise ValueError("initial covariance must be finite")
     if np.max(np.abs(sigma0 - sigma0.T)) > 1e-12 * np.max(np.abs(sigma0)):
         raise ValueError("initial covariance must be symmetric")
     sym0 = 0.5 * (sigma0 + sigma0.T)
@@ -386,6 +393,9 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         raise ValueError("initial covariance must be positive semidefinite")
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
+    if n == 0:   # a NaN T keeps no point either
+        raise ValueError(f"horizon T = {T!r} lies before the path's start "
+                         f"t = {path.t[0]!r}")
     t, pis = path.t[:n], path.pi[:n]
     v11, v12, v22 = _noise_entries(_integrand_rows(
         p, path.states[:n], pis, sigma2_method, psi_convention)[0])
@@ -397,16 +407,20 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     for lo in range(0, n - 1, _CHUNK):
         hi = min(lo + _CHUNK, n - 1)
         # per step: h, h/2, h/6, then A's (2,2) entry and V's entries at
-        # the step's start, midpoint and end
+        # the step's midpoint and end; a step's start values are the end
+        # values of the step before, the same array elements, carried as
+        # floats from the chunk's first point on
         tt, pp = t[lo:hi + 1], pis[lo:hi + 1]
         dt = tt[1:] - tt[:-1]
-        cols = [dt, 0.5 * dt, dt / 6.0,
-                a22(pp[:-1]), a22(0.5 * (pp[:-1] + pp[1:])), a22(pp[1:])]
+        b = a22(pp)
+        cols = [dt, 0.5 * dt, dt / 6.0, a22(0.5 * (pp[:-1] + pp[1:])), b[1:]]
         for v in (v11, v12, v22):
             v0, v1 = v[lo:hi], v[lo + 1:hi + 1]
-            cols += [v0, 0.5 * (v0 + v1), v1]
+            cols += [0.5 * (v0 + v1), v1]
+        b0 = float(b[0])
+        w11, w12, w22 = float(v11[lo]), float(v12[lo]), float(v22[lo])
         steps = []
-        for (h, h2, h6, b0, bm, b1, w11, m11, u11, w12, m12, u12, w22, m22,
+        for (h, h2, h6, bm, b1, m11, u11, m12, u12, m22,
              u22) in np.column_stack(cols).tolist():
             # RK4 stages: entries (1,1), (1,2), (2,2) of
             # A Sigma + Sigma A^T + V, summed in that order, for
@@ -429,8 +443,13 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
             s11 = s11 + h6 * (k11 + 2.0 * l11 + 2.0 * n11 + e11)
             s12 = s12 + h6 * (k12 + 2.0 * l12 + 2.0 * n12 + e12)
             s22 = s22 + h6 * (k22 + 2.0 * l22 + 2.0 * n22 + e22)
-            steps.append((s11, s12, s12, s22))
-        flat[lo + 1:hi + 1] = steps
+            steps += (s11, s12, s22)
+            b0, w11, w12, w22 = b1, u11, u12, u22
+        rows = flat[lo + 1:hi + 1]
+        rows[:, 0] = steps[0::3]
+        rows[:, 1] = steps[1::3]
+        rows[:, 2] = rows[:, 1]
+        rows[:, 3] = steps[2::3]
     return t, out
 
 

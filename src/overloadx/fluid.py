@@ -44,8 +44,9 @@ REGIME_PI_ZERO = 2   # d below the band: no class-1 overflow, pi = 0
 
 _REGIME_NAMES = {REGIME_AP: "ap", REGIME_PI_ONE: "pi1", REGIME_PI_ZERO: "pi0"}
 
-# Rows of the path that integrate_fluid holds as Python tuples before it
-# writes them into its arrays: whole-path lists would raise the peak memory.
+# Rows of the path that integrate_fluid holds in one flat list of Python
+# numbers before it writes them into its arrays: whole-path lists would
+# raise the peak memory.
 _CHUNK = 1024
 
 
@@ -191,17 +192,20 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
 
     The steps run on Python floats, one coordinate at a time, and every
     FTSP evaluation goes through one :func:`drift_kernel` built for ``p``,
-    with pi12 from the drifts by :func:`pi_from_drifts`; no ``FluidState``
-    or ``FtspRates`` is built per evaluation.  Each point is evaluated
-    once: every step evaluates the drifts at its state for the recurrence
-    test; a recurrent averaging-principle step reuses them for the stored
-    pi when the projection onto the manifold leaves the coordinates equal
-    (``==``), and reuses that pi for its first reduced stage when the
-    manifold queues of q1 + q2 equal the stored (q1, q2).  On the manifold
-    a step thus makes four evaluations instead of six.  The clamps
-    into S are comparisons that give what ``max(x, 0.0)`` and
-    ``min(x, m2)`` give, and the stored rows are buffered as tuples,
-    ``_CHUNK`` at a time, before they are written into the path's arrays.
+    with pi12 from the drifts by the identity of :func:`pi_from_drifts`;
+    no ``FluidState`` or ``FtspRates`` is built per evaluation.  Each point
+    is evaluated once: every step evaluates the drifts at its state for the
+    recurrence test; a recurrent averaging-principle step reuses them for
+    the stored pi when the projection onto the manifold leaves the
+    coordinates equal (``==``), and reuses that pi for its first reduced
+    stage when the manifold queues of q1 + q2 equal the stored (q1, q2).
+    On the manifold a step thus makes four evaluations instead of six.
+    A reduced stage is one call, which writes out the projection, the
+    clamps and the identity, and then makes one drift call and one call of
+    the right-hand side.  The clamps into S are comparisons that give what
+    ``max(x, 0.0)`` and ``min(x, m2)`` give, and the stored rows are
+    buffered in one flat list, ``_CHUNK`` rows at a time, before they are
+    written into the path's arrays.
     A grid of T/h + 1 points that cannot be allocated raises
     ``ValueError``.  A step that leaves S by more than 10h, a stored
     q1 + q2 past the exact path's bound, or a state the drift kernel
@@ -238,21 +242,24 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     # The clamps compare as the builtins do: max(x, 0.0) is x unless
     # 0.0 > x and min(x, m2) is x unless m2 < x, so -0.0 and nan pass.
 
-    def queues_from_manifold(qs):
+    def stage(qs, z):
+        # a reduced RK4 stage: the queues from the manifold and pi from the
+        # drifts at every stage keep both the constraint and the order
+        # exact; written out, as in the loop, to save calls per stage
         q2 = (qs - kappa) / r1
         if 0.0 > q2:
             q2 = 0.0
-        return qs - q2, q2
-
-    def reduced_rhs(qs, z):
-        # queues from the manifold and pi re-evaluated at every stage keep
-        # both the constraint and the order exact
-        q1s, q2s = queues_from_manifold(qs)
         if 0.0 > z:
             z = 0.0
         if m2 < z:
             z = m2
-        dq1, dq2, dz = rhs(q1s, q2s, z, pi_from_drifts(*drifts(q1s, q2s, z)))
+        q1 = qs - q2
+        d_plus, d_minus = drifts(q1, q2, z)
+        if d_plus < 0.0 and d_minus > 0.0:
+            pi = d_minus / (d_minus - d_plus)
+        else:
+            pi = 1.0 if d_plus >= 0.0 else 0.0
+        dq1, dq2, dz = rhs(q1, q2, z, pi)
         return dq1 + dq2, dz
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
@@ -275,34 +282,49 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     pi, regime = 0.0, REGIME_PI_ZERO
                 elif recurrent:
                     on_manifold, regime = True, REGIME_AP
-                    q1_m, q2_m = queues_from_manifold(q1 + q2)
-                    # a state already on the manifold keeps its drifts
-                    if q1_m != q1 or q2_m != q2:
-                        d_plus, d_minus = drifts(q1_m, q2_m, z)
+                    # the projection onto the manifold, as in stage()
+                    qs = q1 + q2
+                    q2_m = (qs - kappa) / r1
+                    if 0.0 > q2_m:
+                        q2_m = 0.0
+                    q1_m = qs - q2_m
+                    # a state already on the manifold keeps its drifts;
+                    # they passed the recurrence test, so pi_from_drifts
+                    # would take its first branch
+                    if q1_m == q1 and q2_m == q2:
+                        pi = d_minus / (d_minus - d_plus)
+                    else:
+                        pi = pi_from_drifts(*drifts(q1_m, q2_m, z))
                     q1, q2 = q1_m, q2_m
-                    pi = pi_from_drifts(d_plus, d_minus)
                 else:
                     pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
-                rows.append((q1, q2, z, pi, regime, recurrent))
+                rows += (q1, q2, z, pi, regime, recurrent)
                 if i == n_steps:
                     break
 
                 if on_manifold:
                     qs = q1 + q2
-                    if queues_from_manifold(qs) == (q1, q2):
+                    q2_m = (qs - kappa) / r1
+                    if 0.0 > q2_m:
+                        q2_m = 0.0
+                    if qs - q2_m == q1 and q2_m == q2:
                         # stage 1 sits at the stored point, whose pi is known;
                         # z is already in [0, m2]
                         a1, a2, k1z = rhs(q1, q2, z, pi)
                         k1s = a1 + a2
                     else:
-                        k1s, k1z = reduced_rhs(qs, z)
-                    k2s, k2z = reduced_rhs(qs + h2 * k1s, z + h2 * k1z)
-                    k3s, k3z = reduced_rhs(qs + h2 * k2s, z + h2 * k2z)
-                    k4s, k4z = reduced_rhs(qs + h * k3s, z + h * k3z)
+                        k1s, k1z = stage(qs, z)
+                    k2s, k2z = stage(qs + h2 * k1s, z + h2 * k1z)
+                    k3s, k3z = stage(qs + h2 * k2s, z + h2 * k2z)
+                    k4s, k4z = stage(qs + h * k3s, z + h * k3z)
                     qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                     z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-                    q1_new, q2_new = queues_from_manifold(
-                        0.0 if 0.0 > qs else qs)
+                    if 0.0 > qs:
+                        qs = 0.0
+                    q2_new = (qs - kappa) / r1
+                    if 0.0 > q2_new:
+                        q2_new = 0.0
+                    q1_new = qs - q2_new
                 else:
                     a1, a2, a3 = rhs(q1, q2, z, pi)
                     b1, b2, b3 = rhs(q1 + h2 * a1, q2 + h2 * a2,
@@ -327,7 +349,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                 z = 0.0 if 0.0 > z_new else z_new
                 if m2 < z:
                     z = m2
-            block = np.array(rows)
+            block = np.array(rows).reshape(-1, 6)
             qs = block[:, 0] + block[:, 1]
             if not qs.max() <= qs_limit:   # a NaN max fails too
                 i = int(np.flatnonzero(~(qs <= qs_limit))[0])
@@ -335,7 +357,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     f"q1 + q2 = {qs[i]:.6g} at t = {t[lo + i]:.6g} exceeds "
                     f"{qs_limit:.6g}, the exact path's bound plus 10h; reduce "
                     f"the step size")
-            hi = lo + len(rows)
+            hi = lo + len(block)
             states[lo:hi] = block[:, :3]
             pis[lo:hi] = block[:, 3]
             regimes[lo:hi] = block[:, 4]

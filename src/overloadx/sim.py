@@ -314,7 +314,8 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
                          f"least one, got {horizon_arrivals!r}")
     if warmup_fraction is None:
         warmup_fraction = default_warmup(start)
-    if not 0.0 <= warmup_fraction < 1.0:
+    # a bool compares as 0 or 1, so the range test alone would pass False
+    if isinstance(warmup_fraction, bool) or not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup fraction must lie in [0, 1)")
     state = init_state(sys, start)
     init_sys = state.in_system()

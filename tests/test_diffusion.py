@@ -286,6 +286,47 @@ def test_transient_covariance_matches_reference_loop(base_params, sigma0, T):
     np.testing.assert_allclose(cc, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_transient_covariance_chunk_edges_are_prefixes(base_params):
+    # cuts that end on either side of the 1,024-step chunks' edges, where
+    # the steps' start values are taken afresh, are prefixes of the full
+    # run, bit for bit
+    h = 1e-3
+    path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
+                           T=2049 * h, h=h)
+    assert len(path.t) == 2050 and np.ptp(path.pi) > 0.5
+    sigma0 = np.array([[0.5, -0.1], [-0.1 + 1e-14, 0.2]])
+    flags = dict(sigma2_method="regenerative", psi_convention="plus")
+    _, full = transient_covariance(base_params, path, sigma0, **flags)
+    assert np.array_equal(full[0], 0.5 * (sigma0 + sigma0.T))
+    assert full[:, 0, 1].tobytes() == full[:, 1, 0].tobytes()
+    for points in (1024, 1025, 1026, 2048, 2049, 2050):
+        t, cov = transient_covariance(base_params, path, sigma0,
+                                      (points - 1) * h, **flags)
+        assert len(t) == points
+        assert cov.tobytes() == full[:points].tobytes()
+
+
+@pytest.mark.parametrize("T", [math.nan, -0.1, -1e-9])
+def test_transient_covariance_rejects_a_horizon_before_the_path(
+        base_params, stationary_path, T):
+    with pytest.raises(ValueError, match="before the path's start"):
+        transient_covariance(base_params, stationary_path, np.zeros((2, 2)),
+                             T, sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_transient_covariance_rejects_a_non_finite_start(
+        base_params, stationary_path, entry):
+    # NaN would run into every matrix; inf would give NaN after a warning
+    sigma0 = np.eye(2)
+    sigma0[1, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        transient_covariance(base_params, stationary_path, sigma0, 0.1,
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
 def test_transient_covariance_solves_sigma2_up_to_T_only(base_params,
                                                         monkeypatch):
     # the path is cut at T before its integrands: sigma2 is evaluated at

@@ -149,6 +149,13 @@ def test_run_warmup_defaults(sys100):
         run(sys100, 100, warmup_fraction=1.0, seed=2)
 
 
+@pytest.mark.parametrize("warmup", [False, True, 1.0, -0.1, math.nan])
+def test_run_rejects_a_warmup_fraction_outside_the_range(sys100, warmup):
+    # False compares as 0; a bool is no fraction, as for the horizon
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+        run(sys100, 100, warmup_fraction=warmup, seed=1)
+
+
 @pytest.mark.parametrize("horizon", [1000.5, 2.0, True, 0, -3])
 def test_run_rejects_a_horizon_that_is_not_a_whole_count(sys100, horizon):
     # the stop is the horizon-th arrival: a fraction or a bool has none
