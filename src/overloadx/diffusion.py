@@ -367,22 +367,24 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     time-change derivatives, as :func:`_noise_entries` writes them out.
 
     Sigma stays symmetric, so the steps carry its three distinct entries as
-    Python floats.  ``sigma0`` must be finite and symmetric up to rounding
-    (its asymmetry at most 1e-12 of its largest entry), else ``ValueError``;
-    its symmetric part is the first matrix returned, the start of the steps
-    and the part checked for positive semidefiniteness.  The path is cut at
-    ``T``; a ``T`` before the path's first time, or NaN, raises
-    ``ValueError``.  Per ``_CHUNK`` steps, everything that does not depend
-    on Sigma (the step sizes, A's (2,2) entry and V at each step's midpoint
-    and end) is computed first as numpy columns, by the same IEEE
+    Python floats.  ``sigma0`` must be a finite 2x2 matrix, symmetric up to
+    rounding (asymmetry at most 1e-12 of its largest entry), else
+    ``ValueError``; its symmetric part is the first matrix returned, the
+    start of the steps and the part checked for positive semidefiniteness.
+    The path is cut at ``T``; a ``T`` before the path's first time, or NaN,
+    raises ``ValueError``.  Per ``_CHUNK`` steps, everything that does not
+    depend on Sigma (the step sizes, A's (2,2) entry and V at each step's
+    midpoint and end) is computed first as numpy columns, by the same IEEE
     operations as on floats; a step's start values are the previous step's
     end values, carried as floats.  The steps then do only the RK4
-    arithmetic, written out, and collect the entries in a flat list that
-    is written into the result by column.
+    arithmetic, written out, and collect the entries in a flat list that is
+    written into the result by column.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
+    if sigma0.shape != (2, 2):
+        raise ValueError("initial covariance must be a 2x2 matrix")
     if not np.all(np.isfinite(sigma0)):
         raise ValueError("initial covariance must be finite")
     if np.max(np.abs(sigma0 - sigma0.T)) > 1e-12 * np.max(np.abs(sigma0)):

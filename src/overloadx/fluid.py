@@ -205,8 +205,8 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     the right-hand side.  The clamps into S are comparisons that give what
     ``max(x, 0.0)`` and ``min(x, m2)`` give, and the stored rows are
     buffered in one flat list, ``_CHUNK`` rows at a time, before they are
-    written into the path's arrays.
-    A grid of T/h + 1 points that cannot be allocated raises
+    written into the path's arrays.  A negative or NaN ``tol_manifold``,
+    or a grid of T/h + 1 points that cannot be allocated, raises
     ``ValueError``.  A step that leaves S by more than 10h, a stored
     q1 + q2 past the exact path's bound, or a state the drift kernel
     rejects raises ``RuntimeError``: reduce the step size.
@@ -215,6 +215,9 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         raise ValueError(f"step size must be positive and finite, got {h}")
     if not 0.0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
+    if tol_manifold is not None and not tol_manifold >= 0.0:   # NaN too
+        raise ValueError("manifold band must be non-negative, got "
+                         f"{tol_manifold}")
     x0.validate(p)
     n_steps = int(round(T / h))
     r = float(p.r12)

@@ -34,15 +34,16 @@ state-dependent rates, recomputing a rate only when an event changes its
 count.  Once per ``_CHUNK`` events a ``_Ledger`` does the rest in numpy:
 it rebuilds the pre-event states from the codes and computes the holding
 times, the clock and the time-weighted sums, each value bit for bit what
-an event-by-event loop computes, and it finds both stops on the chunk,
-the warm-up's last arrival and the run's last arrival or stop time.  It
-carries its running sums two to a complex128 row: numpy adds complex
-numbers as two IEEE adds, one per part, and a cumsum adds in sequence, so
-each part is the float running sum, every bit.  A measured chunk is sized
-from the arrivals or the time left and the current total rate, so that
-the chain routes few events past the stop.  ``step`` and ``apply_event``
-are its oracle, one event at a time.  A seed's uniforms
-come in blocks of 2**15, of which the first 2**15 - 2 are used.
+an event-by-event loop computes, and in the same pass it finds both
+stops: the warm-up's end, as the column of the first measured event, and
+the run's last arrival or stop time.  It carries its running sums two to
+a complex128 row: numpy adds complex numbers as two IEEE adds, one per
+part, and a cumsum adds in sequence, so each part is the float running
+sum, every bit.  A chunk is sized from the arrivals or the time left and
+the current total rate, so that the chain routes few events past the
+stop.  ``step`` and ``apply_event`` are its oracle, one event at a time.
+A seed's uniforms come in blocks of 2**15, of which the first 2**15 - 2
+are used.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
 The module uses two functions of ``scipy.special``: the ledger's
 logarithm ``xlogy`` and the t quantile ``stdtrit``.  Each is imported
@@ -409,14 +410,19 @@ class _Ledger:
     carries two sums.  A row's parts interleave in its float view, so each
     part is a strided row, multiplied row by row.
 
-    The ledger also finds the stops.  It cuts a chunk after the arrival
-    that uses up ``left``, the arrivals left before the stop, and a
-    measured chunk before its first event at or after ``t_stop``.  Without
-    ``moments`` only the measured time and the time with D12 > 0 are summed.
+    The ledger finds the stops in the same pass.  ``warm`` and ``left``
+    count the arrivals left in the warm-up and before the run's stop
+    (``math.inf``: none).  Measured increments before column ``j``, the
+    first event after the warm-up, are 0.0, so the measured sums are 0.0
+    at its end, ``t0``, and 0.0 + x == x; a chunk inside the warm-up
+    builds the clock's row alone.  A chunk is cut after the arrival that
+    uses up ``left``, or before its first measured event at or after
+    ``t_stop``.  Without ``moments`` only the measured time and the time
+    with D12 > 0 are summed.
     """
 
-    def __init__(self, sys: ScaledSystem, state: SimState, t_stop: float,
-                 moments: bool = True):
+    def __init__(self, sys: ScaledSystem, state: SimState, warm_arrivals: int,
+                 stop_arrivals, t_stop: float, moments: bool = True):
         p = sys.parent
         self.lam12 = float(sys.lambda1n) + float(sys.lambda2n)
         self.coef = (p.theta1, p.theta2, p.mu11, p.mu12, p.mu21, p.mu22)
@@ -436,20 +442,27 @@ class _Ledger:
         # their squares, in that order, two to an entry
         self.sums = np.zeros(7 if moments else 2, dtype=complex)
         self.sums[0] = state.clock
-        self.t = state.clock
+        self.t = self.t0 = state.clock
         self.t_stop = t_stop
-        self.left = math.inf
+        self.warm, self.left = warm_arrivals, stop_arrivals
         self.moments = moments
         self.counts = np.zeros(len(_OUTCOMES), dtype=np.int64)
         self.violations = 0
         from scipy.special import xlogy   # libm's log, see above
         self.xlogy = xlogy
 
-    def add(self, codes: bytearray, ua: np.ndarray, measure: bool) -> int:
-        """Account for one chunk up to its stop; the number of codes taken."""
-        c = np.frombuffer(codes, dtype=np.uint8)
-        m = len(c)
-        # column j holds the state before event j
+    def add(self, codes: bytearray, ua: np.ndarray) -> bool:
+        """Account for one chunk up to its stop; True once the run stopped."""
+        # with an arrival code (0-5) in front, after[i] is the column after
+        # the chunk's i-th arrival, and after[0] = 0
+        c0 = np.frombuffer(b"\0" + codes, dtype=np.uint8)
+        c, m = c0[1:], len(codes)
+        after = (c0 < 6).nonzero()[0]
+        arrivals, warm = len(after) - 1, self.warm
+        # events j on are measured, events k on are past the stop
+        j = int(after[warm]) if warm <= arrivals else m
+        k = int(after[self.left]) if self.left <= arrivals else m
+        # column i holds the state before event i
         x = np.empty((3, m + 1), dtype=complex)
         x[:, 0] = self.x
         _DELTAS.take(c, axis=1, out=x[:, 1:])
@@ -466,13 +479,13 @@ class _Ledger:
         total = (self.lam12 + th1 * q1 + th2 * q2 + mu11 * z11 + mu12 * z12
                  + mu21 * z21 + mu22 * z22)
         dt = -self.xlogy(1.0, 1.0 - ua) / total
-        rows = len(self.sums) if measure else 1
+        rows = 1 if j == m else len(self.sums)
         w = np.empty((rows, m + 1), dtype=complex)
         w[:, 0] = self.sums[:rows]
         wf = w.view(float)
         wf[0, 2::2] = dt
-        wf[0, 3::2] = dt if measure else 0.0
-        if measure:
+        wf[0, 3::2] = dt
+        if rows > 1:
             d12s = self.r12d * q1 - self.c12 - self.r12n * q2
             np.multiply(dt, d12s > 0.0, out=wf[1, 2::2])
             if not self.moments:
@@ -488,34 +501,28 @@ class _Ledger:
                     np.multiply(v, dt, out=wf[s // 2, 2 + s % 2::2])
                     s += 5
                     np.multiply(v * v, dt, out=wf[s // 2, 2 + s % 2::2])
+        # no measured increment before column j
+        wf[0, 3:2 * j + 2:2] = 0.0
+        w[1:, 1:j + 1] = 0.0
         np.cumsum(w, axis=1, out=w)
-        k = self._cut(c, wf[0, 0::2], measure)
+        clock = wf[0, 0::2]
+        # the clock never decreases
+        if clock[k] >= self.t_stop:
+            k = j + int(np.searchsorted(clock[j + 1:k + 1], self.t_stop))
+        if 0 < warm <= arrivals:   # the warm-up ends at column j
+            self.t0 = float(clock[j])
         self.sums[:rows] = w[:, k]
-        self.t = float(wf[0, 2 * k])
+        self.t = float(clock[k])
         self.x = x[:, k].copy()
         self.violations += int(np.count_nonzero(z12[:k] * z21[:k]))
         counts = np.bincount(c[:k], minlength=len(_OUTCOMES))
         self.counts += counts
-        self.left -= int(counts[:6].sum())
-        return k
+        arrived = int(counts[:6].sum())
+        self.warm = max(warm - arrived, 0)
+        self.left -= arrived
+        return k < m or not self.left
 
-    def _cut(self, c: np.ndarray, clock: np.ndarray, measure: bool) -> int:
-        """The events of a chunk before its stop.
-
-        The arrival that uses up ``left`` is the chunk's last event; in a
-        measured chunk, the first event that ends at or after ``t_stop``
-        is cut with what follows.
-        """
-        k = len(c)
-        arrived = c < 6    # the codes of arrivals
-        if np.count_nonzero(arrived) >= self.left:
-            k = int(np.flatnonzero(arrived)[self.left - 1]) + 1
-        # the clock never decreases
-        if measure and clock[k] >= self.t_stop:
-            k = int(np.searchsorted(clock[1:k + 1], self.t_stop))
-        return k
-
-    def finish(self, state: SimState, t0: float):
+    def finish(self, state: SimState):
         """Write the final state back; the measured fields and D12 > 0 time.
 
         Without ``moments`` the fields are the window and the counts.
@@ -527,7 +534,7 @@ class _Ledger:
         np.add.at(per_event, _CODE_EVENT, self.counts)
         arr1, arr2, ab1, ab2, s11, s12, s21, s22 = per_event.tolist()
         measured = dict(
-            window_start=t0, window_end=t, events=int(self.counts.sum()),
+            window_start=self.t0, window_end=t, events=int(self.counts.sum()),
             one_way_violations=self.violations, arrivals=(arr1, arr2),
             services=(s11 + s12, s21 + s22), abandonments=(ab1, ab2),
             final_in_system=state.in_system())
@@ -553,7 +560,7 @@ class _Ledger:
 
 
 def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
-              stop_arrivals: int, t_stop: float = math.inf,
+              stop_arrivals, t_stop: float = math.inf,
               moments: bool = True):
     """The event loop behind ``run`` and ``indicator_integral``.
 
@@ -565,20 +572,20 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     between events; each outcome recomputes, as the product
     ``_event_rates`` forms, only those whose counts it changed, so the
     total and every category test see the floats ``step`` sees.  Every
-    ``_CHUNK`` events, or sooner where a piece of ``blocks`` ends, a
-    ``_Ledger`` turns the codes and the first uniforms into states, holding
-    times and time-weighted sums, and finds the stops.  Warm-up runs to the
-    ``warm_arrivals``-th arrival with no sums, and a chunk it ends in is
-    split there; then measurement runs to the ``stop_arrivals``-th arrival
-    (-1: no limit), or stops before the first event at or after ``t_stop``,
-    the state holding from ``state.clock`` on.  The chain routes past a stop
-    to the end of its chunk, and the ledger's state is the one kept; so
-    that little is routed in vain, a chunk holds at most the expected
-    number of events left before the run's stop, at the current total
-    rate, plus three standard deviations.  Returns the ``RunStats`` fields
-    it measured and the measured time with D12 > 0; without ``moments``
-    the ledger sums only the measured time and that time, and the fields
-    leave out the means, stds and fractions.
+    ``_CHUNK`` events, or sooner where a piece of ``blocks`` ends, one
+    ``_Ledger.add`` call turns the codes and the first uniforms into
+    states, holding times and time-weighted sums, and finds the stops.
+    Warm-up runs to the ``warm_arrivals``-th arrival with no sums; from the
+    next event, in the same call, measurement runs to the
+    ``stop_arrivals``-th arrival (``math.inf``: no limit), or stops before
+    the first event at or after ``t_stop``, from ``state.clock`` on.  The
+    chain routes past a stop to the end of its chunk, and the ledger's
+    state is the one kept; so that little is routed in vain, a chunk holds
+    at most the expected number of events left before the run's stop, at
+    the current total rate, plus three standard deviations.  Returns the
+    ``RunStats`` fields it measured and the measured time with D12 > 0;
+    without ``moments`` the ledger sums only the measured time and that
+    time, and the fields leave out the means, stds and fractions.
     """
     p = sys.parent
     lam1n, lam2n = float(sys.lambda1n), float(sys.lambda2n)
@@ -599,14 +606,8 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
     r_ab1, r_ab2 = th1 * q1, th2 * q2
     r_s11, r_s12 = mu11 * z11, mu12 * z12
     r_s21, r_s22 = mu21 * z21, mu22 * z22
-    ledger = _Ledger(sys, state, t_stop, moments)
-    t0 = state.clock
-    stop = math.inf if stop_arrivals < 0 else stop_arrivals
-    measure = warm_arrivals == 0
-    # the ledger stops at the warm-up's last arrival, then at the run's;
-    # ``after`` arrivals lie between the ledger's stop and the run's
-    ledger.left, after = ((stop, 0) if measure else
-                          (warm_arrivals, stop - warm_arrivals))
+    ledger = _Ledger(sys, state, warm_arrivals, stop_arrivals, t_stop,
+                     moments)
 
     for hold, cats in blocks:
         lo = 0
@@ -614,7 +615,7 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
             # the expected events before the run's stop
             total = lam12 + r_ab1 + r_ab2 + r_s11 + r_s12 + r_s21 + r_s22
             left = min(_CHUNK, (t_stop - ledger.t) * total,
-                       (ledger.left + after) * total / lam12)
+                       ledger.left * total / lam12)
             size = min(_CHUNK, int(left + 3.0 * math.sqrt(left)) + 1)
             codes = bytearray()
             append = codes.append
@@ -741,20 +742,9 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
                                 r_s22 = mu22 * z22
                                 append(19)
 
-            piece = hold[lo:lo + len(codes)]
+            if ledger.add(codes, hold[lo:lo + len(codes)]):
+                return ledger.finish(state)
             lo += len(codes)
-            while True:
-                k = ledger.add(codes, piece, measure)
-                if k == len(codes) and ledger.left:
-                    break
-                if measure:
-                    return ledger.finish(state, t0)
-                # the warm-up's last arrival is code k - 1: measure the rest
-                measure, t0 = True, ledger.t
-                ledger.left, after = after, 0
-                if not ledger.left:   # the warm-up took every arrival
-                    return ledger.finish(state, t0)
-                codes, piece = codes[k:], piece[k:]
 
 
 def _replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -852,13 +842,15 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     The diffusion-scale cumulative routing-indicator fluctuation; its
     variance across replications is the empirical counterpart of the
     fast-process time change gamma3.  The events come from ``_simulate``
-    with a seeded stream, stopped at ``t_end``.
+    with a seeded stream, stopped at ``t_end``; ``pi_ref`` lies in [0, 1].
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if isinstance(pi_ref, bool) or not 0.0 <= pi_ref <= 1.0:   # NaN too
+        raise ValueError(f"pi_ref must lie in [0, 1], got {pi_ref!r}")
     state = init_state(sys, start)
-    _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, -1, t_end,
-                         moments=False)
+    _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, math.inf,
+                         t_end, moments=False)
     if _d12_positive(sys, state.q1, state.q2):
         t_pos += t_end - state.clock
     return math.sqrt(sys.n) * (t_pos - pi_ref * t_end)

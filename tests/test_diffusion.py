@@ -327,6 +327,15 @@ def test_transient_covariance_rejects_a_non_finite_start(
                              psi_convention="plus")
 
 
+@pytest.mark.parametrize("sigma0", [np.ones(2), np.eye(3), np.zeros((2, 3))])
+def test_transient_covariance_rejects_a_start_of_the_wrong_shape(
+        base_params, stationary_path, sigma0):
+    with pytest.raises(ValueError, match="must be a 2x2 matrix"):
+        transient_covariance(base_params, stationary_path, sigma0, 0.1,
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
 def test_transient_covariance_solves_sigma2_up_to_T_only(base_params,
                                                         monkeypatch):
     # the path is cut at T before its integrands: sigma2 is evaluated at

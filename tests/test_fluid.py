@@ -326,6 +326,13 @@ def test_integrate_rejects_non_finite_input(base_params, x0, T, h):
         integrate_fluid(base_params, FluidState(*x0), T=T, h=h)
 
 
+@pytest.mark.parametrize("band", [math.nan, -0.5, -1e-12])
+def test_integrate_rejects_a_negative_or_nan_band(base_params, band):
+    with pytest.raises(ValueError, match="manifold band must be non-negative"):
+        integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0), T=1.0,
+                        h=1e-2, tol_manifold=band)
+
+
 def test_manifold_preservation(base_params):
     # start on the ratio manifold inside the recurrence set
     sp = stationary_point(base_params)

@@ -236,9 +236,9 @@ def test_event_loop_matches_step_on_every_outcome(base_params, monkeypatch):
     seen = set()
     add = _Ledger.add
 
-    def recording_add(self, codes, ua, measure):
+    def recording_add(self, codes, ua):
         seen.update(codes)
-        return add(self, codes, ua, measure)
+        return add(self, codes, ua)
 
     monkeypatch.setattr(_Ledger, "add", recording_add)
     uniforms = np.random.default_rng(3).random(40000)
@@ -275,10 +275,28 @@ def test_event_loop_matches_step_with_compensated_sum(python312_sum, ratio,
     replay = _Replay(uniforms)
     st = init_state(sysn, start)
     for _ in range(2000):
-        ledger = _Ledger(sysn, st, math.inf)
-        ledger.add(bytearray(1), uniforms[replay.i:replay.i + 1], False)
+        ledger = _Ledger(sysn, st, 0, math.inf, math.inf)
+        ledger.add(bytearray(1), uniforms[replay.i:replay.i + 1])
         st, _, _ = step(sysn, st, replay)
         assert ledger.t == st.clock
+
+
+def test_each_chunk_goes_through_the_ledger_once(sys100, monkeypatch):
+    # a 100-arrival run at n = 100 ends its warm-up and its run in its
+    # first chunk; the ledger finds both in one call
+    calls = []
+    add = _Ledger.add
+
+    def counting_add(self, codes, ua):
+        calls.append(len(codes))
+        return add(self, codes, ua)
+
+    monkeypatch.setattr(_Ledger, "add", counting_add)
+    for seed in range(1, 6):
+        calls.clear()
+        run(sys100, 100, 0.2,
+            uniforms=np.random.default_rng(seed).random(20000))
+        assert len(calls) == 1
 
 
 def test_supplied_stream_used_to_last_pair(sys100):
@@ -412,11 +430,12 @@ def test_time_stopped_loop_matches_step(sys100):
     for stream in (uniforms, uniforms[:used]):
         state = init_state(sys100, "fluid")
         measured, got = _simulate(sys100, state, _uniform_blocks(None, stream),
-                                  0, -1, t_stop)
+                                  0, math.inf, t_stop)
         assert (got, state, measured["events"]) == (t_pos, st, events)
     with pytest.raises(RuntimeError, match="exhausted"):
         _simulate(sys100, init_state(sys100, "fluid"),
-                  _uniform_blocks(None, uniforms[:used - 1]), 0, -1, t_stop)
+                  _uniform_blocks(None, uniforms[:used - 1]), 0, math.inf,
+                  t_stop)
 
 
 @pytest.mark.parametrize("n, t_stop", [(400, 0.01), (400, 5.0), (25, 60.0)])
@@ -429,7 +448,7 @@ def test_d12_time_alone_matches_full_ledger(base_params, n, t_stop):
         for moments in (True, False):
             state = init_state(sysn, "fluid")
             measured, t_pos = _simulate(sysn, state, _uniform_blocks(seed),
-                                        0, -1, t_stop, moments)
+                                        0, math.inf, t_stop, moments)
             got.append((t_pos.hex(), state, measured["events"],
                         measured["window_end"]))
         assert got[0] == got[1]
@@ -590,6 +609,14 @@ def test_indicator_integral_basic(base_params):
 def test_indicator_integral_rejects_a_stop_never_reached(base_params, t_end):
     with pytest.raises(ValueError, match="t_end must be positive and finite"):
         indicator_integral(scale(base_params, 25), t_end, seed=7, pi_ref=0.17)
+
+
+@pytest.mark.parametrize("pi_ref", [math.nan, math.inf, -math.inf, -0.5,
+                                    1.5, True])
+def test_indicator_integral_rejects_a_reference_outside_the_unit_interval(
+        base_params, pi_ref):
+    with pytest.raises(ValueError, match=r"pi_ref must lie in \[0, 1\]"):
+        indicator_integral(scale(base_params, 25), 1.0, seed=1, pi_ref=pi_ref)
 
 
 def test_run_rejects_queues_beyond_exact_arithmetic(base_params):
