@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             asymptotic_variance, busy_period_moments,
                             drift_kernel, drift_rates, ftsp_rates,
                             ftsp_summary, is_positive_recurrent,
-                            PI12_METHODS, pi_12, pi_12_stationary, pi_from_drifts, simulate_ftsp)
+                            PI12_METHODS, pi_12, pi_12_stationary, pi_from_drifts,
+                            sigma2_columns, simulate_ftsp)
 
 from overloadx.fluid import stationary_point
 
@@ -543,3 +546,63 @@ def test_summary_fields(base_params):
     s2 = ftsp_summary(base_params, FluidState(8.0, 0.0, 1.0),
                       sigma2_method="regenerative")
     assert not s2.recurrent and s2.pi12 == 0.0 and s2.sigma2 is None
+
+
+def _float_or_error(f, *args):
+    """``float.hex`` of ``f(*args)``, or the message of its ``ValueError``."""
+    try:
+        return float(f(*args)).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _ftsp_golden_record(p, states):
+    """The lattice routes at each state of ``states`` (see
+    ``ftsp_golden.json``): rate maps in key order, drifts, ``drift_kernel``,
+    pi12 by every method, the closed-form sigma2 and the Poisson-equation
+    oracle, floats by ``float.hex``; then ``sigma2_columns`` over the
+    recurrent states."""
+    kernel = drift_kernel(p)
+    sigma2_forms = ("paper_r1", "regenerative", "poisson_numeric")
+    record, recurrent = [], []
+    for state in states:
+        g = FluidState(*state)
+        model = ftsp_rates(p, g)
+        entry = {"pos_rates": [[jump, rate.hex()]
+                               for jump, rate in model.pos_rates.items()],
+                 "neg_rates": [[jump, rate.hex()]
+                               for jump, rate in model.neg_rates.items()],
+                 "drifts": [d.hex() for d in drift_rates(model)],
+                 "drift_kernel": [d.hex() for d in kernel(*state)],
+                 "pi12": {m: _float_or_error(pi_12, p, g, m)
+                          for m in PI12_METHODS},
+                 "sigma2": {m: _float_or_error(asymptotic_variance, p, g, m)
+                            for m in sigma2_forms}}
+        if is_positive_recurrent(p, g):
+            recurrent.append(state)
+            entry["sigma2_truncated"] = float(
+                _truncated_solve(model, tol=1e-10, sigma2=True)).hex()
+        record.append(entry)
+    columns = {}
+    for m in sigma2_forms:
+        try:
+            columns[m] = [v.hex() for v in
+                          sigma2_columns(p, np.array(recurrent), m).tolist()]
+        except ValueError as exc:
+            columns[m] = f"ValueError: {exc}"
+    return {"states": record, "sigma2_columns": columns}
+
+
+def test_lattice_routes_bit_identical_to_golden(base_params):
+    # Recorded with the two rate builders (birth-death at r = 1, lattice
+    # otherwise) and the QBD blocks built apart from the banded generator.
+    # Per ratio, r21 = r12: the stationary state, q1 = 0, z12 = 0, z12 = m2,
+    # the empty state, an inner state and two transient ones, one per side.
+    golden = json.loads(
+        (Path(__file__).parent / "ftsp_golden.json").read_text())
+    assert [case["ratio"] for case in golden] == ["1/1", "3/2", "2/1", "5/3"]
+    for case in golden:
+        p = replace(base_params, r12=Fraction(case["ratio"]),
+                    r21=Fraction(case["ratio"]))
+        assert _ftsp_golden_record(p, case["states"]) == case["record"], (
+            case["ratio"])
