@@ -114,8 +114,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ValueError("config.warmup: need a fraction in [0, 1)")
         cfg.warmup = float(w)
     if "seed" in raw:
-        if type(raw["seed"]) is not int:
-            raise ValueError("config.seed: need an integer")
+        if type(raw["seed"]) is not int or raw["seed"] < 0:
+            raise ValueError("config.seed: need a non-negative integer")
         cfg.seed = raw["seed"]
     if "start" in raw:
         if raw["start"] not in START_MODES:
@@ -380,35 +380,23 @@ def validate_command(cfg: ExperimentConfig, quick: bool = False) -> ValidationRe
             sysn = scale(p, n)
             p_n = p.with_kappa12(sysn.kappa_eff)   # realized threshold k_n/n
             approx = gaussian_queue_approx(p_n, n, **REFERENCE_CONVENTIONS)
-            approx_vals = {
-                "mean_q1": approx.mean_q1, "mean_q2": approx.mean_q2,
-                "std_qs": approx.std_qs, "std_q1": approx.std_q1,
-                "std_q2": approx.std_q2,
-                "std_qs_hat": approx.std_qs / math.sqrt(n),
-            }
             stage = f"simulation at n={n}"
             est = replicate(sysn, cfg.runs, arrivals, base_seed=cfg.seed,
                             warmup_fraction=cfg.warmup, start=cfg.start)
-            rt = math.sqrt(n)
-            sim_vals = {
-                "mean_q1": est["mean_q1"], "mean_q2": est["mean_q2"],
-                "std_qs": est["std_qs"], "std_q1": est["std_q1"],
-                "std_q2": est["std_q2"],
-            }
             refs = REFERENCE_TABLE.get(n)
             for qty, ref_approx in (refs["approx"].items() if refs else []):
-                if qty == "std_qs_hat":
-                    sim_mean = est["std_qs"].mean / rt
-                    sim_hw = est["std_qs"].halfwidth / rt
-                else:
-                    sim_mean = sim_vals[qty].mean
-                    sim_hw = sim_vals[qty].halfwidth
+                # std_qs_hat is std_qs / sqrt(n); x / 1.0 is exact
+                name, div = (("std_qs", math.sqrt(n)) if qty == "std_qs_hat"
+                             else (qty, 1.0))
+                approx_val = getattr(approx, name) / div
+                sim_mean = est[name].mean / div
+                sim_hw = est[name].halfwidth / div
                 ref_sim, ref_hw = refs["sim"][qty]
                 tol = _ulp(ref_approx)
-                delta = abs(approx_vals[qty] - ref_approx)
+                delta = abs(approx_val - ref_approx)
                 overlap = abs(sim_mean - ref_sim) <= sim_hw + ref_hw
                 cells.append(TableCell(
-                    n=n, quantity=qty, approx=approx_vals[qty],
+                    n=n, quantity=qty, approx=approx_val,
                     ref_approx=ref_approx, approx_delta=delta,
                     approx_tol=tol, approx_pass=delta <= tol,
                     sim_mean=sim_mean, sim_halfwidth=sim_hw,

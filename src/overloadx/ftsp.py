@@ -81,9 +81,10 @@ class FtspRates:
     +-k, class-2 events +-j.
 
     For r = 1 both jumps are +-1 and the walk is a birth-death process, whose
-    rates are also available by name: in the positive region it moves up at
-    ``lam1`` and down at ``mu1``; in the non-positive region it moves away
-    from the boundary (down) at ``lam2`` and back toward it (up) at ``mu2``.
+    rates are also readable by name off the same maps: in the positive region
+    it moves up at ``lam1`` and down at ``mu1``; in the non-positive region it
+    moves away from the boundary (down) at ``lam2`` and back toward it (up) at
+    ``mu2``.  The QBD blocks are read off :meth:`banded_generator` too.
 
     The rates may also be numpy arrays over many states, as
     :func:`sigma2_columns` builds them.  Not frozen (a frozen ``__init__``
@@ -124,27 +125,6 @@ class FtspRates:
     @property
     def block_size(self) -> int:
         return max(self.j, self.k)
-
-    def blocks(self, side: str):
-        """Level-transition blocks (up, local, down) for one homogeneous side.
-
-        Levels are blocks of ``block_size`` consecutive lattice states; with
-        jumps bounded by the block size every transition moves at most one
-        level, giving the QBD block-tridiagonal structure.
-        """
-        rates = self.pos_rates if side == "pos" else self.neg_rates
-        b = self.block_size
-        up = np.zeros((b, b))
-        local = np.zeros((b, b))
-        down = np.zeros((b, b))
-        for i in range(b):
-            total = 0.0
-            for jump, rate in rates.items():
-                dl, ph = divmod(i + jump, b)
-                {1: up, 0: local, -1: down}[dl][i, ph] += rate
-                total += rate
-            local[i, i] -= total
-        return up, local, down
 
     def banded_generator(self, nmax: int) -> np.ndarray:
         """Generator on lattice states -nmax..nmax, in ``solve_banded`` layout.
@@ -240,39 +220,38 @@ def _regime_terms(p: ModelParams):
     return terms
 
 
-def _birth_death_rates(up1, down1, up2, down2, pool2):
-    """(lam1, mu1, lam2, mu2) of the r = 1 walk; see :class:`FtspRates`."""
-    up, down = up1 + up2, down1 + down2
-    return up, down + pool2, down, up + pool2
-
-
 def _lattice_rates(j: int, k: int, up1, down1, up2, down2, pool2):
-    """Per-regime ``{lattice jump: rate}`` dicts ``(pos, neg)``.
+    """Per-regime ``{lattice jump: rate}`` dicts ``(pos, neg)``, any r = j/k.
 
-    In the positive regime every completion takes the head of queue 1; in
-    the non-positive regime pool-2 completions take the head of queue 2.
+    Class-1 terms jump +-k and class-2 terms +-j.  In the positive regime
+    every completion takes the head of queue 1, so pool2 jumps -k; in the
+    non-positive regime pool-2 completions take the head of queue 2, +j.
+    Rates of one jump are added in the order (k, up1), (-k, down1),
+    (j, up2), (-j, down2), pool2.  At r = 1 that gives lam1 = up1 + up2,
+    mu1 = (down1 + down2) + pool2, mu2 = (up1 + up2) + pool2 and
+    lam2 = down1 + down2.
     """
-    if j == k:
-        lam1, mu1, lam2, mu2 = _birth_death_rates(up1, down1, up2, down2,
-                                                  pool2)
-        return {1: lam1, -1: mu1}, {1: mu2, -1: lam2}
-    return ({k: up1, -k: down1 + pool2, j: up2, -j: down2},
-            {k: up1, -k: down1, j: up2 + pool2, -j: down2})
+    maps = []
+    for pool2_jump in (-k, j):
+        rates = {}
+        for jump, rate in ((k, up1), (-k, down1), (j, up2), (-j, down2),
+                           (pool2_jump, pool2)):
+            rates[jump] = rates[jump] + rate if jump in rates else rate
+        maps.append(rates)
+    return tuple(maps)
 
 
 def ftsp_rates(p: ModelParams, gamma: FluidState) -> FtspRates:
     """Jump rates of D(gamma, .) on the lattice of k*D, r = j/k.
 
     The rates of :func:`_regime_terms` at gamma, classified by their effect
-    on the queue difference (:func:`_lattice_rates`).  For r != 1 jumps of
-    rate zero are left out.
+    on the queue difference (:func:`_lattice_rates`).  Jumps of rate zero
+    are left out; at r = 1 every rate is positive.
     """
     q1, q2, z12 = gamma.validate(p)
     j, k = p.r12.as_integer_ratio()
     pos, neg = _lattice_rates(j, k, *_regime_terms(p)(q1, q2, z12))
-    if j != k:
-        pos, neg = _nonzero(pos), _nonzero(neg)
-    return FtspRates(j, k, pos, neg)
+    return FtspRates(j, k, _nonzero(pos), _nonzero(neg))
 
 
 def _nonzero(rates: dict) -> dict:
@@ -298,14 +277,11 @@ def drift_rates(model: FtspRates) -> tuple[float, float]:
     delta_plus is the mean velocity of D in the positive region;
     delta_minus the mean velocity in the non-positive region, so
     delta_minus > 0 means drift back toward the positive region.  Rates
-    held as numpy arrays give arrays of drifts.
+    held as numpy arrays give arrays of drifts.  At r = 1 the sums are
+    (0 + 1*up) + (-1*down) = up - down, exactly.
     """
-    pos, neg = model.pos_rates, model.neg_rates
-    if model.birth_death:   # the sums below, spelled out
-        return pos[1] - pos[-1], neg[1] - neg[-1]
-    d_plus = _left_sum(jump * rate for jump, rate in pos.items()) / model.k
-    d_minus = _left_sum(jump * rate for jump, rate in neg.items()) / model.k
-    return d_plus, d_minus
+    return tuple(_left_sum(jump * rate for jump, rate in rates.items())
+                 / model.k for rates in (model.pos_rates, model.neg_rates))
 
 
 def drift_kernel(p: ModelParams):
@@ -314,11 +290,11 @@ def drift_kernel(p: ModelParams):
     Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
     with no state, :class:`FtspRates` or rate dict built at any ratio: the
     path integrators call it at every step and RK4 stage.  The closure
-    spells out :func:`_regime_terms` and, at r = 1,
-    :func:`_birth_death_rates`; at r = j/k != 1, the sums of
-    :func:`drift_rates` over the dicts of :func:`_lattice_rates`, jumps
-    k, -k, j, -j, left to right.  The same operations run in the same
-    order.  A state outside S raises the ``ValueError`` of
+    spells out :func:`_regime_terms` and the rates of
+    :func:`_lattice_rates`: at r = 1, lam1 - mu1 and mu2 - lam2 of the
+    merged sums; at r = j/k != 1, the sums of :func:`drift_rates` over the
+    dicts, jumps k, -k, j, -j, left to right.  The same operations run in
+    the same order.  A state outside S raises the ``ValueError`` of
     :meth:`FluidState.validate`.
     """
     j, k = p.r12.as_integer_ratio()
@@ -348,7 +324,7 @@ def drift_kernel(p: ModelParams):
     def birth_death_drifts(q1, q2, z12):
         if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
             FluidState(q1, q2, z12).validate(p)
-        # up1 + up2 and down1 + down2 of the terms; lam1 - mu1, mu2 - lam2
+        # lam1 = up, mu1 = down + pool2, mu2 = up + pool2 and lam2 = down
         up = lambda1 + theta2 * q2
         down = theta1 * q1 + pool1 + lambda2
         pool2 = mu12 * z12 + mu22 * (m2 - z12)
@@ -479,11 +455,23 @@ def _pi_matrix_geometric(lattice: FtspRates) -> float:
     positive side, levels <= -1 the non-positive side.  On each side the
     chain is level-homogeneous, so pi_l = pi_0 Rp^l upward and
     pi_{-1-m} = pi_{-1} Rm^m downward; the two boundary levels are obtained
-    from their balance equations plus normalization.
+    from their balance equations plus normalization.  Each side's level
+    blocks (up, local, down) are read off the generator on states
+    -3b..3b, at level 1 and level -2, whose jumps stay inside it.
     """
     b = lattice.block_size
-    a0, a1, a2 = lattice.blocks("pos")     # up / local / down, positive side
-    c0, c1, c2 = lattice.blocks("neg")     # up (toward 0) / local / down (away)
+    band, n = lattice.banded_generator(3 * b), 6 * b + 1
+    # dense copy: band row b + d holds the diagonal row - col = d
+    gen = np.sum([np.diag(band[b + d, max(-d, 0):n - max(d, 0)], -d)
+                  for d in range(-b, b + 1)], axis=0)
+
+    def blocks(level):
+        top = 3 * b + level * b + 1     # index of lattice state level*b + 1
+        return tuple(gen[top:top + b, top + s * b:top + s * b + b]
+                     for s in (1, 0, -1))
+
+    a0, a1, a2 = blocks(1)      # up / local / down, positive side
+    c0, c1, c2 = blocks(-2)     # up (toward 0) / local / down (away)
     rp = _mg_rate_matrix(a0, a1, a2)
     rm = _mg_rate_matrix(c2, c1, c0)       # roles swapped: "away" is downward
     # balance at levels -1 and 0, unknown row vector u = [pi_{-1}, pi_0]
@@ -722,8 +710,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     periods; those are sampled directly, vectorized.  Other ratios fall back
     to event-by-event simulation of the lattice walk.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    for name, value in (("horizon", horizon), ("batch_length", batch_length)):
+        if not 0.0 < value < math.inf:   # False for NaN
+            raise ValueError(f"{name} must be positive and finite: {value}")
     model = ftsp_rates(p, gamma)
     rng = np.random.default_rng(seed)
     bd_recurrent = (model.birth_death

@@ -440,6 +440,22 @@ def test_main_runs_flag_fails_like_config_key(tmp_path, capsys):
     assert flag_err.startswith("error: config.runs:")
 
 
+@pytest.mark.parametrize("config_seed, argv", [
+    (None, ["simulate", "--n", "25", "--runs", "2", "--arrivals", "100",
+            "--seed", "-1"]),
+    (-3, ["validate", "--quick"]),
+    (-3, ["echo-config"]),
+])
+def test_main_rejects_negative_seed(tmp_path, capsys, config_seed, argv):
+    # refused while the config is read, before any simulation
+    if config_seed is not None:
+        path = _write_config(tmp_path, {**BASE_CONFIG, "seed": config_seed})
+        argv = ["--config", path, *argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: config.seed: need a non-negative integer\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("sigma2_method", "poisson_numeric"),
     ("psi_convention", "plus"),

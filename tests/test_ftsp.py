@@ -441,8 +441,15 @@ def test_simulate_transient_state_saturates():
 
 
 def test_simulate_rejects_bad_horizon(base_params):
-    with pytest.raises(ValueError):
-        simulate_ftsp(base_params, XSTAR, horizon=0.0, seed=1)
+    # each refused before a draw, naming the argument
+    for name, horizon, batch_length in [
+            ("horizon", 0.0, 1000.0), ("horizon", math.nan, 1000.0),
+            ("horizon", math.inf, 1000.0), ("batch_length", 1e4, 0.0),
+            ("batch_length", 1e4, math.nan), ("batch_length", 1e4, -5.0),
+            ("batch_length", 1e4, math.inf)]:
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            simulate_ftsp(base_params, XSTAR, horizon=horizon, seed=1,
+                          batch_length=batch_length)
 
 
 def test_simulate_lattice_path_matches_bd_path(base_params):
