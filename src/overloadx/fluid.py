@@ -110,9 +110,9 @@ class FluidPath:
 def _rhs_on_floats(p: ModelParams):
     """The fluid right-hand side as a function of Python floats.
 
-    Returns ``rhs(q1, q2, z12, pi) -> (dq1, dq2, dz12)``.  This is the one
-    definition of the ODE: :func:`ode_rhs` wraps it and the integrator's
-    stages call it directly.
+    Returns ``rhs(q1, q2, z12, pi) -> (dq1, dq2, dz12)``.  This is the
+    definition of the ODE: :func:`ode_rhs` wraps it, the integrator's steps
+    call it directly, and :func:`_stage_kernel` repeats its operations.
     """
     m2, mu12, mu22 = p.m2, p.mu12, p.mu22
     net1 = p.lambda1 - p.m1 * p.mu11
@@ -126,6 +126,85 @@ def _rhs_on_floats(p: ModelParams):
                 pi * z22 * mu22 - (1.0 - pi) * z12 * mu12)
 
     return rhs
+
+
+def _stage_kernel(p: ModelParams):
+    """One reduced RK4 stage of the averaging-principle step, on floats.
+
+    Returns ``stage(qs, z12) -> (dqs, dz12)``: the queues from the manifold
+    d = 0 at q1 + q2 = qs, with q2 and z12 clamped into S; then the drifts
+    of :func:`drift_kernel`, pi12 by the rule of :func:`pi_from_drifts` and
+    :func:`_rhs_on_floats` at that state, in one call.  theta1 q1, theta2 q2
+    and pool2 are formed once for the drifts and the right-hand side; every
+    operation is the one the composition makes, in its order, so the result
+    is equal to it bit for bit.  A state outside S raises drift_kernel's
+    ``ValueError``.  One closure per ratio family: birth-death at r = 1,
+    the lattice sums at r = j/k != 1.
+    """
+    j, k = p.r12.as_integer_ratio()
+    kappa, m2, r1, inf = p.kappa12, p.m2, 1.0 + float(p.r12), math.inf
+    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
+    pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
+    net1 = p.lambda1 - p.m1 * p.mu11
+    # the clamps are integrate_fluid's comparisons, which pass -0.0 and nan
+    if j != k:
+        # the constants of drift_kernel's lattice closure
+        fj, fk = float(j), float(k)
+        up1_k, mk, down2_mj = fk * lambda1, -fk, -fj * lambda2
+
+        def lattice_stage(qs, z):
+            q2 = (qs - kappa) / r1
+            if 0.0 > q2:
+                q2 = 0.0
+            if 0.0 > z:
+                z = 0.0
+            if m2 < z:
+                z = m2
+            q1 = qs - q2
+            if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z <= m2):
+                FluidState(q1, q2, z).validate(p)
+            out1, up2, z22 = theta1 * q1, theta2 * q2, m2 - z
+            pool2 = mu12 * z + mu22 * z22
+            down1 = out1 + pool1
+            d_plus = (up1_k + mk * (down1 + pool2) + fj * up2 + down2_mj) / fk
+            d_minus = (up1_k + mk * down1 + fj * (up2 + pool2) + down2_mj) / fk
+            if d_plus < 0.0 and d_minus > 0.0:
+                pi = d_minus / (d_minus - d_plus)
+            else:
+                pi = 1.0 if d_plus >= 0.0 else 0.0
+            return ((net1 - pi * pool2 - out1)
+                    + (lambda2 - (1.0 - pi) * pool2 - up2),
+                    pi * z22 * mu22 - (1.0 - pi) * z * mu12)
+
+        return lattice_stage
+
+    def birth_death_stage(qs, z):
+        q2 = (qs - kappa) / r1
+        if 0.0 > q2:
+            q2 = 0.0
+        if 0.0 > z:
+            z = 0.0
+        if m2 < z:
+            z = m2
+        q1 = qs - q2
+        if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z <= m2):
+            FluidState(q1, q2, z).validate(p)
+        out1, out2, z22 = theta1 * q1, theta2 * q2, m2 - z
+        pool2 = mu12 * z + mu22 * z22
+        # drift_kernel's up and down
+        up = lambda1 + out2
+        down = out1 + pool1 + lambda2
+        d_plus = up - (down + pool2)
+        d_minus = up + pool2 - down
+        if d_plus < 0.0 and d_minus > 0.0:
+            pi = d_minus / (d_minus - d_plus)
+        else:
+            pi = 1.0 if d_plus >= 0.0 else 0.0
+        return ((net1 - pi * pool2 - out1)
+                + (lambda2 - (1.0 - pi) * pool2 - out2),
+                pi * z22 * mu22 - (1.0 - pi) * z * mu12)
+
+    return birth_death_stage
 
 
 def ode_rhs(p: ModelParams, gamma: FluidState, pi: float) -> np.ndarray:
@@ -190,26 +269,29 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     conserved because the difference coordinate mixes orders of magnitude
     faster than the total queue moves.
 
-    The steps run on Python floats, one coordinate at a time, and every
-    FTSP evaluation goes through one :func:`drift_kernel` built for ``p``,
-    with pi12 from the drifts by the identity of :func:`pi_from_drifts`;
-    no ``FluidState`` or ``FtspRates`` is built per evaluation.  Each point
+    The steps run on Python floats, one coordinate at a time, with pi12
+    from the drifts by the identity of :func:`pi_from_drifts`; no
+    ``FluidState`` or ``FtspRates`` is built per evaluation.  Each point
     is evaluated once: every step evaluates the drifts at its state for the
-    recurrence test; a recurrent averaging-principle step reuses them for
-    the stored pi when the projection onto the manifold leaves the
-    coordinates equal (``==``), and reuses that pi for its first reduced
-    stage when the manifold queues of q1 + q2 equal the stored (q1, q2).
-    On the manifold a step thus makes four evaluations instead of six.
-    A reduced stage is one call, which writes out the projection, the
-    clamps and the identity, and then makes one drift call and one call of
-    the right-hand side.  The clamps into S are comparisons that give what
-    ``max(x, 0.0)`` and ``min(x, m2)`` give, and the stored rows are
-    buffered in one flat list, ``_CHUNK`` rows at a time, before they are
-    written into the path's arrays.  A negative or NaN ``tol_manifold``,
-    or a grid of T/h + 1 points that cannot be allocated, raises
-    ``ValueError``.  A step that leaves S by more than 10h, a stored
-    q1 + q2 past the exact path's bound, or a state the drift kernel
-    rejects raises ``RuntimeError``: reduce the step size.
+    recurrence test, through one :func:`drift_kernel` built for ``p``; a
+    recurrent averaging-principle step reuses them for the stored pi when
+    the projection onto the manifold leaves the coordinates equal (``==``).
+    That "unmoved" flag carries into the step: an unmoved state projects
+    onto itself, so its first reduced stage takes the stored pi without
+    projecting again; after a move, stage 1 reuses the pi when the manifold
+    queues of q1 + q2 equal the stored (q1, q2).  On the manifold a step
+    thus makes four evaluations instead of six.  A reduced stage is one
+    call of the :func:`_stage_kernel` built for ``p``: the projection, the
+    clamps, the drifts, pi and the right-hand side together, equal bit for
+    bit to the composition of those functions.  The clamps into S are
+    comparisons that give what ``max(x, 0.0)`` and ``min(x, m2)`` give, and
+    the stored rows are buffered in one flat list, ``_CHUNK`` rows at a
+    time, before they are written into the path's arrays.  A negative or
+    NaN ``tol_manifold``, or a grid of T/h + 1 points that cannot be
+    allocated, raises ``ValueError``.  A step that leaves S by more than
+    10h, a stored q1 + q2 past the exact path's bound, or a state the drift
+    kernel or a stage rejects raises ``RuntimeError``: reduce the step
+    size.
     """
     if not 0.0 < h < math.inf:   # False for NaN too
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -233,6 +315,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     escape = 10.0 * h
     rhs = _rhs_on_floats(p)
     drifts = drift_kernel(p)
+    stage = _stage_kernel(p)
     kappa, m2, r1 = p.kappa12, p.m2, 1.0 + r
     # terms of the total event rate, which sets the default band
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
@@ -244,26 +327,6 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                    ) + escape
     # The clamps compare as the builtins do: max(x, 0.0) is x unless
     # 0.0 > x and min(x, m2) is x unless m2 < x, so -0.0 and nan pass.
-
-    def stage(qs, z):
-        # a reduced RK4 stage: the queues from the manifold and pi from the
-        # drifts at every stage keep both the constraint and the order
-        # exact; written out, as in the loop, to save calls per stage
-        q2 = (qs - kappa) / r1
-        if 0.0 > q2:
-            q2 = 0.0
-        if 0.0 > z:
-            z = 0.0
-        if m2 < z:
-            z = m2
-        q1 = qs - q2
-        d_plus, d_minus = drifts(q1, q2, z)
-        if d_plus < 0.0 and d_minus > 0.0:
-            pi = d_minus / (d_minus - d_plus)
-        else:
-            pi = 1.0 if d_plus >= 0.0 else 0.0
-        dq1, dq2, dz = rhs(q1, q2, z, pi)
-        return dq1 + dq2, dz
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
     # x0 passed validate(), so a state the drift kernel rejects inside
@@ -285,7 +348,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     pi, regime = 0.0, REGIME_PI_ZERO
                 elif recurrent:
                     on_manifold, regime = True, REGIME_AP
-                    # the projection onto the manifold, as in stage()
+                    # the projection onto the manifold, as in the stages
                     qs = q1 + q2
                     q2_m = (qs - kappa) / r1
                     if 0.0 > q2_m:
@@ -294,7 +357,8 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     # a state already on the manifold keeps its drifts;
                     # they passed the recurrence test, so pi_from_drifts
                     # would take its first branch
-                    if q1_m == q1 and q2_m == q2:
+                    unmoved = q1_m == q1 and q2_m == q2
+                    if unmoved:
                         pi = d_minus / (d_minus - d_plus)
                     else:
                         pi = pi_from_drifts(*drifts(q1_m, q2_m, z))
@@ -307,10 +371,14 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
 
                 if on_manifold:
                     qs = q1 + q2
-                    q2_m = (qs - kappa) / r1
-                    if 0.0 > q2_m:
-                        q2_m = 0.0
-                    if qs - q2_m == q1 and q2_m == q2:
+                    if not unmoved:
+                        # the projected queues, projected again, may move
+                        # by an ulp; an unmoved state projects onto itself
+                        q2_m = (qs - kappa) / r1
+                        if 0.0 > q2_m:
+                            q2_m = 0.0
+                        unmoved = qs - q2_m == q1 and q2_m == q2
+                    if unmoved:
                         # stage 1 sits at the stored point, whose pi is known;
                         # z is already in [0, m2]
                         a1, a2, k1z = rhs(q1, q2, z, pi)

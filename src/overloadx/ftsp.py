@@ -289,13 +289,13 @@ def drift_kernel(p: ModelParams):
 
     Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
     with no state, :class:`FtspRates` or rate dict built at any ratio: the
-    path integrators call it at every step and RK4 stage.  The closure
-    spells out :func:`_regime_terms` and the rates of
-    :func:`_lattice_rates`: at r = 1, lam1 - mu1 and mu2 - lam2 of the
-    merged sums; at r = j/k != 1, the sums of :func:`drift_rates` over the
-    dicts, jumps k, -k, j, -j, left to right.  The same operations run in
-    the same order.  A state outside S raises the ``ValueError`` of
-    :meth:`FluidState.validate`.
+    path integrators call it at every step, and the fluid integrator's
+    fused reduced stages repeat its operations.  The closure spells out
+    :func:`_regime_terms` and the rates of :func:`_lattice_rates`: at
+    r = 1, lam1 - mu1 and mu2 - lam2 of the merged sums; at r = j/k != 1,
+    the sums of :func:`drift_rates` over the dicts, jumps k, -k, j, -j,
+    left to right.  The same operations run in the same order.  A state
+    outside S raises the ``ValueError`` of :meth:`FluidState.validate`.
     """
     j, k = p.r12.as_integer_ratio()
     m2, inf = p.m2, math.inf
@@ -713,6 +713,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     for name, value in (("horizon", horizon), ("batch_length", batch_length)):
         if not 0.0 < value < math.inf:   # False for NaN
             raise ValueError(f"{name} must be positive and finite: {value}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
     model = ftsp_rates(p, gamma)
     rng = np.random.default_rng(seed)
     bd_recurrent = (model.birth_death

@@ -1,13 +1,15 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import overloadx.fluid
 from overloadx.ftsp import (FluidState, drift_kernel, drift_rates, ftsp_rates,
-                            pi_12)
+                            pi_12, pi_from_drifts)
 from overloadx.fluid import (REGIME_AP, REGIME_PI_ONE, REGIME_PI_ZERO,
                              integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
@@ -91,6 +93,11 @@ def reference_integrate(p, x0, T, h, tol_manifold=None):
     # a band entry whose projected queues, projected again, move by an
     # ulp: stage 1 evaluates its own drifts, and its pi shows in the path
     ("3/2", (2.06, 1.33, 0.3), 1.0, 0.25, 0.05),
+    ("2/1", (1.0, 0.2, 0.0), 2.0, 1e-2, None),
+    # pi0 steps before the manifold
+    ("2/1", (0.9, 0.5, 0.3), 2.0, 2e-3, None),
+    ("5/3", (1.0, 0.2, 0.0), 2.0, 1e-2, None),
+    ("5/3", (0.9, 0.5, 0.3), 2.0, 2e-3, None),
 ])
 def test_integrate_matches_reference_loop(base_params, ratio, x0, T, h, tol):
     p = replace(base_params, r12=ratio, r21=ratio)
@@ -191,18 +198,26 @@ def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
     # recurrent AP step adds stages 2-4 only, since the projected state
     # and stage 1 reuse the row's drifts while they stay where they are.
     # Entering the band moves the state once, which costs one more.
+    # A reduced stage evaluates the drifts inside its one call, so the
+    # stage kernel's calls count as evaluations too.
     calls = []
 
-    def counting_kernel(p):
-        drifts = drift_kernel(p)
+    def counting(build):
+        def counting_build(p):
+            kernel = build(p)
 
-        def counted(q1, q2, z12):
-            calls.append((q1, q2, z12))
-            return drifts(q1, q2, z12)
+            def counted(*args):
+                calls.append(args)
+                return kernel(*args)
 
-        return counted
+            return counted
 
-    monkeypatch.setattr(overloadx.fluid, "drift_kernel", counting_kernel)
+        return counting_build
+
+    monkeypatch.setattr(overloadx.fluid, "drift_kernel",
+                        counting(drift_kernel))
+    monkeypatch.setattr(overloadx.fluid, "_stage_kernel",
+                        counting(overloadx.fluid._stage_kernel))
     p = replace(base_params, r12=ratio, r21=ratio)
     x0 = FluidState(1.0, 0.2, 0.0)
     path = integrate_fluid(p, x0, T=2.0, h=1e-2)
@@ -213,6 +228,58 @@ def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
     assert len(calls) <= len(path.t) + 3 * steps + entries
     assert_path_equals_reference(
         path, reference_integrate(p, x0, T=2.0, h=1e-2))
+
+
+def _stage_by_composition(p, qs, z):
+    """A reduced stage as rhs(pi_from_drifts(drift_kernel)) at the manifold
+    state of qs, with q2 and z12 clamped into S by the builtins; returns
+    (dqs, dz12) and the pi."""
+    q2 = max((qs - p.kappa12) / (1.0 + float(p.r12)), 0.0)
+    q1, z = qs - q2, min(max(z, 0.0), p.m2)
+    pi = pi_from_drifts(*drift_kernel(p)(q1, q2, z))
+    dq1, dq2, dz = overloadx.fluid._rhs_on_floats(p)(q1, q2, z, pi)
+    return (dq1 + dq2, dz), pi
+
+
+@pytest.mark.parametrize("ratio", ["1/1", "3/2", "2/1", "5/3"])
+def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
+    # at q1 + q2 of every state of ftsp_golden.json, and at z12 below 0 and
+    # above m2, which the stage clamps; theta1 or theta2 raised tenfold
+    # makes the FTSP transient on the manifold, for pi = 0 and pi = 1
+    golden = json.loads(
+        (Path(__file__).parent / "ftsp_golden.json").read_text())
+    states = next(case["states"] for case in golden if case["ratio"] == ratio)
+    p = replace(base_params, r12=Fraction(ratio), r21=Fraction(ratio))
+    pis = set()
+    for params in (p, replace(p, theta1=10.0 * p.theta1),
+                   replace(p, theta2=10.0 * p.theta2)):
+        stage = overloadx.fluid._stage_kernel(params)
+        for q1, q2, z in states:
+            for z12 in (z, -0.25, params.m2 + 0.25):
+                want, pi = _stage_by_composition(params, q1 + q2, z12)
+                got = stage(q1 + q2, z12)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (
+                    params, q1 + q2, z12)
+                pis.add(pi)
+    assert {0.0, 1.0} < pis
+
+
+@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+@pytest.mark.parametrize("qs, z", [
+    (math.nan, 0.3), (0.5, math.nan), (math.inf, 0.3), (-1.0, 0.3)])
+def test_stage_kernel_rejects_states_as_drift_kernel_does(base_params, ratio,
+                                                          qs, z):
+    # the stage's state check raises drift_kernel's ValueError at the
+    # projected state: NaN, inf (q1 = inf - inf) and q1 < 0 (qs < 0)
+    p = replace(base_params, r12=Fraction(ratio), r21=Fraction(ratio))
+    q2 = (qs - p.kappa12) / (1.0 + float(p.r12))
+    if 0.0 > q2:
+        q2 = 0.0
+    with pytest.raises(ValueError) as want:
+        drift_kernel(p)(qs - q2, q2, z)
+    with pytest.raises(ValueError) as got:
+        overloadx.fluid._stage_kernel(p)(qs, z)
+    assert str(got.value) == str(want.value)
 
 
 def test_stationary_point_reference(base_params):

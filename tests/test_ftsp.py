@@ -452,6 +452,24 @@ def test_simulate_rejects_bad_horizon(base_params):
                           batch_length=batch_length)
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, 1.5, "7", None])
+def test_simulate_rejects_bad_seed(base_params, monkeypatch, seed):
+    # refused before a draw, naming the argument: numpy would raise a bare
+    # "expected non-negative integer" for -1 and a TypeError for 1.5, and
+    # would run on True
+    def no_draw(*args):
+        raise AssertionError("drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        simulate_ftsp(base_params, XSTAR, horizon=1e4, seed=seed)
+
+
+def test_simulate_accepts_a_numpy_integer_seed(base_params):
+    a = simulate_ftsp(base_params, XSTAR, horizon=1e4, seed=np.int64(3))
+    assert a == simulate_ftsp(base_params, XSTAR, horizon=1e4, seed=3)
+
+
 def test_simulate_lattice_path_matches_bd_path(base_params):
     # the event-loop route (forced via ratio 3/2) also recovers its pi
     p = replace(base_params, r12=Fraction(3, 2), r21=Fraction(3, 2))
