@@ -57,11 +57,11 @@ REFERENCE_CONVENTIONS = {"sigma2_method": "paper_r1",
 
 def psi_mix(p: ModelParams, z12, convention: str):
     """Pool-2 service mix weight entering the FTSP noise terms."""
+    if convention not in PSI_CONVENTIONS:
+        raise ValueError(f"unknown psi convention {convention!r}")
     if convention == "plus":
         return p.mu22 * (p.m2 - z12) + p.mu12 * z12
-    if convention == "paper-sec10":
-        return p.mu22 * (p.m2 - z12) - p.mu12 * z12
-    raise ValueError(f"unknown psi convention {convention!r}")
+    return p.mu22 * (p.m2 - z12) - p.mu12 * z12
 
 
 def queue_split(p: ModelParams) -> tuple[float, float]:
@@ -189,12 +189,13 @@ def _integrand_rows(p: ModelParams, states: np.ndarray, pi: np.ndarray,
 
     ``pi`` holds each point's pi12.  The noise rates of both layers: along a
     path for :func:`transient_covariance`, at x* for :func:`bou_matrices`.
+    An unknown convention or method raises before any sigma2 solve.
     """
     p1, p2 = queue_split(p)
     q1, q2, z = states[:, 0], states[:, 1], states[:, 2]
     qs = q1 + q2
-    sig = sigma2_columns(p, states, sigma2_method)
     psi = psi_mix(p, z, psi_convention)
+    sig = sigma2_columns(p, states, sigma2_method)
     rows = {
         # theta1 q1 + theta2 q2; the last term is +-0.0 when theta1 == theta2
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)

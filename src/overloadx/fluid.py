@@ -30,7 +30,7 @@ from .params import ModelParams
 # ftsp_rates and pi_12 are not called here; they stay bound for callers
 # that look the FTSP up on this module
 from .ftsp import (FluidState, drift_kernel, ftsp_rates, pi_12,
-                   pi_12_stationary, pi_from_drifts)
+                   pi_12_stationary)
 
 __all__ = [
     "FluidPath", "StationaryPoint", "ode_rhs", "integrate_fluid",
@@ -131,15 +131,15 @@ def _rhs_on_floats(p: ModelParams):
 def _stage_kernel(p: ModelParams):
     """One reduced RK4 stage of the averaging-principle step, on floats.
 
-    Returns ``stage(qs, z12) -> (dqs, dz12)``: the queues from the manifold
-    d = 0 at q1 + q2 = qs, with q2 and z12 clamped into S; then the drifts
-    of :func:`drift_kernel`, pi12 by the rule of :func:`pi_from_drifts` and
-    :func:`_rhs_on_floats` at that state, in one call.  theta1 q1, theta2 q2
-    and pool2 are formed once for the drifts and the right-hand side; every
-    operation is the one the composition makes, in its order, so the result
-    is equal to it bit for bit.  A state outside S raises drift_kernel's
-    ``ValueError``.  One closure per ratio family: birth-death at r = 1,
-    the lattice sums at r = j/k != 1.
+    Returns ``stage(qs, z12) -> (dqs, dz12, pi, q1, q2, d_plus, d_minus)``:
+    the queues (q1, q2) from the manifold d = 0 at q1 + q2 = qs, with q2
+    and z12 clamped into S; then the drifts of :func:`drift_kernel`, pi12
+    by the rule of :func:`pi_from_drifts` and :func:`_rhs_on_floats` at
+    that state, in one call.  theta1 q1, theta2 q2 and pool2 are formed once;
+    every operation is the one the composition makes, in its order, so each
+    value is equal to it bit for bit.  A state outside S raises
+    drift_kernel's ``ValueError``.  One closure per ratio family:
+    birth-death at r = 1, the lattice sums at r = j/k != 1.
     """
     j, k = p.r12.as_integer_ratio()
     kappa, m2, r1, inf = p.kappa12, p.m2, 1.0 + float(p.r12), math.inf
@@ -174,7 +174,8 @@ def _stage_kernel(p: ModelParams):
                 pi = 1.0 if d_plus >= 0.0 else 0.0
             return ((net1 - pi * pool2 - out1)
                     + (lambda2 - (1.0 - pi) * pool2 - up2),
-                    pi * z22 * mu22 - (1.0 - pi) * z * mu12)
+                    pi * z22 * mu22 - (1.0 - pi) * z * mu12,
+                    pi, q1, q2, d_plus, d_minus)
 
         return lattice_stage
 
@@ -202,7 +203,8 @@ def _stage_kernel(p: ModelParams):
             pi = 1.0 if d_plus >= 0.0 else 0.0
         return ((net1 - pi * pool2 - out1)
                 + (lambda2 - (1.0 - pi) * pool2 - out2),
-                pi * z22 * mu22 - (1.0 - pi) * z * mu12)
+                pi * z22 * mu22 - (1.0 - pi) * z * mu12,
+                pi, q1, q2, d_plus, d_minus)
 
     return birth_death_stage
 
@@ -269,29 +271,25 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     conserved because the difference coordinate mixes orders of magnitude
     faster than the total queue moves.
 
-    The steps run on Python floats, one coordinate at a time, with pi12
-    from the drifts by the identity of :func:`pi_from_drifts`; no
-    ``FluidState`` or ``FtspRates`` is built per evaluation.  Each point
-    is evaluated once: every step evaluates the drifts at its state for the
-    recurrence test, through one :func:`drift_kernel` built for ``p``; a
-    recurrent averaging-principle step reuses them for the stored pi when
-    the projection onto the manifold leaves the coordinates equal (``==``).
-    That "unmoved" flag carries into the step: an unmoved state projects
-    onto itself, so its first reduced stage takes the stored pi without
-    projecting again; after a move, stage 1 reuses the pi when the manifold
-    queues of q1 + q2 equal the stored (q1, q2).  On the manifold a step
-    thus makes four evaluations instead of six.  A reduced stage is one
-    call of the :func:`_stage_kernel` built for ``p``: the projection, the
-    clamps, the drifts, pi and the right-hand side together, equal bit for
-    bit to the composition of those functions.  The clamps into S are
-    comparisons that give what ``max(x, 0.0)`` and ``min(x, m2)`` give, and
-    the stored rows are buffered in one flat list, ``_CHUNK`` rows at a
-    time, before they are written into the path's arrays.  A negative or
-    NaN ``tol_manifold``, or a grid of T/h + 1 points that cannot be
-    allocated, raises ``ValueError``.  A step that leaves S by more than
-    10h, a stored q1 + q2 past the exact path's bound, or a state the drift
-    kernel or a stage rejects raises ``RuntimeError``: reduce the step
-    size.
+    The path has round(T/h) steps of exactly h and ends at their time,
+    which is T only when T is a whole number of steps (T < h/2 gives the
+    one point t = 0); the ``overloadx fluid`` command refuses such a T.
+
+    The steps run on Python floats, and each point is evaluated once.
+    Outside the band one :func:`drift_kernel` call gives the recurrence
+    test.  Inside it one :func:`_stage_kernel` call at the manifold state
+    of q1 + q2 gives the stored pi and queues, the drifts and the step's
+    first reduced stage, equal bit for bit to the composition of the
+    projection, the clamps, drift_kernel, :func:`pi_from_drifts` and
+    :func:`_rhs_on_floats`.  Its drifts are the point's own when the
+    projection leaves (q1, q2) equal (``==``); otherwise ``in_A`` takes one
+    drift_kernel call, and stage 1 is run again if the stored queues add up
+    to another q1 + q2.  A manifold step thus makes four calls.  Rows are
+    buffered ``_CHUNK`` at a time in one flat list.  A negative or NaN
+    ``tol_manifold``, or a grid of T/h + 1 points that cannot be allocated,
+    raises ``ValueError``.  A step that leaves S by more than 10h, a stored
+    q1 + q2 past the exact path's bound, or a state a kernel rejects raises
+    ``RuntimeError``: reduce the step size.
     """
     if not 0.0 < h < math.inf:   # False for NaN too
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -301,21 +299,19 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         raise ValueError("manifold band must be non-negative, got "
                          f"{tol_manifold}")
     x0.validate(p)
-    n_steps = int(round(T / h))
     r = float(p.r12)
-    try:
+    try:   # T/h past the float range overflows round()
+        n_steps = int(round(T / h))
         t = np.linspace(0.0, n_steps * h, n_steps + 1)
         states = np.empty((n_steps + 1, 3))
         pis = np.empty(n_steps + 1)
         regimes = np.empty(n_steps + 1, dtype=np.int8)
         in_a = np.empty(n_steps + 1, dtype=bool)
-    except MemoryError:
-        raise ValueError(f"the fluid grid of T/h + 1 = {n_steps + 1} points "
+    except (MemoryError, OverflowError):
+        raise ValueError(f"the fluid grid of T/h + 1 = {T / h + 1:.0f} points "
                          f"does not fit in memory; raise h or lower T") from None
     escape = 10.0 * h
-    rhs = _rhs_on_floats(p)
-    drifts = drift_kernel(p)
-    stage = _stage_kernel(p)
+    rhs, drifts, stage = _rhs_on_floats(p), drift_kernel(p), _stage_kernel(p)
     kappa, m2, r1 = p.kappa12, p.m2, 1.0 + r
     # terms of the total event rate, which sets the default band
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
@@ -339,55 +335,36 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                 band = tol_manifold if tol_manifold is not None else (
                     band_per_rate * (arrivals + theta1 * q1 + theta2 * q2
                                      + pool1 + mu12 * z + mu22 * (m2 - z)))
-                d_plus, d_minus = drifts(q1, q2, z)
-                recurrent = d_plus < 0.0 and d_minus > 0.0
-                on_manifold = False
-                if d > band:
-                    pi, regime = 1.0, REGIME_PI_ONE
-                elif d < -band:
-                    pi, regime = 0.0, REGIME_PI_ZERO
-                elif recurrent:
-                    on_manifold, regime = True, REGIME_AP
-                    # the projection onto the manifold, as in the stages
-                    qs = q1 + q2
-                    q2_m = (qs - kappa) / r1
-                    if 0.0 > q2_m:
-                        q2_m = 0.0
-                    q1_m = qs - q2_m
-                    # a state already on the manifold keeps its drifts;
-                    # they passed the recurrence test, so pi_from_drifts
-                    # would take its first branch
-                    unmoved = q1_m == q1 and q2_m == q2
-                    if unmoved:
-                        pi = d_minus / (d_minus - d_plus)
-                    else:
-                        pi = pi_from_drifts(*drifts(q1_m, q2_m, z))
-                    q1, q2 = q1_m, q2_m
+                if d > band or d < -band:
+                    d_plus, d_minus = drifts(q1, q2, z)
+                    recurrent = d_plus < 0.0 and d_minus > 0.0
+                    on_manifold = False
+                    pi, regime = ((1.0, REGIME_PI_ONE) if d > band
+                                  else (0.0, REGIME_PI_ZERO))
                 else:
-                    pi, regime = (1.0 if d_plus >= 0.0 else 0.0), REGIME_AP
+                    # stage 1 of the reduced step, at the manifold state
+                    qs, regime = q1 + q2, REGIME_AP
+                    k1s, k1z, pi, q1_m, q2_m, d_plus, d_minus = stage(qs, z)
+                    if q1_m != q1 or q2_m != q2:
+                        # in_A records recurrence at the state itself
+                        d_plus, d_minus = drifts(q1, q2, z)
+                    recurrent = on_manifold = d_plus < 0.0 and d_minus > 0.0
+                    if recurrent:
+                        q1, q2 = q1_m, q2_m
+                    else:
+                        pi = 1.0 if d_plus >= 0.0 else 0.0
                 rows += (q1, q2, z, pi, regime, recurrent)
                 if i == n_steps:
                     break
 
                 if on_manifold:
-                    qs = q1 + q2
-                    if not unmoved:
-                        # the projected queues, projected again, may move
-                        # by an ulp; an unmoved state projects onto itself
-                        q2_m = (qs - kappa) / r1
-                        if 0.0 > q2_m:
-                            q2_m = 0.0
-                        unmoved = qs - q2_m == q1 and q2_m == q2
-                    if unmoved:
-                        # stage 1 sits at the stored point, whose pi is known;
-                        # z is already in [0, m2]
-                        a1, a2, k1z = rhs(q1, q2, z, pi)
-                        k1s = a1 + a2
-                    else:
-                        k1s, k1z = stage(qs, z)
-                    k2s, k2z = stage(qs + h2 * k1s, z + h2 * k1z)
-                    k3s, k3z = stage(qs + h2 * k2s, z + h2 * k2z)
-                    k4s, k4z = stage(qs + h * k3s, z + h * k3z)
+                    if q1 + q2 != qs:
+                        # the projected queues may add up to another qs
+                        qs = q1 + q2
+                        k1s, k1z, _, _, _, _, _ = stage(qs, z)
+                    k2s, k2z, _, _, _, _, _ = stage(qs + h2 * k1s, z + h2 * k1z)
+                    k3s, k3z, _, _, _, _, _ = stage(qs + h2 * k2s, z + h2 * k2z)
+                    k4s, k4z, _, _, _, _, _ = stage(qs + h * k3s, z + h * k3z)
                     qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                     z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
                     if 0.0 > qs:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, check_seed
 
 __all__ = [
     "FluidState", "FtspRates", "FtspSummary", "FtspMcStats",
@@ -289,7 +289,7 @@ def drift_kernel(p: ModelParams):
 
     Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
     with no state, :class:`FtspRates` or rate dict built at any ratio: the
-    path integrators call it at every step, and the fluid integrator's
+    fluid integrator calls it at points outside the switching band, and its
     fused reduced stages repeat its operations.  The closure spells out
     :func:`_regime_terms` and the rates of :func:`_lattice_rates`: at
     r = 1, lam1 - mu1 and mu2 - lam2 of the merged sums; at r = j/k != 1,
@@ -585,6 +585,11 @@ SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
 _NOT_RECURRENT = "asymptotic variance requires a positive recurrent state"
 
 
+def _check_sigma2_method(method: str) -> None:
+    if method not in SIGMA2_METHODS:
+        raise ValueError(f"unknown sigma2 method {method!r}")
+
+
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
                         method: str = "poisson_numeric") -> float:
     """Asymptotic variance sigma2(gamma) of the centered positivity indicator.
@@ -610,8 +615,10 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
       For another run length or seed call :func:`simulate_ftsp` directly.
 
     ``paper_r1`` disagrees with the other three, which agree with each
-    other; it exists for reproducing reference numbers.
+    other; it exists for reproducing reference numbers.  An unknown method
+    raises before any work.
     """
+    _check_sigma2_method(method)
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     if not (d_plus < 0.0 and d_minus > 0.0):
@@ -638,14 +645,13 @@ def _closed_form_sigma2(model: FtspRates, d_plus, d_minus, method: str):
             return var1 / cycle
         pi = mean1 / cycle
         return ((1.0 - pi) * (1.0 - pi) * var1 + pi * pi * var2) / cycle
-    if method == "poisson_numeric":
-        gap = d_minus - d_plus   # pi = d_minus / gap, 1 - pi = -d_plus / gap
-        s_plus, s_minus = (_left_sum(jump * jump * rate
-                                     for jump, rate in rates.items())
-                           for rates in (model.pos_rates, model.neg_rates))
-        return ((d_minus * s_plus - d_plus * s_minus)
-                / (model.k * model.k * (gap * gap * gap)))
-    raise ValueError(f"unknown sigma2 method {method!r}")
+    # poisson_numeric; the callers have checked the method
+    gap = d_minus - d_plus   # pi = d_minus / gap, 1 - pi = -d_plus / gap
+    s_plus, s_minus = (_left_sum(jump * jump * rate
+                                 for jump, rate in rates.items())
+                       for rates in (model.pos_rates, model.neg_rates))
+    return ((d_minus * s_plus - d_plus * s_minus)
+            / (model.k * model.k * (gap * gap * gap)))
 
 
 def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarray:
@@ -653,8 +659,10 @@ def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarra
 
     The closed forms are one array expression over the columns;
     ``"monte_carlo"`` simulates per row.  The first row outside S or not
-    positive recurrent raises the error of the scalar route.
+    positive recurrent raises the error of the scalar route, and an unknown
+    method raises before any work.
     """
+    _check_sigma2_method(method)
     if method == "monte_carlo":
         return np.array([asymptotic_variance(p, FluidState(*s), method)
                          for s in states.tolist()])
@@ -703,7 +711,7 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
 
     Returns the time average of 1{D > 0}, a batch-means estimate of the
     asymptotic variance, and the number of completed boundary cycles.
-    Deterministic for a given seed.
+    Deterministic for a given seed; bad input raises before any draw.
 
     For r = 1 the path only matters through its alternating excursion
     durations (below / above the boundary), which are independent busy
@@ -713,9 +721,10 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     for name, value in (("horizon", horizon), ("batch_length", batch_length)):
         if not 0.0 < value < math.inf:   # False for NaN
             raise ValueError(f"{name} must be positive and finite: {value}")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+    check_seed(seed)
+    n_batches = int(horizon // batch_length)
+    if n_batches < 2:
+        raise ValueError("horizon too short for the requested batch length")
     model = ftsp_rates(p, gamma)
     rng = np.random.default_rng(seed)
     bd_recurrent = (model.birth_death
@@ -764,9 +773,6 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
         total_pos, pos_time_at, n_cycles = _simulate_walk(model, horizon, rng)
         sigma2_cycles = None
 
-    n_batches = int(horizon // batch_length)
-    if n_batches < 2:
-        raise ValueError("horizon too short for the requested batch length")
     pi_hat = total_pos / horizon
     edges = batch_length * np.arange(n_batches + 1)
     pos_at_edges = np.array([pos_time_at(t) for t in edges])
@@ -839,6 +845,7 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
 def ftsp_summary(p: ModelParams, gamma: FluidState,
                  sigma2_method: str = "poisson_numeric") -> FtspSummary:
     """Bundle the per-state averaging quantities into one record."""
+    _check_sigma2_method(sigma2_method)
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     recurrent = d_plus < 0.0 and d_minus > 0.0

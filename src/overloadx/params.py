@@ -15,6 +15,7 @@ is j/k in lowest terms, and a floating-point ratio would corrupt it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -43,6 +44,13 @@ def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"params.{key}: need a JSON number, got {value!r}")
     return float(value)
+
+
+def check_seed(seed) -> None:
+    """ValueError unless seed is an int or numpy integer >= 0, not a bool."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
 
 
 def _round_half_up(x: float) -> int:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ModelParams, ScaledSystem
+from .params import ModelParams, ScaledSystem, check_seed
 from .fluid import stationary_point
 
 __all__ = [
@@ -306,9 +306,12 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
     """Simulate until ``horizon_arrivals`` total arrivals; time-weighted stats.
 
     The first ``warmup_fraction`` of arrivals (a proxy for elapsed time) is
-    discarded.  Runs are deterministic given the seed.  ``uniforms`` is a
-    testing hook: a pre-drawn stream consumed two per event, to its last pair.
+    discarded.  Runs are deterministic given the seed, an integer >= 0 or
+    :func:`replicate`'s ``SeedSequence``.  ``uniforms`` is a testing hook:
+    a pre-drawn stream consumed two per event, to its last pair.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     if (not isinstance(horizon_arrivals, numbers.Integral)
             or isinstance(horizon_arrivals, bool) or horizon_arrivals < 1):
         raise ValueError("horizon must be a whole number of arrivals, at "
@@ -324,7 +327,7 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
                             math.ceil(warmup_fraction * horizon_arrivals),
                             int(horizon_arrivals))
     return RunStats(
-        n=sys.n, seed=seed if isinstance(seed, int) else -1,
+        n=sys.n, seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
         start_mode=start, warmup_fraction=warmup_fraction,
         initial_in_system=init_sys, **measured)
 
@@ -842,8 +845,11 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     The diffusion-scale cumulative routing-indicator fluctuation; its
     variance across replications is the empirical counterpart of the
     fast-process time change gamma3.  The events come from ``_simulate``
-    with a seeded stream, stopped at ``t_end``; ``pi_ref`` lies in [0, 1].
+    with a stream seeded as in :func:`run`, stopped at ``t_end``; ``pi_ref``
+    lies in [0, 1].
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if isinstance(pi_ref, bool) or not 0.0 <= pi_ref <= 1.0:   # NaN too

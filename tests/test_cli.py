@@ -309,6 +309,24 @@ def test_main_rejects_non_finite_and_out_of_range_input(capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("T, h", [("1", "0.3"), ("2", "5"), ("2", "3")])
+def test_main_fluid_refuses_a_horizon_off_the_step_grid(capsys, T, h):
+    # integrate_fluid would end at round(T/h) h: t = 0.9, 0 and 3
+    assert main(["fluid", "--x0", "1.0,0.2,0.0", "--T", T, "--h", h]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert "not a whole number of --h" in captured.err
+
+
+def test_main_fluid_grid_past_the_float_range(capsys):
+    # T/h overflows to inf: an error line, not an OverflowError traceback
+    assert main(["fluid", "--x0", "1.0,0.2,0.0", "--T", "1e308",
+                 "--h", "1e-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert "does not fit in memory" in captured.err
+
+
 def test_main_fluid_grid_too_large_for_memory(capsys):
     # T/h + 1 = 1e15 + 1 points cannot be allocated: an error line naming
     # the point count, not a numpy traceback

@@ -10,7 +10,7 @@ import pytest
 
 from overloadx.params import scale
 from overloadx.ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
-                            sigma2_columns)
+                            ftsp_summary, sigma2_columns)
 from overloadx.fluid import integrate_fluid, stationary_point
 from overloadx.diffusion import (PSI_CONVENTIONS, REFERENCE_CONVENTIONS,
                                  bou_matrices, gaussian_queue_approx,
@@ -28,6 +28,46 @@ REFERENCE_FLAGS = dict(sigma2_method="paper_r1", psi_convention="paper-sec10")
 def stationary_path(base_params):
     sp = stationary_point(base_params)
     return integrate_fluid(base_params, sp.as_state(), T=5.0, h=1e-3)
+
+
+def _no_draw(*args):
+    raise AssertionError("drew from a generator")
+
+
+def test_unknown_sigma2_method_is_refused_before_any_work(base_params,
+                                                          monkeypatch):
+    # at a state that is not positive recurrent the recurrence test used to
+    # speak first, and ftsp_summary passed the method over
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    state = FluidState(5.0, 0.0, 0.9)
+    with pytest.raises(ValueError, match="^unknown sigma2 method 'bogus'$"):
+        asymptotic_variance(base_params, state, "bogus")
+    with pytest.raises(ValueError, match="^unknown sigma2 method 'bogus'$"):
+        sigma2_columns(base_params, np.array([[5.0, 0.0, 0.9]]), "bogus")
+    with pytest.raises(ValueError, match="^unknown sigma2 method 'bogus'$"):
+        ftsp_summary(base_params, state, "bogus")
+
+
+@pytest.mark.parametrize("sigma2_method, psi_convention, message", [
+    ("monte_carlo", "bogus", "unknown psi convention 'bogus'"),
+    ("bogus", "plus", "unknown sigma2 method 'bogus'")])
+def test_diffusion_refuses_unknown_flags_before_any_work(
+        base_params, monkeypatch, sigma2_method, psi_convention, message):
+    # with monte_carlo the psi convention was checked only after a
+    # simulation per point of the path
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    p = base_params
+    path = integrate_fluid(p, stationary_point(p).as_state(), T=2e-3, h=1e-3)
+    flags = dict(sigma2_method=sigma2_method, psi_convention=psi_convention)
+    for call in (
+            lambda: time_changes(p, path, sigma2_method, psi_convention),
+            lambda: transient_covariance(p, path, np.zeros((2, 2)), **flags),
+            lambda: bou_matrices(p, **flags),
+            lambda: pool_dependent_reduction(replace(p, mu12=p.mu22), path,
+                                             **flags),
+            lambda: gaussian_queue_approx(p, 100, **flags)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_psi_conventions(base_params):

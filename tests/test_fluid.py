@@ -194,12 +194,13 @@ def test_integrate_runaway_step_raises(base_params):
 @pytest.mark.parametrize("ratio", ["1/1", "3/2"])
 def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
                                                    ratio):
-    # every row costs one drift evaluation, for its regime test; a
-    # recurrent AP step adds stages 2-4 only, since the projected state
-    # and stage 1 reuse the row's drifts while they stay where they are.
-    # Entering the band moves the state once, which costs one more.
-    # A reduced stage evaluates the drifts inside its one call, so the
-    # stage kernel's calls count as evaluations too.
+    # every row costs one evaluation: the drift kernel for its regime test
+    # outside the band, inside it the stage kernel's call at the manifold
+    # state, which is also the step's first reduced stage, so a recurrent
+    # AP step adds stages 2-4 only.  Entering the band moves the state
+    # once, which costs one drift evaluation more for in_A at the state
+    # itself.  A reduced stage evaluates the drifts inside its one call, so
+    # the stage kernel's calls count as evaluations too.
     calls = []
 
     def counting(build):
@@ -233,19 +234,22 @@ def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
 def _stage_by_composition(p, qs, z):
     """A reduced stage as rhs(pi_from_drifts(drift_kernel)) at the manifold
     state of qs, with q2 and z12 clamped into S by the builtins; returns
-    (dqs, dz12) and the pi."""
+    (dqs, dz12, pi, q1, q2, d_plus, d_minus), the stage's values."""
     q2 = max((qs - p.kappa12) / (1.0 + float(p.r12)), 0.0)
     q1, z = qs - q2, min(max(z, 0.0), p.m2)
-    pi = pi_from_drifts(*drift_kernel(p)(q1, q2, z))
+    d_plus, d_minus = drift_kernel(p)(q1, q2, z)
+    pi = pi_from_drifts(d_plus, d_minus)
     dq1, dq2, dz = overloadx.fluid._rhs_on_floats(p)(q1, q2, z, pi)
-    return (dq1 + dq2, dz), pi
+    return dq1 + dq2, dz, pi, q1, q2, d_plus, d_minus
 
 
 @pytest.mark.parametrize("ratio", ["1/1", "3/2", "2/1", "5/3"])
 def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
-    # at q1 + q2 of every state of ftsp_golden.json, and at z12 below 0 and
-    # above m2, which the stage clamps; theta1 or theta2 raised tenfold
-    # makes the FTSP transient on the manifold, for pi = 0 and pi = 1
+    # every value the stage returns: both slopes, pi, the projected q1 and
+    # q2 and both drifts, at q1 + q2 of every state of ftsp_golden.json,
+    # and at z12 below 0 and above m2, which the stage clamps; theta1 or
+    # theta2 raised tenfold makes the FTSP transient on the manifold, for
+    # pi = 0 and pi = 1
     golden = json.loads(
         (Path(__file__).parent / "ftsp_golden.json").read_text())
     states = next(case["states"] for case in golden if case["ratio"] == ratio)
@@ -256,11 +260,12 @@ def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
         stage = overloadx.fluid._stage_kernel(params)
         for q1, q2, z in states:
             for z12 in (z, -0.25, params.m2 + 0.25):
-                want, pi = _stage_by_composition(params, q1 + q2, z12)
+                want = _stage_by_composition(params, q1 + q2, z12)
                 got = stage(q1 + q2, z12)
+                assert len(got) == 7
                 assert [v.hex() for v in got] == [v.hex() for v in want], (
                     params, q1 + q2, z12)
-                pis.add(pi)
+                pis.add(want[2])
     assert {0.0, 1.0} < pis
 
 

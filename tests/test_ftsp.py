@@ -452,6 +452,19 @@ def test_simulate_rejects_bad_horizon(base_params):
                           batch_length=batch_length)
 
 
+@pytest.mark.parametrize("ratio", ["1/1", "3/2"])
+def test_simulate_rejects_a_horizon_of_fewer_than_two_batches(
+        base_params, monkeypatch, ratio):
+    # refused before a draw: 1.9 batches would be simulated in full first
+    def no_draw(*args):
+        raise AssertionError("drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    p = replace(base_params, r12=Fraction(ratio), r21=Fraction(ratio))
+    with pytest.raises(ValueError, match="^horizon too short"):
+        simulate_ftsp(p, XSTAR, horizon=1.9e5, seed=1, batch_length=1e5)
+
+
 @pytest.mark.parametrize("seed", [-1, True, False, 1.5, "7", None])
 def test_simulate_rejects_bad_seed(base_params, monkeypatch, seed):
     # refused before a draw, naming the argument: numpy would raise a bare

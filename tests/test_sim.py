@@ -167,6 +167,29 @@ def test_run_accepts_a_numpy_integer_horizon(sys100):
     assert run(sys100, np.int64(300), seed=1) == run(sys100, 300, seed=1)
 
 
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5, "7", None])
+def test_run_and_indicator_integral_reject_a_bad_seed_before_a_draw(
+        sys100, monkeypatch, seed):
+    # numpy would run on True, and raise a bare "expected non-negative
+    # integer" for -1 and a TypeError for 1.5
+    def no_draw(*args):
+        raise AssertionError("drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        run(sys100, 100, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        indicator_integral(sys100, 1.0, seed=seed, pi_ref=0.17)
+
+
+def test_run_accepts_a_numpy_integer_seed(sys100):
+    # and records it as the int it is
+    stats = run(sys100, 300, seed=np.uint32(1))
+    assert stats == run(sys100, 300, seed=1) and type(stats.seed) is int
+    assert (indicator_integral(sys100, 1.0, seed=np.int64(7), pi_ref=0.17)
+            == indicator_integral(sys100, 1.0, seed=7, pi_ref=0.17))
+
+
 class _Replay:
     """A pre-drawn uniform stream with the ``random()`` method ``step`` calls."""
 
