@@ -196,15 +196,16 @@ def _integrand_rows(p: ModelParams, states: np.ndarray, pi: np.ndarray,
     qs = q1 + q2
     psi = psi_mix(p, z, psi_convention)
     sig = sigma2_columns(p, states, sigma2_method)
+    not_pi, idle = 1.0 - pi, p.m2 - z
     rows = {
         # theta1 q1 + theta2 q2; the last term is +-0.0 when theta1 == theta2
         "gamma1": (p.lambda1 + p.lambda2 + p.m1 * p.mu11)
                   + (p1 * p.theta1 + p2 * p.theta2) * qs
                   + (p.theta1 - p.theta2) * (q1 - p1 * qs),
-        "phi12": p.mu12 * (1.0 - pi) * z,
-        "phi22": p.mu22 * pi * (p.m2 - z),
+        "phi12": p.mu12 * not_pi * z,
+        "phi22": p.mu22 * pi * idle,
         "gamma12": p.mu12 * pi * z,
-        "gamma22": p.mu22 * (1.0 - pi) * (p.m2 - z),
+        "gamma22": p.mu22 * not_pi * idle,
         "gamma2": psi * psi * sig,
         "gamma3": sig,
     }
@@ -224,24 +225,36 @@ def _noise_entries(rows: dict):
     return v11, v12, v22
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+def _cumtrapz(t: np.ndarray, *ys: np.ndarray) -> np.ndarray:
+    """Trapezoidal cumulative integrals of the rows ``ys`` on the grid ``t``.
+
+    Returns a (len(ys), len(t)) array whose rows start at 0.0.  ``np.diff(t)``
+    is formed once; each row is ``np.cumsum`` of ``0.5 * (y[1:] + y[:-1]) *
+    dt``, written in place after its zero.  One row at a time: a 2-D
+    ``cumsum`` over stacked rows is faster on short grids but slower on
+    long ones.
+    """
+    dt = np.diff(t)
+    out = np.empty((len(ys), len(t)))
+    out[:, 0] = 0.0
+    for y, row in zip(ys, out):
+        np.cumsum(0.5 * (y[1:] + y[:-1]) * dt, out=row[1:])
     return out
 
 
 def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
                  psi_convention: str) -> TimeChanges:
-    """Trapezoidal cumulative integrals of the seven time-change integrands."""
+    """Trapezoidal cumulative integrals of the seven time-change integrands.
+
+    One :func:`_cumtrapz` call integrates all seven rows on the path's grid;
+    each function is a row of its result.
+    """
     if path.pi is None or len(path.pi) != len(path.t):
         raise ValueError("path must carry a pi value per step")
     rows, psi = _integrand_rows(p, path.states, path.pi, sigma2_method,
                                 psi_convention)
-    cum = {name: _cumtrapz(vals, path.t) for name, vals in rows.items()}
-    return TimeChanges(t=path.t, gamma1=cum["gamma1"], phi12=cum["phi12"],
-                       phi22=cum["phi22"], gamma12=cum["gamma12"],
-                       gamma22=cum["gamma22"], gamma2=cum["gamma2"],
-                       gamma3=cum["gamma3"], psi=psi, sigma2=rows["gamma3"],
+    cum = dict(zip(rows, _cumtrapz(path.t, *rows.values())))
+    return TimeChanges(t=path.t, **cum, psi=psi, sigma2=rows["gamma3"],
                        sigma2_method=sigma2_method,
                        psi_convention=psi_convention)
 
@@ -371,28 +384,34 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     Python floats.  ``sigma0`` must be a finite 2x2 matrix, symmetric up to
     rounding (asymmetry at most 1e-12 of its largest entry), else
     ``ValueError``; its symmetric part is the first matrix returned, the
-    start of the steps and the part checked for positive semidefiniteness.
-    The path is cut at ``T``; a ``T`` before the path's first time, or NaN,
-    raises ``ValueError``.  Per ``_CHUNK`` steps, everything that does not
-    depend on Sigma (the step sizes, A's (2,2) entry and V at each step's
-    midpoint and end) is computed first as numpy columns, by the same IEEE
-    operations as on floats; a step's start values are the previous step's
-    end values, carried as floats.  The steps then do only the RK4
-    arithmetic, written out, and collect the entries in a flat list that is
-    written into the result by column.
+    start of the steps and the part checked for positive semidefiniteness
+    (smallest ``np.linalg.eigvalsh`` eigenvalue at least -1e-12).  The
+    checks and the symmetric part's ``0.5 * (x + y)`` run on sigma0's four
+    entries as Python floats.  The path is cut at ``T``; a ``T`` before the
+    path's first time, or NaN, raises ``ValueError``.
+
+    Per ``_CHUNK`` steps, everything that does not depend on Sigma (the
+    step sizes, A's (2,2) entry and V at each step's midpoint and end) is
+    computed first into one (steps, 11) block, by the same IEEE operations
+    as on floats; V's three entries are stacked into one (3, n) array, so
+    their midpoints are one expression per chunk.  A step's start values
+    are the previous step's end values, carried as floats.  The steps then
+    do only the RK4 arithmetic, written out, and collect the entries in a
+    flat list that is written into the result by column.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (2, 2):
         raise ValueError("initial covariance must be a 2x2 matrix")
-    if not np.all(np.isfinite(sigma0)):
+    (c11, c12), (c21, c22) = sigma0.tolist()
+    if not all(map(math.isfinite, (c11, c12, c21, c22))):
         raise ValueError("initial covariance must be finite")
-    if np.max(np.abs(sigma0 - sigma0.T)) > 1e-12 * np.max(np.abs(sigma0)):
+    if abs(c12 - c21) > 1e-12 * max(abs(c11), abs(c12), abs(c21), abs(c22)):
         raise ValueError("initial covariance must be symmetric")
-    sym0 = 0.5 * (sigma0 + sigma0.T)
-    eig = np.linalg.eigvalsh(sym0)
-    if np.any(eig < -1e-12):
+    s11, s12, s22 = 0.5 * (c11 + c11), 0.5 * (c12 + c21), 0.5 * (c22 + c22)
+    sym0 = np.array([[s11, s12], [s12, s22]])
+    if np.linalg.eigvalsh(sym0)[0] < -1e-12:
         raise ValueError("initial covariance must be positive semidefinite")
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
@@ -400,13 +419,12 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         raise ValueError(f"horizon T = {T!r} lies before the path's start "
                          f"t = {path.t[0]!r}")
     t, pis = path.t[:n], path.pi[:n]
-    v11, v12, v22 = _noise_entries(_integrand_rows(
-        p, path.states[:n], pis, sigma2_method, psi_convention)[0])
+    noise = np.stack(_noise_entries(_integrand_rows(
+        p, path.states[:n], pis, sigma2_method, psi_convention)[0]))
     out = np.empty((n, 2, 2))
     out[0] = sym0
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
-    s11, s12, s22 = sym0[[0, 0, 1], [0, 1, 1]].tolist()
     for lo in range(0, n - 1, _CHUNK):
         hi = min(lo + _CHUNK, n - 1)
         # per step: h, h/2, h/6, then A's (2,2) entry and V's entries at
@@ -414,17 +432,22 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         # values of the step before, the same array elements, carried as
         # floats from the chunk's first point on
         tt, pp = t[lo:hi + 1], pis[lo:hi + 1]
+        v0, v1 = noise[:, lo:hi], noise[:, lo + 1:hi + 1]
         dt = tt[1:] - tt[:-1]
         b = a22(pp)
-        cols = [dt, 0.5 * dt, dt / 6.0, a22(0.5 * (pp[:-1] + pp[1:])), b[1:]]
-        for v in (v11, v12, v22):
-            v0, v1 = v[lo:hi], v[lo + 1:hi + 1]
-            cols += [0.5 * (v0 + v1), v1]
+        block = np.empty((hi - lo, 11))
+        block[:, 0] = dt
+        block[:, 1] = 0.5 * dt
+        block[:, 2] = dt / 6.0
+        block[:, 3] = a22(0.5 * (pp[:-1] + pp[1:]))
+        block[:, 4] = b[1:]
+        block[:, 5::2] = (0.5 * (v0 + v1)).T
+        block[:, 6::2] = v1.T
         b0 = float(b[0])
-        w11, w12, w22 = float(v11[lo]), float(v12[lo]), float(v22[lo])
+        w11, w12, w22 = noise[:, lo].tolist()
         steps = []
         for (h, h2, h6, bm, b1, m11, u11, m12, u12, m22,
-             u22) in np.column_stack(cols).tolist():
+             u22) in block.tolist():
             # RK4 stages: entries (1,1), (1,2), (2,2) of
             # A Sigma + Sigma A^T + V, summed in that order, for
             # A = [[a11, a12], [0, b]] and symmetric Sigma
@@ -483,7 +506,7 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
            + (qs0 - eta1 / eta2) * (1.0 - np.exp(-eta2 * path.t)))
     rows, _ = _integrand_rows(p, path.states, path.pi, sigma2_method,
                               psi_convention)
-    g2t = _cumtrapz(_noise_entries(rows)[2], path.t)
+    (g2t,) = _cumtrapz(path.t, _noise_entries(rows)[2])
     return OuParams(eta1=eta1, eta2=eta2, nu=nu, t=path.t,
                     gamma1_tilde=g1t, gamma2_tilde=g2t)
 

@@ -792,10 +792,14 @@ def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
     Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications execute in
     parallel when the OVERLOADX_THREADS environment variable, a positive
     integer (default 1), is above 1; results do not depend on the
-    scheduling.
+    scheduling.  ``base_seed`` must be an int or numpy integer >= 0, not a
+    bool, else ``ValueError`` before any replication starts; it is stored
+    as its ``int``.
     """
     if R < 2:
         raise ValueError("need at least two replications for an interval")
+    check_seed(base_seed)
+    base_seed = int(base_seed)
     raw = os.environ.get("OVERLOADX_THREADS", "1")
     try:
         threads = int(raw)

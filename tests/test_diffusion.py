@@ -367,6 +367,19 @@ def test_transient_covariance_rejects_a_non_finite_start(
                              psi_convention="plus")
 
 
+def test_transient_covariance_checks_each_entry_of_the_start(
+        base_params, stationary_path):
+    # the checks read the four entries one by one, as Python floats; a NaN
+    # off the diagonal would also pass the symmetry test, as NaN > x is false
+    for index in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        sigma0 = np.eye(2)
+        sigma0[index] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            transient_covariance(base_params, stationary_path, sigma0, 0.1,
+                                 sigma2_method="regenerative",
+                                 psi_convention="plus")
+
+
 @pytest.mark.parametrize("sigma0", [np.ones(2), np.eye(3), np.zeros((2, 3))])
 def test_transient_covariance_rejects_a_start_of_the_wrong_shape(
         base_params, stationary_path, sigma0):
@@ -448,11 +461,25 @@ def test_transient_covariance_rejects_bad_kept_point(base_params,
 
 
 def test_transient_covariance_rejects_indefinite_start(base_params, stationary_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         transient_covariance(base_params, stationary_path,
                              np.array([[1.0, 2.0], [2.0, 1.0]]),
                              sigma2_method="regenerative",
                              psi_convention="plus")
+
+
+def test_transient_covariance_psd_tolerance(base_params, stationary_path):
+    # [[1, 1], [1, 1 - gap]] has smallest eigenvalue about -gap/2, and the
+    # tolerance is -1e-12
+    flags = dict(sigma2_method="regenerative", psi_convention="plus")
+    inside = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-13]])
+    _, cov = transient_covariance(base_params, stationary_path, inside, 0.01,
+                                  **flags)
+    assert np.array_equal(cov[0], inside)
+    outside = np.array([[1.0, 1.0], [1.0, 1.0 - 4e-12]])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        transient_covariance(base_params, stationary_path, outside, 0.01,
+                             **flags)
 
 
 def test_transient_covariance_rejects_asymmetric_start(base_params,
@@ -504,6 +531,29 @@ def test_pool_dependent_reduction_matches_time_change_sums(base_params):
     three = tc.phi12 + tc.phi22 + tc.gamma2
     assert np.max(np.abs(ou.gamma1_tilde - five)) < 5e-4   # trapezoid error
     assert np.max(np.abs(ou.gamma2_tilde - three)) < 1e-12
+
+
+@pytest.mark.parametrize("T", [4e-4, 1e-3], ids=["one-point", "two-point"])
+def test_trapezoids_on_the_shortest_paths(base_params, T):
+    # a one-point path (T < h/2) integrates to [0.0]; a two-point path to
+    # one trapezoid, 0.5 * (y0 + y1) * (t1 - t0), in every bit
+    from overloadx.diffusion import _integrand_rows, _noise_entries
+    flags = dict(sigma2_method="regenerative", psi_convention="plus")
+    p = replace(base_params, mu12=1.0)
+    path = integrate_fluid(p, FluidState(1.4, 0.3, 0.1), T=T, h=1e-3)
+    rows, _ = _integrand_rows(p, path.states, path.pi, **flags)
+    tc = time_changes(p, path, **flags)
+    ou = pool_dependent_reduction(p, path, **flags)
+    funcs = {**tc.all_functions(), "gamma2_tilde": ou.gamma2_tilde}
+    ys = {**rows, "gamma2_tilde": _noise_entries(rows)[2]}
+    t = path.t.tolist()
+    assert len(t) == round(T / 1e-3) + 1
+    for name, f in funcs.items():
+        y = ys[name].tolist()
+        want = [0.0]
+        if len(t) == 2:
+            want.append(0.5 * (y[0] + y[1]) * (t[1] - t[0]))
+        assert [v.hex() for v in f.tolist()] == [v.hex() for v in want], name
 
 
 def test_pool_dependent_requires_equal_rates(base_params):

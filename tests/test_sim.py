@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import fields, replace
@@ -9,6 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies
 
+import overloadx.sim
 from overloadx.params import scale
 from overloadx.ftsp import FluidState, FtspRates, ftsp_rates
 from overloadx.fluid import stationary_point
@@ -585,6 +587,30 @@ def test_replicate_reference_scale(base_params, sys100):
     assert 50 < q.mean < 80
     with pytest.raises(ValueError):
         replicate(sys100, 1, 1000, base_seed=1)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5, "7", None])
+def test_replicate_rejects_a_bad_base_seed_before_any_run(
+        sys100, monkeypatch, seed, threads):
+    # True used to run and be stored as the seed; -1 and 1.5 failed inside
+    # the first replication, in a worker when OVERLOADX_THREADS > 1
+    def no_run(*args, **kwargs):
+        raise AssertionError("started a replication or a worker")
+
+    monkeypatch.setattr(overloadx.sim, "_run_one", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setenv("OVERLOADX_THREADS", threads)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        replicate(sys100, 2, 200, base_seed=seed)
+
+
+def test_replicate_accepts_a_numpy_integer_base_seed(sys100):
+    # and records it as the int it is
+    est = replicate(sys100, 2, 2000, base_seed=np.int64(5))
+    assert est == replicate(sys100, 2, 2000, base_seed=5)
+    assert type(est.base_seed) is int
+    assert all(type(stats.seed) is int for stats in est.runs)
 
 
 def test_replicate_parallel_matches_serial(sys100, monkeypatch):
