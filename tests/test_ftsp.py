@@ -644,3 +644,29 @@ def test_lattice_routes_bit_identical_to_golden(base_params):
                     r21=Fraction(case["ratio"]))
         assert _ftsp_golden_record(p, case["states"]) == case["record"], (
             case["ratio"])
+
+
+def _mc_golden_record(mc):
+    """Every field of an ``FtspMcStats``, floats by ``float.hex`` (see
+    ``ftsp_mc_golden.json``)."""
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in vars(mc).items()}
+
+
+def test_monte_carlo_routes_bit_identical_to_golden(base_params):
+    # Five runs per route: the r = 1 busy-period batches at the stationary
+    # state, the r = 1 walk from a transient state, and the lattice walk at
+    # r = 3/2 and r = 2.  Seeds 1, 3, 7 and 20240901; horizons of exactly
+    # 3 batches (the r = 1 one of length 3.0 completes one cycle, so its
+    # sigma2 is the batch-means value), of 200 batches, and ones that end
+    # inside a batch.
+    golden = json.loads(
+        (Path(__file__).parent / "ftsp_mc_golden.json").read_text())
+    assert len(golden) == 20
+    assert {case["ratio"] for case in golden} == {"1/1", "3/2", "2/1"}
+    for case in golden:
+        p = replace(base_params, r12=Fraction(case["ratio"]),
+                    r21=Fraction(case["ratio"]))
+        mc = simulate_ftsp(p, FluidState(*case["state"]), case["horizon"],
+                           case["seed"], case["batch_length"])
+        assert _mc_golden_record(mc) == case["record"], case
