@@ -384,11 +384,13 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     Python floats.  ``sigma0`` must be a finite 2x2 matrix, symmetric up to
     rounding (asymmetry at most 1e-12 of its largest entry), else
     ``ValueError``; its symmetric part is the first matrix returned, the
-    start of the steps and the part checked for positive semidefiniteness
-    (smallest ``np.linalg.eigvalsh`` eigenvalue at least -1e-12).  The
-    checks and the symmetric part's ``0.5 * (x + y)`` run on sigma0's four
-    entries as Python floats.  The path is cut at ``T``; a ``T`` before the
-    path's first time, or NaN, raises ``ValueError``.
+    start of the steps and the part checked for finiteness and positive
+    semidefiniteness (smallest ``np.linalg.eigvalsh`` eigenvalue at least
+    -1e-12).  The checks and the symmetric part's ``0.5 * (x + y)`` run on
+    sigma0's four entries as Python floats.  The path is cut at ``T``; a
+    ``T`` before the path's first time, or NaN, raises ``ValueError``.  A
+    step whose covariance is not finite raises ``RuntimeError`` naming its
+    time; the check reads each chunk's last step, as floats.
 
     Per ``_CHUNK`` steps, everything that does not depend on Sigma (the
     step sizes, A's (2,2) entry and V at each step's midpoint and end) is
@@ -410,6 +412,9 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     if abs(c12 - c21) > 1e-12 * max(abs(c11), abs(c12), abs(c21), abs(c22)):
         raise ValueError("initial covariance must be symmetric")
     s11, s12, s22 = 0.5 * (c11 + c11), 0.5 * (c12 + c21), 0.5 * (c22 + c22)
+    if not all(map(math.isfinite, (s11, s12, s22))):
+        raise ValueError("initial covariance's symmetric part must be finite; "
+                         "an entry above about 8.99e307 overflows")
     sym0 = np.array([[s11, s12], [s12, s22]])
     if np.linalg.eigvalsh(sym0)[0] < -1e-12:
         raise ValueError("initial covariance must be positive semidefinite")
@@ -476,6 +481,13 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         rows[:, 1] = steps[1::3]
         rows[:, 2] = rows[:, 1]
         rows[:, 3] = steps[2::3]
+        # x + y is not finite when x is not, so an entry that is not
+        # finite stays so: the chunk's last step stands for all of it
+        if not (math.isfinite(s11) and math.isfinite(s12)
+                and math.isfinite(s22)):
+            finite = np.isfinite(rows).all(axis=1)
+            bad = float(t[lo + 1 + int(finite.argmin())])
+            raise RuntimeError(f"covariance is not finite at t = {bad!r}")
     return t, out
 
 

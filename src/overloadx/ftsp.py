@@ -716,7 +716,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     For r = 1 the path only matters through its alternating excursion
     durations (below / above the boundary), which are independent busy
     periods; those are sampled directly, vectorized.  Other ratios fall back
-    to event-by-event simulation of the lattice walk.
+    to event-by-event simulation of the lattice walk.  Either route gives a
+    timeline of segments with 0/1 flags of D > 0, and one vectorized lookup
+    reads the positive time at every batch edge and at the horizon.
     """
     for name, value in (("horizon", horizon), ("batch_length", batch_length)):
         if not 0.0 < value < math.inf:   # False for NaN
@@ -742,44 +744,31 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
             segs_t2.append(t2)
             segs_t1.append(t1)
             spent += float(t2.sum() + t1.sum())
-        t2 = np.concatenate(segs_t2)
-        t1 = np.concatenate(segs_t1)
         # alternating timeline T2, T1, T2, T1, ...
-        durations = np.empty(t1.size + t2.size)
-        durations[0::2] = t2
-        durations[1::2] = t1
-        positive = np.zeros_like(durations)
-        positive[1::2] = t1
-        ends = np.cumsum(durations)
-        pos_cum = np.concatenate([[0.0], np.cumsum(positive)])
-        starts = ends - durations
-
-        def pos_time_at(t: float) -> float:
-            i = int(np.searchsorted(ends, t, side="left"))
-            base = pos_cum[i]
-            if i % 2 == 1:  # inside a positive stretch
-                base += t - starts[i]
-            return base
-
-        total_pos = pos_time_at(horizon)
+        lengths = np.empty(2 * chunk * len(segs_t1))
+        lengths[0::2] = np.concatenate(segs_t2)
+        lengths[1::2] = np.concatenate(segs_t1)
+        flags = np.zeros_like(lengths)
+        flags[1::2] = 1.0
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # completed T2 + T1 cycles
         n_cycles = int(np.searchsorted(ends[1::2], horizon, side="right"))
-        sigma2_cycles = None
-        if n_cycles >= 2:
-            tau = t2[:n_cycles] + t1[:n_cycles]
-            y_c = t1[:n_cycles] - (total_pos / horizon) * tau
-            sigma2_cycles = float(y_c.var(ddof=1) / tau.mean())
     else:
         # general rational r, or a transient state: walk the lattice directly
-        total_pos, pos_time_at, n_cycles = _simulate_walk(model, horizon, rng)
-        sigma2_cycles = None
-
-    pi_hat = total_pos / horizon
+        starts, ends, lengths, flags = _simulate_walk(model, horizon, rng)
+        n_cycles = int(np.count_nonzero(flags))   # entries into D > 0
     edges = batch_length * np.arange(n_batches + 1)
-    pos_at_edges = np.array([pos_time_at(t) for t in edges])
-    y = np.diff(pos_at_edges) - pi_hat * batch_length
-    sigma2_tb = float(np.sum(y * y) / ((n_batches - 1) * batch_length))
-    return FtspMcStats(time_avg_positive=pi_hat,
-                       sigma2=sigma2_cycles if sigma2_cycles is not None else sigma2_tb,
+    pos_at = _positive_time(starts, ends, lengths, flags,
+                            np.append(edges, horizon))
+    pi_hat = pos_at[-1] / horizon
+    y = np.diff(pos_at[:-1]) - pi_hat * batch_length
+    sigma2 = sigma2_tb = float(np.sum(y * y) / ((n_batches - 1) * batch_length))
+    if bd_recurrent and n_cycles >= 2:
+        tau = lengths[0:2 * n_cycles:2] + lengths[1:2 * n_cycles:2]
+        y_c = lengths[1:2 * n_cycles:2] - pi_hat * tau
+        sigma2 = float(y_c.var(ddof=1) / tau.mean())
+    return FtspMcStats(time_avg_positive=pi_hat, sigma2=sigma2,
                        sigma2_time_batches=sigma2_tb,
                        n_batches=n_batches, batch_length=batch_length,
                        n_cycles=n_cycles, horizon=horizon, seed=seed)
@@ -787,7 +776,8 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
 
 def _simulate_walk(lattice: FtspRates, horizon: float,
                    rng: np.random.Generator):
-    """Event-by-event walk on the k*D lattice; used for r != 1."""
+    """Event-by-event walk on the k*D lattice, cut at ``horizon``: segment
+    starts, ends, lengths and 0/1 flags of D > 0, one segment per sign."""
     pos_jumps = sorted(lattice.pos_rates.items())
     neg_jumps = sorted(lattice.neg_rates.items())
     pos_total = _left_sum(r for _, r in pos_jumps)
@@ -796,7 +786,6 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
     t = 0.0
     change_times = [0.0]       # times at which the sign of the state changes
     sign_positive = [False]    # sign on [change_times[i], change_times[i+1])
-    cycles = 0
     buf = rng.random(1 << 15)
     bi = 0
     log = math.log
@@ -822,20 +811,19 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
         if (new_state > 0) != (state > 0):
             change_times.append(min(t, horizon))
             sign_positive.append(new_state > 0)
-            if new_state > 0:
-                cycles += 1
         state = new_state
     times = np.array(change_times + [horizon])
-    pos_flags = np.array(sign_positive, dtype=float)
-    seg = np.diff(times)
-    pos_cum = np.concatenate([[0.0], np.cumsum(seg * pos_flags)])
+    flags = np.array(sign_positive, dtype=float)
+    return times[:-1], times[1:], np.diff(times), flags
 
-    def pos_time_at(x: float) -> float:
-        i = int(np.searchsorted(times, x, side="right") - 1)
-        i = min(i, seg.size - 1)
-        return pos_cum[i] + (x - times[i]) * pos_flags[i]
 
-    return pos_time_at(horizon), pos_time_at, cycles
+def _positive_time(starts, ends, lengths, flags, t: np.ndarray) -> np.ndarray:
+    """Time with D > 0 up to each of the times ``t``: the positive time
+    before the segment each one ends in, plus its part of that segment.
+    A time past the last end is read in the last segment."""
+    before = np.concatenate([[0.0], np.cumsum(lengths * flags)])
+    i = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
+    return before[i] + (t - starts[i]) * flags[i]
 
 
 # ---------------------------------------------------------------------------

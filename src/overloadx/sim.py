@@ -179,8 +179,7 @@ def init_state(sys: ScaledSystem, mode: str = "fluid") -> SimState:
     At small n that offset can put the point outside S; its negative queue
     starts empty.
     """
-    if mode not in START_MODES:
-        raise ValueError(f"unknown start mode {mode!r}; choose from {START_MODES}")
+    _check_start(mode)
     if mode == "empty":
         return SimState(0, 0, 0, 0, 0, 0)
     p_eff = sys.parent.with_kappa12(sys.kappa_eff)
@@ -295,9 +294,31 @@ def apply_event(sys: ScaledSystem, s: SimState, event: str):
     return s
 
 
+def _check_start(mode: str) -> None:
+    if mode not in START_MODES:
+        raise ValueError(f"unknown start mode {mode!r}; choose from {START_MODES}")
+
+
 def default_warmup(start_mode: str) -> float:
     """20% of the run after a fluid start, 50% after an empty start."""
     return 0.2 if start_mode == "fluid" else 0.5
+
+
+def _check_run(horizon_arrivals, warmup_fraction, start: str) -> float:
+    """``run``'s checks of its horizon, warm-up and start mode, in that
+    order, each a ``ValueError``; returns the warm-up fraction, defaulted
+    by start mode."""
+    if (not isinstance(horizon_arrivals, numbers.Integral)
+            or isinstance(horizon_arrivals, bool) or horizon_arrivals < 1):
+        raise ValueError("horizon must be a whole number of arrivals, at "
+                         f"least one, got {horizon_arrivals!r}")
+    if warmup_fraction is None:
+        warmup_fraction = default_warmup(start)
+    # a bool compares as 0 or 1, so the range test alone would pass False
+    if isinstance(warmup_fraction, bool) or not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup fraction must lie in [0, 1)")
+    _check_start(start)
+    return warmup_fraction
 
 
 def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
@@ -312,15 +333,7 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
     """
     if not isinstance(seed, np.random.SeedSequence):
         check_seed(seed)
-    if (not isinstance(horizon_arrivals, numbers.Integral)
-            or isinstance(horizon_arrivals, bool) or horizon_arrivals < 1):
-        raise ValueError("horizon must be a whole number of arrivals, at "
-                         f"least one, got {horizon_arrivals!r}")
-    if warmup_fraction is None:
-        warmup_fraction = default_warmup(start)
-    # a bool compares as 0 or 1, so the range test alone would pass False
-    if isinstance(warmup_fraction, bool) or not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup fraction must lie in [0, 1)")
+    warmup_fraction = _check_run(horizon_arrivals, warmup_fraction, start)
     state = init_state(sys, start)
     init_sys = state.in_system()
     measured, _ = _simulate(sys, state, _uniform_blocks(seed, uniforms),
@@ -792,14 +805,19 @@ def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
     Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications execute in
     parallel when the OVERLOADX_THREADS environment variable, a positive
     integer (default 1), is above 1; results do not depend on the
-    scheduling.  ``base_seed`` must be an int or numpy integer >= 0, not a
-    bool, else ``ValueError`` before any replication starts; it is stored
-    as its ``int``.
+    scheduling.  ``R`` must be an int or numpy integer >= 2, not a bool,
+    and ``base_seed`` an int or numpy integer >= 0, not a bool; these and
+    :func:`run`'s checks of the horizon, warm-up and start mode raise
+    ``ValueError`` before ``OVERLOADX_THREADS`` is read or any replication
+    starts.  ``base_seed`` is stored as its ``int``.
     """
+    if isinstance(R, bool) or not isinstance(R, numbers.Integral):
+        raise ValueError(f"replications must be a whole number, got {R!r}")
     if R < 2:
         raise ValueError("need at least two replications for an interval")
     check_seed(base_seed)
     base_seed = int(base_seed)
+    _check_run(horizon_arrivals, warmup_fraction, start)
     raw = os.environ.get("OVERLOADX_THREADS", "1")
     try:
         threads = int(raw)

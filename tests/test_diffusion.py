@@ -380,6 +380,63 @@ def test_transient_covariance_checks_each_entry_of_the_start(
                                  psi_convention="plus")
 
 
+@pytest.mark.parametrize("sigma0", [[[1e308, 0.0], [0.0, 1e308]],
+                                    [[1e308, 1e308], [1e308, 1e308]]])
+def test_transient_covariance_rejects_a_start_whose_symmetric_part_overflows(
+        base_params, stationary_path, sigma0):
+    # finite entries, but 0.5 * (x + y) overflows: the start would be
+    # stored as inf and every later matrix would be NaN
+    with pytest.raises(ValueError, match="symmetric part must be finite"):
+        transient_covariance(base_params, stationary_path, np.array(sigma0),
+                             0.1, sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
+def test_transient_covariance_names_the_first_step_that_overflows(
+        base_params, stationary_path):
+    # the start passes every check, and the first step overflows in (1,1)
+    with pytest.raises(RuntimeError,
+                       match=r"^covariance is not finite at t = 0\.001$"):
+        transient_covariance(base_params, stationary_path,
+                             np.array([[8e307, 0.0], [0.0, 1.0]]), 0.1,
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
+def test_transient_covariance_names_an_overflow_past_the_first_chunk(
+        base_params, stationary_path, monkeypatch):
+    # chunks of 3 steps: an infinite noise entry at point 5 makes the step
+    # that ends there the first non-finite one, the second of the second
+    # chunk
+    import overloadx.diffusion
+    noise_entries = overloadx.diffusion._noise_entries
+    monkeypatch.setattr(overloadx.diffusion, "_noise_entries",
+                        lambda rows: [np.where(np.arange(v.size) == 5,
+                                               math.inf, v)
+                                      for v in noise_entries(rows)])
+    monkeypatch.setattr(overloadx.diffusion, "_CHUNK", 3)
+    with pytest.raises(RuntimeError, match=r"at t = 0\.005$"):
+        transient_covariance(base_params, stationary_path, np.eye(2), 0.1,
+                             sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
+def test_transient_covariance_keeps_a_large_finite_start(
+        base_params, stationary_path):
+    # entries below the overflow of x + y still run, finite, to these
+    # pinned values
+    _, cov = transient_covariance(base_params, stationary_path,
+                                  np.array([[1e307, 0.0], [0.0, 1e307]]),
+                                  0.1, sigma2_method="regenerative",
+                                  psi_convention="plus")
+    assert np.isfinite(cov).all()
+    assert cov[-1].tolist() == [
+        [float.fromhex("0x1.b5fdd111a7719p+1019"),
+         float.fromhex("0x1.fd9143931d644p+1013")],
+        [float.fromhex("0x1.fd9143931d644p+1013"),
+         float.fromhex("0x1.8196a569ba565p+1019")]]
+
+
 @pytest.mark.parametrize("sigma0", [np.ones(2), np.eye(3), np.zeros((2, 3))])
 def test_transient_covariance_rejects_a_start_of_the_wrong_shape(
         base_params, stationary_path, sigma0):

@@ -10,7 +10,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies
 
 from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
-                            _mg_rate_matrix, _stationary_truncated,
+                            _mg_rate_matrix, _positive_time,
+                            _stationary_truncated,
                             _truncated_solve,
                             asymptotic_variance, busy_period_moments,
                             drift_kernel, drift_rates, ftsp_rates,
@@ -490,6 +491,19 @@ def test_simulate_lattice_path_matches_bd_path(base_params):
     mc = simulate_ftsp(p, g, horizon=2e5, seed=7, batch_length=500.0)
     pi = pi_12(p, g)
     assert abs(mc.time_avg_positive - pi) < 4.0 * math.sqrt(mc.sigma2 / mc.horizon)
+
+
+def test_positive_time_on_a_walk_timeline():
+    # D > 0 on [0.5, 1.0) and [1.0, 2.5); the sign also changes at 1.0
+    # without time passing.  A time on a change time reads the same value
+    # from the segment that ends there as from the one that starts there.
+    # A time past the last end, which the busy-period timeline can leave
+    # by rounding, is read in the last segment.
+    times = np.array([0.0, 0.5, 1.0, 1.0, 2.5])
+    flags = np.array([0.0, 1.0, 0.0, 1.0])
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.5, 3.0])
+    got = _positive_time(times[:-1], times[1:], np.diff(times), flags, t)
+    assert got.tolist() == [0.0, 0.0, 0.0, 0.25, 0.5, 1.5, 2.0, 2.5]
 
 
 def test_busy_period_sampler_matches_moments():

@@ -613,6 +613,45 @@ def test_replicate_accepts_a_numpy_integer_base_seed(sys100):
     assert all(type(stats.seed) is int for stats in est.runs)
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "bogus"])
+@pytest.mark.parametrize("bad, message", [
+    ({"R": 2.0}, "^replications must be a whole number, got 2.0$"),
+    ({"R": np.float64(3.0)}, "^replications must be a whole number"),
+    ({"R": True}, "^replications must be a whole number, got True$"),
+    ({"horizon_arrivals": 0}, "^horizon must be a whole number of arrivals"),
+    ({"horizon_arrivals": 200.5},
+     "^horizon must be a whole number of arrivals"),
+    ({"warmup_fraction": 1.5}, r"^warmup fraction must lie in \[0, 1\)$"),
+    ({"start": "bogus"}, "^unknown start mode 'bogus'"),
+])
+def test_replicate_checks_its_arguments_before_any_run(
+        sys100, monkeypatch, bad, message, threads):
+    # R = 2.0 used to raise a bare TypeError from range, and the others
+    # failed only inside the first replication, in a worker when
+    # OVERLOADX_THREADS > 1.  Each is refused before OVERLOADX_THREADS is
+    # read, so even a bad value of it comes second.
+    def no_run(*args, **kwargs):
+        raise AssertionError("started a replication or a worker")
+
+    monkeypatch.setattr(overloadx.sim, "_run_one", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setenv("OVERLOADX_THREADS", threads)
+    args = {"R": 2, "horizon_arrivals": 200, "warmup_fraction": None,
+            "start": "fluid", **bad}
+    with pytest.raises(ValueError, match=message) as refused:
+        replicate(sys100, base_seed=1, **args)
+    if "R" not in bad:   # run's own check, with run's message
+        with pytest.raises(ValueError) as direct:
+            run(sys100, args["horizon_arrivals"], args["warmup_fraction"],
+                seed=1, start=args["start"])
+        assert str(direct.value) == str(refused.value)
+
+
+def test_replicate_accepts_a_numpy_integer_count(sys100):
+    est = replicate(sys100, np.int64(2), 2000, base_seed=5)
+    assert est == replicate(sys100, 2, 2000, base_seed=5)
+
+
 def test_replicate_parallel_matches_serial(sys100, monkeypatch):
     monkeypatch.setenv("OVERLOADX_THREADS", "1")
     serial = replicate(sys100, 3, 20000, base_seed=5)
