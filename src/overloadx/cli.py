@@ -16,7 +16,8 @@ import math
 import sys as _sys
 from dataclasses import asdict, dataclass, field
 
-from .params import ModelParams, check_overload, scale
+from .params import (ModelParams, check_choice, check_count, check_overload,
+                     check_real, scale)
 from .ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
                    busy_period_moments, ftsp_rates, ftsp_summary)
 from .fluid import integrate_fluid, stationary_point
@@ -100,27 +101,20 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 or any(type(n) is not int or n < 1 for n in scales)):
             raise ValueError("config.scales: need a non-empty list of positive integers")
         cfg.scales = scales
-    if "runs" in raw:
-        if type(raw["runs"]) is not int or raw["runs"] < 2:
-            raise ValueError("config.runs: need an integer >= 2 for interval output")
-        cfg.runs = raw["runs"]
-    if "arrivals" in raw:
-        if type(raw["arrivals"]) is not int or raw["arrivals"] < 1:
-            raise ValueError("config.arrivals: need a positive integer")
-        cfg.arrivals = raw["arrivals"]
-    if "warmup" in raw and raw["warmup"] is not None:
-        w = raw["warmup"]
-        if type(w) not in (int, float) or not 0.0 <= w < 1.0:
-            raise ValueError("config.warmup: need a fraction in [0, 1)")
-        cfg.warmup = float(w)
-    if "seed" in raw:
-        if type(raw["seed"]) is not int or raw["seed"] < 0:
-            raise ValueError("config.seed: need a non-negative integer")
-        cfg.seed = raw["seed"]
-    if "start" in raw:
-        if raw["start"] not in START_MODES:
-            raise ValueError(f"config.start: must be one of {START_MODES}")
-        cfg.start = raw["start"]
+    # the params checks (a bool is no number), with the config's messages
+    for key, need, check, *args in (
+            ("runs", "need an integer >= 2 for interval output", check_count, 2),
+            ("arrivals", "need a positive integer", check_count),
+            ("warmup", "need a fraction in [0, 1)", check_real, "lie in [0, 1)"),
+            ("seed", "need a non-negative integer", check_count, 0),
+            ("start", f"must be one of {START_MODES}", check_choice, START_MODES)):
+        if key not in raw or key == "warmup" and raw[key] is None:   # default
+            continue
+        try:
+            check(key, raw[key], *args)
+        except ValueError:
+            raise ValueError(f"config.{key}: {need}") from None
+        setattr(cfg, key, float(raw[key]) if key == "warmup" else raw[key])
     if "output" in raw:
         out = raw["output"]
         if (not isinstance(out, dict) or set(out) - {"csv", "markdown"}
@@ -580,8 +574,6 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
     p, n = cfg.params, args.n
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
     _require_overload(p)
     if args.scaled_threshold:
         p = p.with_kappa12(scale(p, n).kappa_eff)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, check_choice, check_count, check_real
 # asymptotic_variance stays bound for callers that look it up on this module
 from .ftsp import asymptotic_variance, sigma2_columns
 from .fluid import FluidPath, stationary_point, integrate_fluid
@@ -57,8 +57,7 @@ REFERENCE_CONVENTIONS = {"sigma2_method": "paper_r1",
 
 def psi_mix(p: ModelParams, z12, convention: str):
     """Pool-2 service mix weight entering the FTSP noise terms."""
-    if convention not in PSI_CONVENTIONS:
-        raise ValueError(f"unknown psi convention {convention!r}")
+    check_choice("psi convention", convention, PSI_CONVENTIONS)
     if convention == "plus":
         return p.mu22 * (p.m2 - z12) + p.mu12 * z12
     return p.mu22 * (p.m2 - z12) - p.mu12 * z12
@@ -388,9 +387,10 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     semidefiniteness (smallest ``np.linalg.eigvalsh`` eigenvalue at least
     -1e-12).  The checks and the symmetric part's ``0.5 * (x + y)`` run on
     sigma0's four entries as Python floats.  The path is cut at ``T``; a
-    ``T`` before the path's first time, or NaN, raises ``ValueError``.  A
-    step whose covariance is not finite raises ``RuntimeError`` naming its
-    time; the check reads each chunk's last step, as floats.
+    non-real ``T``, NaN or one before the path's first time raises
+    ``ValueError``.  A step whose covariance is not finite raises
+    ``RuntimeError`` naming its time; the check reads each chunk's last
+    step, as floats.
 
     Per ``_CHUNK`` steps, everything that does not depend on Sigma (the
     step sizes, A's (2,2) entry and V at each step's midpoint and end) is
@@ -403,18 +403,18 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
+    if T is not None:
+        check_real("horizon T", T)
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (2, 2):
         raise ValueError("initial covariance must be a 2x2 matrix")
     (c11, c12), (c21, c22) = sigma0.tolist()
-    if not all(map(math.isfinite, (c11, c12, c21, c22))):
-        raise ValueError("initial covariance must be finite")
     if abs(c12 - c21) > 1e-12 * max(abs(c11), abs(c12), abs(c21), abs(c22)):
         raise ValueError("initial covariance must be symmetric")
     s11, s12, s22 = 0.5 * (c11 + c11), 0.5 * (c12 + c21), 0.5 * (c22 + c22)
-    if not all(map(math.isfinite, (s11, s12, s22))):
-        raise ValueError("initial covariance's symmetric part must be finite; "
-                         "an entry above about 8.99e307 overflows")
+    if not all(map(math.isfinite, (s11, s12, s22))):   # NaN passed the above
+        raise ValueError("initial covariance and its symmetric part must be "
+                         "finite; an entry above about 8.99e307 overflows")
     sym0 = np.array([[s11, s12], [s12, s22]])
     if np.linalg.eigvalsh(sym0)[0] < -1e-12:
         raise ValueError("initial covariance must be positive semidefinite")
@@ -533,8 +533,7 @@ def gaussian_queue_approx(p: ModelParams, n: int, *, sigma2_method: str,
     actual control is its realized threshold offset k_n / n; pass
     ``p.with_kappa12(scale(p, n).kappa_eff)`` to evaluate there.
     """
-    if n < 1:
-        raise ValueError(f"scale parameter n must be >= 1, got {n}")
+    check_count("scale parameter n", n)
     sp = stationary_point(p)
     model = bou_matrices(p, sigma2_method=sigma2_method,
                          psi_convention=psi_convention)

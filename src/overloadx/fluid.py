@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, check_real
 # ftsp_rates and pi_12 are not called here; they stay bound for callers
 # that look the FTSP up on this module
 from .ftsp import (FluidState, drift_kernel, ftsp_rates, pi_12,
@@ -211,8 +211,7 @@ def _stage_kernel(p: ModelParams):
 
 def ode_rhs(p: ModelParams, gamma: FluidState, pi: float) -> np.ndarray:
     """Right-hand side of the fluid ODE for a given indicator mean pi."""
-    if not 0.0 <= pi <= 1.0:
-        raise ValueError(f"pi must lie in [0, 1], got {pi}")
+    check_real("pi", pi, "lie in [0, 1]")
     return np.array(_rhs_on_floats(p)(gamma.q1, gamma.q2, gamma.z12, pi))
 
 
@@ -285,19 +284,16 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     projection leaves (q1, q2) equal (``==``); otherwise ``in_A`` takes one
     drift_kernel call, and stage 1 is run again if the stored queues add up
     to another q1 + q2.  A manifold step thus makes four calls.  Rows are
-    buffered ``_CHUNK`` at a time in one flat list.  A negative or NaN
-    ``tol_manifold``, or a grid of T/h + 1 points that cannot be allocated,
-    raises ``ValueError``.  A step that leaves S by more than 10h, a stored
-    q1 + q2 past the exact path's bound, or a state a kernel rejects raises
-    ``RuntimeError``: reduce the step size.
+    buffered ``_CHUNK`` at a time in one flat list.  An h or T outside
+    (0, inf), a negative or NaN ``tol_manifold``, or a grid of T/h + 1 points
+    that cannot be allocated, raises ``ValueError``.  A step that leaves S
+    by more than 10h, a stored q1 + q2 past the exact path's bound, or a
+    state a kernel rejects raises ``RuntimeError``: reduce the step size.
     """
-    if not 0.0 < h < math.inf:   # False for NaN too
-        raise ValueError(f"step size must be positive and finite, got {h}")
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    if tol_manifold is not None and not tol_manifold >= 0.0:   # NaN too
-        raise ValueError("manifold band must be non-negative, got "
-                         f"{tol_manifold}")
+    check_real("step size h", h, "be positive and finite")
+    check_real("horizon T", T, "be positive and finite")
+    if tol_manifold is not None:
+        check_real("manifold band", tol_manifold, "be non-negative")
     x0.validate(p)
     r = float(p.r12)
     try:   # T/h past the float range overflows round()
@@ -421,8 +417,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
 
 def time_to_stationarity(path: FluidPath, tol: float) -> float:
     """First grid time from which the path stays within tol of x* (sup norm)."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    check_real("tolerance tol", tol, "be positive")
     sp = stationary_point(path.params)
     target = np.array([sp.q1, sp.q2, sp.z12])
     err = np.max(np.abs(path.states - target), axis=1)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ModelParams, check_seed
+from .params import ModelParams, check_choice, check_real, check_seed
 
 __all__ = [
     "FluidState", "FtspRates", "FtspSummary", "FtspMcStats",
@@ -180,7 +180,10 @@ class FtspMcStats:
     the variance of the centered integral over regeneration-cycle batches
     divided by the mean cycle length (unbiased); otherwise it equals
     ``sigma2_time_batches``, the classical fixed-length batch-means value,
-    which carries an O(1/batch_length) bias.
+    which carries an O(1/batch_length) bias.  ``n_cycles`` has one sense
+    per route: the busy-period route (r = 1, recurrent) counts the T2 + T1
+    cycles completed by the horizon; the lattice walk counts the entries
+    into D > 0.
     """
 
     time_avg_positive: float
@@ -390,8 +393,7 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
     "truncated" (the positive mass of the lattice stationary law).  The
     method is checked against ``PI12_METHODS`` at every state.
     """
-    if method not in PI12_METHODS:
-        raise ValueError(f"unknown pi12 method {method!r}")
+    check_choice("pi12 method", method, PI12_METHODS)
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     if method == "auto" or not (d_plus < 0.0 and d_minus > 0.0):
@@ -585,11 +587,6 @@ SIGMA2_METHODS = ("paper_r1", "regenerative", "poisson_numeric", "monte_carlo")
 _NOT_RECURRENT = "asymptotic variance requires a positive recurrent state"
 
 
-def _check_sigma2_method(method: str) -> None:
-    if method not in SIGMA2_METHODS:
-        raise ValueError(f"unknown sigma2 method {method!r}")
-
-
 def asymptotic_variance(p: ModelParams, gamma: FluidState,
                         method: str = "poisson_numeric") -> float:
     """Asymptotic variance sigma2(gamma) of the centered positivity indicator.
@@ -618,7 +615,7 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
     other; it exists for reproducing reference numbers.  An unknown method
     raises before any work.
     """
-    _check_sigma2_method(method)
+    check_choice("sigma2 method", method, SIGMA2_METHODS)
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     if not (d_plus < 0.0 and d_minus > 0.0):
@@ -662,7 +659,7 @@ def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarra
     positive recurrent raises the error of the scalar route, and an unknown
     method raises before any work.
     """
-    _check_sigma2_method(method)
+    check_choice("sigma2 method", method, SIGMA2_METHODS)
     if method == "monte_carlo":
         return np.array([asymptotic_variance(p, FluidState(*s), method)
                          for s in states.tolist()])
@@ -710,8 +707,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     """Simulate D(gamma, .) from state 0 and summarize it.
 
     Returns the time average of 1{D > 0}, a batch-means estimate of the
-    asymptotic variance, and the number of completed boundary cycles.
-    Deterministic for a given seed; bad input raises before any draw.
+    asymptotic variance, and ``n_cycles`` in its route's sense (see
+    :class:`FtspMcStats`).  Deterministic for a given seed; bad input
+    raises before any draw.
 
     For r = 1 the path only matters through its alternating excursion
     durations (below / above the boundary), which are independent busy
@@ -720,9 +718,8 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     timeline of segments with 0/1 flags of D > 0, and one vectorized lookup
     reads the positive time at every batch edge and at the horizon.
     """
-    for name, value in (("horizon", horizon), ("batch_length", batch_length)):
-        if not 0.0 < value < math.inf:   # False for NaN
-            raise ValueError(f"{name} must be positive and finite: {value}")
+    check_real("horizon", horizon, "be positive and finite")
+    check_real("batch_length", batch_length, "be positive and finite")
     check_seed(seed)
     n_batches = int(horizon // batch_length)
     if n_batches < 2:
@@ -833,7 +830,7 @@ def _positive_time(starts, ends, lengths, flags, t: np.ndarray) -> np.ndarray:
 def ftsp_summary(p: ModelParams, gamma: FluidState,
                  sigma2_method: str = "poisson_numeric") -> FtspSummary:
     """Bundle the per-state averaging quantities into one record."""
-    _check_sigma2_method(sigma2_method)
+    check_choice("sigma2 method", sigma2_method, SIGMA2_METHODS)
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     recurrent = d_plus < 0.0 and d_minus > 0.0

@@ -46,11 +46,49 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+# The input contract of every entry point: a bool is never a number, and
+# each check raises ValueError, naming the argument, before any work.
 def check_seed(seed) -> None:
     """ValueError unless seed is an int or numpy integer >= 0, not a bool."""
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
             or seed < 0):
         raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+
+
+def check_count(name: str, value, least: int = 1, unit: str = "") -> None:
+    """ValueError unless value is an int or numpy integer >= least, not a
+    bool; a ``unit`` such as " of arrivals" is named in both messages."""
+    count = f"a whole number{unit}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {count}, got {value!r}")
+    if value < least:
+        bound = f"{count} >= {least}" if unit else f">= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+# check_real's rules, by the words of its message; every range is False for NaN
+REAL_RANGES = {
+    "be a real number": lambda x: True,   # no range: NaN passes
+    "be positive and finite": lambda x: 0.0 < x < math.inf,
+    "be positive": lambda x: x > 0.0,
+    "be non-negative": lambda x: x >= 0.0,
+    "lie in [0, 1)": lambda x: 0.0 <= x < 1.0,
+    "lie in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+}
+
+
+def check_real(name: str, value, rule: str = "be a real number") -> None:
+    """ValueError unless value is a ``numbers.Real``, not a bool, inside the
+    range that ``rule``, a key of ``REAL_RANGES``, states."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not REAL_RANGES[rule](value)):
+        raise ValueError(f"{name} must {rule}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """ValueError unless value is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {name} {value!r}")
 
 
 def _round_half_up(x: float) -> int:
@@ -273,8 +311,7 @@ def scale(p: ModelParams, n: int) -> ScaledSystem:
     k_n = ceil(kappa * n), the choice that makes different system sizes
     directly comparable.
     """
-    if n < 1:
-        raise ValueError("scale parameter n must be >= 1")
+    check_count("scale parameter n", n)
     return ScaledSystem(
         n=n,
         lambda1n=n * p.lambda1,

@@ -59,7 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ModelParams, ScaledSystem, check_seed
+from .params import (ModelParams, ScaledSystem, check_choice, check_count,
+                     check_real, check_seed)
 from .fluid import stationary_point
 
 __all__ = [
@@ -179,7 +180,7 @@ def init_state(sys: ScaledSystem, mode: str = "fluid") -> SimState:
     At small n that offset can put the point outside S; its negative queue
     starts empty.
     """
-    _check_start(mode)
+    check_choice("start mode", mode, START_MODES)
     if mode == "empty":
         return SimState(0, 0, 0, 0, 0, 0)
     p_eff = sys.parent.with_kappa12(sys.kappa_eff)
@@ -294,30 +295,15 @@ def apply_event(sys: ScaledSystem, s: SimState, event: str):
     return s
 
 
-def _check_start(mode: str) -> None:
-    if mode not in START_MODES:
-        raise ValueError(f"unknown start mode {mode!r}; choose from {START_MODES}")
-
-
-def default_warmup(start_mode: str) -> float:
-    """20% of the run after a fluid start, 50% after an empty start."""
-    return 0.2 if start_mode == "fluid" else 0.5
-
-
 def _check_run(horizon_arrivals, warmup_fraction, start: str) -> float:
     """``run``'s checks of its horizon, warm-up and start mode, in that
-    order, each a ``ValueError``; returns the warm-up fraction, defaulted
-    by start mode."""
-    if (not isinstance(horizon_arrivals, numbers.Integral)
-            or isinstance(horizon_arrivals, bool) or horizon_arrivals < 1):
-        raise ValueError("horizon must be a whole number of arrivals, at "
-                         f"least one, got {horizon_arrivals!r}")
+    order; returns the warm-up fraction, by default 20% of the run after a
+    fluid start and 50% after an empty one."""
+    check_count("horizon", horizon_arrivals, unit=" of arrivals")
     if warmup_fraction is None:
-        warmup_fraction = default_warmup(start)
-    # a bool compares as 0 or 1, so the range test alone would pass False
-    if isinstance(warmup_fraction, bool) or not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup fraction must lie in [0, 1)")
-    _check_start(start)
+        warmup_fraction = 0.2 if start == "fluid" else 0.5
+    check_real("warmup fraction", warmup_fraction, "lie in [0, 1)")
+    check_choice("start mode", start, START_MODES)
     return warmup_fraction
 
 
@@ -805,16 +791,11 @@ def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
     Half-widths are t_{0.975, R-1} * s / sqrt(R).  Replications execute in
     parallel when the OVERLOADX_THREADS environment variable, a positive
     integer (default 1), is above 1; results do not depend on the
-    scheduling.  ``R`` must be an int or numpy integer >= 2, not a bool,
-    and ``base_seed`` an int or numpy integer >= 0, not a bool; these and
-    :func:`run`'s checks of the horizon, warm-up and start mode raise
-    ``ValueError`` before ``OVERLOADX_THREADS`` is read or any replication
-    starts.  ``base_seed`` is stored as its ``int``.
+    scheduling.  ``R`` is a count >= 2 and ``base_seed`` a seed; these and
+    :func:`run`'s checks raise before ``OVERLOADX_THREADS`` is read or any
+    replication starts.  ``base_seed`` is stored as its ``int``.
     """
-    if isinstance(R, bool) or not isinstance(R, numbers.Integral):
-        raise ValueError(f"replications must be a whole number, got {R!r}")
-    if R < 2:
-        raise ValueError("need at least two replications for an interval")
+    check_count("replications", R, least=2)
     check_seed(base_seed)
     base_seed = int(base_seed)
     _check_run(horizon_arrivals, warmup_fraction, start)
@@ -872,10 +853,8 @@ def indicator_integral(sys: ScaledSystem, t_end: float, seed,
     """
     if not isinstance(seed, np.random.SeedSequence):
         check_seed(seed)
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if isinstance(pi_ref, bool) or not 0.0 <= pi_ref <= 1.0:   # NaN too
-        raise ValueError(f"pi_ref must lie in [0, 1], got {pi_ref!r}")
+    check_real("t_end", t_end, "be positive and finite")
+    check_real("pi_ref", pi_ref, "lie in [0, 1]")
     state = init_state(sys, start)
     _, t_pos = _simulate(sys, state, _uniform_blocks(seed), 0, math.inf,
                          t_end, moments=False)
