@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .params import (ModelParams, check_choice, check_count, check_overload,
                      check_real, scale)
@@ -28,10 +28,6 @@ from .sim import START_MODES, replicate
 
 __all__ = ["ExperimentConfig", "ValidationReport", "parse_config",
            "validate_command", "emit_report", "main"]
-
-
-_CONFIG_KEYS = {"params", "scales", "runs", "arrivals", "warmup", "seed",
-                "start", "output"}
 
 
 def reference_params() -> ModelParams:
@@ -56,17 +52,10 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "params": self.params.to_config_dict(),
-            "scales": list(self.scales),
-            "runs": self.runs,
-            "arrivals": self.arrivals,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "start": self.start,
-        }
-        if self.output:
-            d["output"] = dict(self.output)
+        d = asdict(self)   # copies of the lists and dicts
+        d["params"] = self.params.to_config_dict()
+        if not self.output:
+            del d["output"]
         return d
 
 
@@ -87,13 +76,12 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             out = raw.get("output", {})
             value = {**out, **value} if isinstance(out, dict) else out
         raw[key] = value
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"config: unknown keys {sorted(unknown)}")
     if "params" not in raw:
         raise ValueError("config: missing required key 'params'")
-    params = ModelParams.from_config_dict(raw["params"])
-    cfg = ExperimentConfig(params=params)
+    cfg = ExperimentConfig(params=ModelParams.from_config_dict(raw["params"]))
     # type() is int, not isinstance(): JSON true/false parse as bool, an int
     if "scales" in raw:
         scales = raw["scales"]

@@ -384,7 +384,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     rounding (asymmetry at most 1e-12 of its largest entry), else
     ``ValueError``; its symmetric part is the first matrix returned, the
     start of the steps and the part checked for finiteness and positive
-    semidefiniteness (smallest ``np.linalg.eigvalsh`` eigenvalue at least
+    semidefiniteness (smallest eigenvalue, in closed form, at least
     -1e-12).  The checks and the symmetric part's ``0.5 * (x + y)`` run on
     sigma0's four entries as Python floats.  The path is cut at ``T``; a
     non-real ``T``, NaN or one before the path's first time raises
@@ -415,8 +415,8 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     if not all(map(math.isfinite, (s11, s12, s22))):   # NaN passed the above
         raise ValueError("initial covariance and its symmetric part must be "
                          "finite; an entry above about 8.99e307 overflows")
-    sym0 = np.array([[s11, s12], [s12, s22]])
-    if np.linalg.eigvalsh(sym0)[0] < -1e-12:
+    # the smallest eigenvalue in closed form; halving first cannot overflow
+    if 0.5 * s11 + 0.5 * s22 - math.hypot(0.5 * (s11 - s22), s12) < -1e-12:
         raise ValueError("initial covariance must be positive semidefinite")
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
@@ -427,7 +427,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     noise = np.stack(_noise_entries(_integrand_rows(
         p, path.states[:n], pis, sigma2_method, psi_convention)[0]))
     out = np.empty((n, 2, 2))
-    out[0] = sym0
+    out[0] = ((s11, s12), (s12, s22))
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
     for lo in range(0, n - 1, _CHUNK):

@@ -59,6 +59,8 @@ class FluidState(NamedTuple):
 
     def validate(self, p: ModelParams):
         q1, q2, z12 = self
+        for name, value in zip(self._fields, self):
+            check_real(name, value)
         # comparisons only: each is False for NaN, and < inf rejects inf
         if not (0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf):
             raise ValueError(
@@ -424,6 +426,7 @@ def pi_12_stationary(p: ModelParams, z12_star: float) -> float:
     pi* = mu12 z* / (mu12 z* + mu22 (m2 - z*)): the fraction of pool-2
     completion work attached to class-1 customers.
     """
+    check_real("z12_star", z12_star)
     if not 0.0 <= z12_star <= p.m2:
         raise ValueError(f"z12_star must lie in [0, m2]: {z12_star}")
     num = p.mu12 * z12_star

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -37,13 +38,6 @@ def _as_ratio(value) -> Fraction:
             raise ValueError(f"ratio denominator must be non-zero; got {value!r}")
         return Fraction(num, den)
     raise TypeError(f"cannot interpret {value!r} as an exact ratio")
-
-
-def _number(key: str, value) -> float:
-    """A config rate: a JSON number (int or float), never a bool or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"params.{key}: need a JSON number, got {value!r}")
-    return float(value)
 
 
 # The input contract of every entry point: a bool is never a number, and
@@ -69,6 +63,7 @@ def check_count(name: str, value, least: int = 1, unit: str = "") -> None:
 # check_real's rules, by the words of its message; every range is False for NaN
 REAL_RANGES = {
     "be a real number": lambda x: True,   # no range: NaN passes
+    "be finite": lambda x: abs(x) <= sys.float_info.max,   # no int past a float
     "be positive and finite": lambda x: 0.0 < x < math.inf,
     "be positive": lambda x: x > 0.0,
     "be non-negative": lambda x: x >= 0.0,
@@ -77,18 +72,62 @@ REAL_RANGES = {
 }
 
 
-def check_real(name: str, value, rule: str = "be a real number") -> None:
-    """ValueError unless value is a ``numbers.Real``, not a bool, inside the
-    range that ``rule``, a key of ``REAL_RANGES``, states."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not REAL_RANGES[rule](value)):
-        raise ValueError(f"{name} must {rule}")
+def check_real(name: str, value, *rules: str) -> None:
+    """ValueError unless value is a ``numbers.Real``, not a bool, inside each
+    range that ``rules``, keys of ``REAL_RANGES``, state; the message states
+    the first rule broken, and a value that is no number breaks the first."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    for rule in rules or ("be a real number",):
+        if not (real and REAL_RANGES[rule](value)):
+            raise ValueError(f"{name} must {rule}")
 
 
 def check_choice(name: str, value, choices: tuple) -> None:
     """ValueError unless value is one of the strings ``choices``."""
     if not (isinstance(value, str) and value in choices):
         raise ValueError(f"unknown {name} {value!r}")
+
+
+# The one schema of the parameters: each config key, the ModelParams fields
+# it holds, nested as the config nests them, and their range (None for the
+# exact ratios, written "j/k" in a config).
+PARAM_SCHEMA = (
+    ("lambda", ("lambda1", "lambda2"), "be positive"),
+    ("theta", ("theta1", "theta2"), "be positive"),
+    ("mu", (("mu11", "mu12"), ("mu21", "mu22")), "be positive"),
+    ("m", ("m1", "m2"), "be positive"),
+    ("r12", "r12", None),
+    ("r21", "r21", None),
+    ("kappa12", "kappa12", "be non-negative"),
+    ("kappa21", "kappa21", "be non-negative"),
+)
+
+
+def _walk(shape, value, leaf) -> list:
+    """``leaf(field, entry)`` over a value laid out as ``shape``, nested
+    alike; a shape is laid out as itself, so ``value`` may be ``shape``."""
+    if isinstance(shape, str):
+        return leaf(shape, value)
+    if not isinstance(value, (list, tuple)) or len(value) != len(shape):
+        raise ValueError(f"expected a list of {len(shape)}, got {value!r}")
+    return [_walk(s, v, leaf) for s, v in zip(shape, value)]
+
+
+def _field(name: str, value, rule):
+    """A field as ModelParams keeps it: a float in ``rule``'s range, or for
+    no rule a positive exact ratio; never a bool.  Errors name the field."""
+    if rule is not None:
+        check_real(name, value, "be a real number", "be finite", rule)
+        return float(value)
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"a bool is no ratio, got {value!r}")
+        ratio = _as_ratio(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if ratio <= 0:
+        raise ValueError(f"{name}: queue ratios must be positive rationals")
+    return ratio
 
 
 def _round_half_up(x: float) -> int:
@@ -128,22 +167,11 @@ class ModelParams:
     kappa21: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r12", _as_ratio(self.r12))
-        object.__setattr__(self, "r21", _as_ratio(self.r21))
-        rates = ("lambda1", "lambda2", "theta1", "theta2",
-                 "mu11", "mu12", "mu21", "mu22", "m1", "m2")
-        for name in rates + ("kappa12", "kappa21"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in rates:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.r12 <= 0 or self.r21 <= 0:
-            raise ValueError("queue ratios must be positive rationals")
+        for _, shape, rule in PARAM_SCHEMA:
+            _walk(shape, shape, lambda name, _: object.__setattr__(
+                self, name, _field(name, getattr(self, name), rule)))
         if self.r12 < self.r21:
             raise ValueError("queue ratios must satisfy r12 >= r21")
-        if self.kappa12 < 0 or self.kappa21 < 0:
-            raise ValueError("threshold offsets must be non-negative")
 
     def with_kappa12(self, kappa: float) -> "ModelParams":
         return replace(self, kappa12=kappa)
@@ -152,66 +180,46 @@ class ModelParams:
 
     @classmethod
     def from_config_dict(cls, d: dict) -> "ModelParams":
-        """Build from the config mapping used by the CLI.
-
-        Expected shape::
+        """Build from the config mapping used by the CLI, laid out as
+        ``PARAM_SCHEMA`` lays it out::
 
             {"lambda": [1.3, 0.9], "theta": [0.2, 0.2],
              "mu": [[1.0, 0.8], [0.8, 1.0]], "m": [1.0, 1.0],
              "r12": "1/1", "r21": "1/1", "kappa12": 0.1, "kappa21": 0.1}
 
-        Rates must be JSON numbers and ratios strings "j/k"; unknown keys
-        are rejected.
+        Rates must be JSON numbers and ratios strings "j/k"; r21 and kappa21
+        default to r12 and kappa12.  Errors start with ``params.{key}: ``.
         """
-        known = {"lambda", "theta", "mu", "m", "r12", "r21", "kappa12", "kappa21"}
-        unknown = set(d) - known
+        unknown = set(d) - {key for key, _, _ in PARAM_SCHEMA}
         if unknown:
             raise ValueError(f"params: unknown keys {sorted(unknown)}")
         missing = {"lambda", "theta", "mu", "m"} - set(d)
         if missing:
             raise ValueError(f"params: missing keys {sorted(missing)}")
-        lam = d["lambda"]
-        theta = d["theta"]
-        mu = d["mu"]
-        m = d["m"]
-        for name, v, length in (("lambda", lam, 2), ("theta", theta, 2), ("m", m, 2)):
-            if not isinstance(v, (list, tuple)) or len(v) != length:
-                raise ValueError(f"params.{name}: expected a list of {length} numbers")
-        if (not isinstance(mu, (list, tuple)) or len(mu) != 2
-                or any(not isinstance(row, (list, tuple)) or len(row) != 2 for row in mu)):
-            raise ValueError("params.mu: expected a 2x2 matrix [[mu11,mu12],[mu21,mu22]]")
-        ratios = {}
-        for key in ("r12", "r21"):
-            if key in d:
-                if not isinstance(d[key], str):
-                    raise ValueError(f"params.{key}: ratio must be a string 'j/k'")
-                try:
-                    ratios[key] = _as_ratio(d[key])
-                except ValueError as exc:
-                    raise ValueError(f"params.{key}: {exc}") from None
-        return cls(
-            lambda1=_number("lambda", lam[0]), lambda2=_number("lambda", lam[1]),
-            theta1=_number("theta", theta[0]), theta2=_number("theta", theta[1]),
-            mu11=_number("mu", mu[0][0]), mu12=_number("mu", mu[0][1]),
-            mu21=_number("mu", mu[1][0]), mu22=_number("mu", mu[1][1]),
-            m1=_number("m", m[0]), m2=_number("m", m[1]),
-            r12=ratios.get("r12", Fraction(1)),
-            r21=ratios.get("r21", ratios.get("r12", Fraction(1))),
-            kappa12=_number("kappa12", d.get("kappa12", 0.0)),
-            kappa21=_number("kappa21", d.get("kappa21", d.get("kappa12", 0.0))),
-        )
+        kwargs = {}
+
+        def read(name, value):   # rule: the range of the key the loop reads
+            if rule is None and not isinstance(value, str):
+                raise ValueError("ratio must be a string 'j/k'")
+            kwargs[name] = _field(name, value, rule)
+        for key, shape, rule in PARAM_SCHEMA:
+            try:
+                if key in d:
+                    _walk(shape, d[key], read)
+            except ValueError as exc:
+                raise ValueError(f"params.{key}: {exc}") from None
+        for twin in ("r", "kappa"):   # r21 and kappa21 default to r12 and kappa12
+            if twin + "12" in kwargs:
+                kwargs.setdefault(twin + "21", kwargs[twin + "12"])
+        return cls(**kwargs)
 
     def to_config_dict(self) -> dict:
-        return {
-            "lambda": [self.lambda1, self.lambda2],
-            "theta": [self.theta1, self.theta2],
-            "mu": [[self.mu11, self.mu12], [self.mu21, self.mu22]],
-            "m": [self.m1, self.m2],
-            "r12": f"{self.r12.numerator}/{self.r12.denominator}",
-            "r21": f"{self.r21.numerator}/{self.r21.denominator}",
-            "kappa12": self.kappa12,
-            "kappa21": self.kappa21,
-        }
+        d = {}
+        for key, shape, rule in PARAM_SCHEMA:
+            d[key] = _walk(shape, shape, lambda name, _: getattr(self, name))
+            if rule is None:   # an exact ratio, written "j/k"
+                d[key] = f"{d[key].numerator}/{d[key].denominator}"
+        return d
 
 
 @dataclass(frozen=True)

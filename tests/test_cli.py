@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +101,10 @@ def test_config_round_trip():
     echoed = json.dumps(cfg.to_json_dict())
     cfg2 = parse_config(echoed)
     assert cfg2 == cfg
+    # every setting is echoed; an empty output is left out
+    assert set(cfg.to_json_dict()) == {f.name for f in fields(cfg)} - {"output"}
+    cfg.output = {"csv": "a.csv"}
+    assert parse_config(json.dumps(cfg.to_json_dict())) == cfg
 
 
 def test_chain_rows_pass(base_params):

@@ -9,10 +9,11 @@ The counts, ranges and choices are checked by ``overloadx.params``.
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import overloadx.diffusion
 import overloadx.fluid
@@ -21,7 +22,8 @@ import overloadx.sim
 from overloadx.cli import main
 from overloadx.params import (check_choice, check_count, check_real, scale)
 from overloadx.ftsp import (PI12_METHODS, SIGMA2_METHODS, FluidState,
-                            asymptotic_variance, pi_12, simulate_ftsp)
+                            asymptotic_variance, pi_12, pi_12_stationary,
+                            simulate_ftsp)
 from overloadx.fluid import (integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
 from overloadx.diffusion import (PSI_CONVENTIONS, gaussian_queue_approx,
@@ -133,12 +135,35 @@ SLOTS = [
     (lambda i: time_to_stationarity(i[2], True), "tolerance tol"),
     (lambda i: transient_covariance(i[0], i[2], np.zeros((2, 2)), True,
                                     **FLAGS), "horizon T"),
+    # ModelParams kept a bool rate and raised a bare TypeError for a str one
+    (lambda i: replace(i[0], lambda1=True), "lambda1"),
+    (lambda i: replace(i[0], mu21="0.8"), "mu21"),
+    # a str z12_star raised a bare TypeError, and True was taken as 1.0
+    (lambda i: pi_12_stationary(i[0], "0.2"), "z12_star"),
+    (lambda i: pi_12_stationary(i[0], True), "z12_star"),
 ])
 def test_each_mended_input_is_refused_by_name_before_any_work(
         inputs, call, name):
     with _no_work_allowed(), pytest.raises(ValueError) as refused:
         call(inputs)
     assert str(refused.value).startswith(f"{name} must ")
+
+
+@pytest.mark.parametrize("call, name", [
+    # a str coordinate raised a bare TypeError, and True was taken as 1.0:
+    # pi_12 returned 0.135; the kernels' own comparisons let them through
+    (lambda p: pi_12(p, FluidState("0.6", 0.5, 0.2)), "q1"),
+    (lambda p: pi_12(p, FluidState(True, 0.5, 0.2)), "q1"),
+    (lambda p: pi_12(p, FluidState(0.6, 0.5, False), "truncated"), "z12"),
+    (lambda p: asymptotic_variance(p, FluidState(0.6, "0.5", 0.2),
+                                   "regenerative"), "q2"),
+    (lambda p: FluidState(0.6, 0.5, "0.2").validate(p), "z12"),
+])
+def test_a_fluid_state_coordinate_that_is_no_number_is_refused_by_name(
+        base_params, call, name):
+    with pytest.raises(ValueError) as refused:
+        call(base_params)
+    assert str(refused.value) == f"{name} must be a real number"
 
 
 def test_the_checks_name_the_argument_and_take_numpy_scalars():
@@ -327,6 +352,31 @@ def test_transient_covariance_start_is_refused_or_finite(inputs, entries):
     with _answers_or_refuses():
         t, cov = transient_covariance(p, path, sigma0, **FLAGS)
         assert np.all(np.isfinite(cov))
+
+
+@settings(CONTRACT, max_examples=150)
+@given(e=st.integers(-6, 6), u=st.floats(-1.0, 1.0), v=st.floats(0.0, 1.0),
+       delta=st.one_of(st.floats(-1.0, 1.0), st.builds(
+           lambda x, sign: sign * 10.0 ** x, st.floats(-14.0, -8.0),
+           st.sampled_from([-1.0, 1.0]))))
+def test_the_closed_form_psd_test_decides_as_eigvalsh(inputs, e, u, v, delta):
+    # [[u, w], [w, v]] 10^e with w 10^e = sqrt|uv| 10^e + delta: a small
+    # delta moves the smallest eigenvalue from 0 by about delta, near the
+    # -1e-12 tolerance at every scale; the band is eigvalsh's own rounding
+    p, _, path = inputs
+    s = 10.0 ** e
+    a, b, c = u * s, v * s, math.sqrt(abs(u * v)) * s + delta
+    sym = np.array([[a, c], [c, b]])
+    smallest = np.linalg.eigvalsh(sym)[0]
+    assume(abs(smallest + 1e-12) > 16 * np.finfo(float).eps * np.abs(sym).max())
+    with _no_work_allowed():   # a start that passes its checks reaches work
+        try:
+            transient_covariance(p, path, sym, **FLAGS)
+        except ValueError as refused:
+            assert "positive semidefinite" in str(refused)
+            assert smallest < -1e-12
+        except AssertionError:
+            assert smallest >= -1e-12
 
 
 @CONTRACT

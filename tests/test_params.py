@@ -1,11 +1,16 @@
+import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overloadx.params import ModelParams, check_overload, offered_loads, scale
+
+from conftest import random_admissible_params
 
 
 def test_offered_loads_reference_case(base_params):
@@ -178,3 +183,64 @@ def test_ratio_rejects_zero_denominator(base_params):
         ModelParams.from_config_dict(d)
     with pytest.raises(ValueError, match="denominator"):
         replace(base_params, r21="3/0")
+
+
+# where each field sits in a config, written out apart from PARAM_SCHEMA
+CONFIG_PLACES = {
+    "lambda1": ("lambda", 0), "lambda2": ("lambda", 1),
+    "theta1": ("theta", 0), "theta2": ("theta", 1),
+    "mu11": ("mu", 0, 0), "mu12": ("mu", 0, 1),
+    "mu21": ("mu", 1, 0), "mu22": ("mu", 1, 1),
+    "m1": ("m", 0), "m2": ("m", 1),
+    "r12": ("r12",), "r21": ("r21",),
+    "kappa12": ("kappa12",), "kappa21": ("kappa21",),
+}
+# a value outside each field's own range: rates and pool sizes must be
+# positive, offsets non-negative and ratios positive
+OUT_OF_RANGE = {**{name: 0.0 for name in CONFIG_PLACES},
+                "kappa12": -0.1, "kappa21": -0.1, "r12": "0/1", "r21": "0/1"}
+
+
+@pytest.mark.parametrize("field", list(CONFIG_PLACES))
+@pytest.mark.parametrize("bad", ["bool", "str", "nan", "inf", "-inf", "range"])
+def test_every_field_refuses_a_bad_value_by_name(base_params, field, bad):
+    value = {"bool": True, "str": "1.3", "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf, "range": OUT_OF_RANGE[field]}[bad]
+    with pytest.raises(ValueError) as direct:
+        replace(base_params, **{field: value})
+    assert re.match(rf"{field}( must |: )", str(direct.value))
+    d = entry = base_params.to_config_dict()
+    *way, last = CONFIG_PLACES[field]
+    for step in way:
+        entry = entry[step]
+    entry[last] = value
+    with pytest.raises(ValueError) as configured:
+        ModelParams.from_config_dict(d)
+    assert str(configured.value).startswith(f"params.{CONFIG_PLACES[field][0]}: ")
+
+
+def test_fields_are_kept_as_floats_and_ratios(base_params):
+    p = replace(base_params, m1=2, mu12=np.float64(0.75), r21=Fraction(1, 2))
+    assert type(p.m1) is float and type(p.mu12) is float and p.m1 == 2.0
+    assert p.r21 == Fraction(1, 2)
+    assert p.to_config_dict()["r21"] == "1/2"
+
+
+def test_config_r21_and_kappa21_default_to_r12_and_kappa12(base_params):
+    d = {**base_params.to_config_dict(), "r12": "3/2", "kappa12": 0.25}
+    del d["r21"], d["kappa21"]
+    p = ModelParams.from_config_dict(d)
+    assert (p.r21, p.kappa21) == (Fraction(3, 2), 0.25)
+    del d["r12"], d["kappa12"]
+    p = ModelParams.from_config_dict(d)
+    assert (p.r12, p.r21, p.kappa12, p.kappa21) == (1, 1, 0.0, 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1),
+       ratio=st.sampled_from(["1/1", "3/2", "2/1", "1/2"]))
+def test_config_dict_round_trip_over_admissible_params(seed, ratio):
+    p = random_admissible_params(np.random.default_rng(seed), 1, ratio=ratio)[0]
+    assert ModelParams.from_config_dict(p.to_config_dict()) == p
+    text = json.dumps(p.to_config_dict())
+    assert ModelParams.from_config_dict(json.loads(text)) == p
