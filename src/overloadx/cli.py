@@ -574,6 +574,7 @@ def _cmd_diffusion(cfg: ExperimentConfig, args) -> int:
         "mean_q1": g.mean_q1, "mean_q2": g.mean_q2, "mean_z12": g.mean_z12,
         "std_q1": g.std_q1, "std_q2": g.std_q2,
         "std_qs": g.std_qs, "std_z12": g.std_z12,
+        "std_z12_possible": g.std_z12_possible,
         "var_qs_hat": g.cov.var_qs, "var_z_hat": g.cov.var_z,
         "cov_qz_hat": g.cov.cov_qz,
         "M": g.model.M.tolist(), "S": g.model.S.tolist(),

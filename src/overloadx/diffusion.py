@@ -164,6 +164,9 @@ class GaussianApprox:
 
     ``model`` and ``cov`` are the OU limit and its steady-state covariance
     the standard deviations were scaled from (unscaled, as the hat values).
+    ``std_z12_possible`` is False when ``std_z12`` exceeds the largest
+    spread a count in [0, m2 n] with mean ``mean_z12`` can have, the
+    Bhatia-Davis bound sqrt(mean_z12 (m2 n - mean_z12)).
     """
 
     n: int
@@ -176,6 +179,7 @@ class GaussianApprox:
     std_q2: float
     std_qs: float
     std_z12: float
+    std_z12_possible: bool
     sigma2_method: str
     psi_convention: str
     model: BouModel = field(repr=False, compare=False)
@@ -539,11 +543,14 @@ def gaussian_queue_approx(p: ModelParams, n: int, *, sigma2_method: str,
                          psi_convention=psi_convention)
     cov = steady_state_covariance(model)
     rt = math.sqrt(n)
+    mean_z12, std_z12 = n * sp.z12, rt * math.sqrt(cov.var_z)
     return GaussianApprox(
         n=n, kappa_eff=p.kappa12,
         mean_q1=n * sp.q1, mean_q2=n * sp.q2,
-        mean_qs=n * (sp.q1 + sp.q2), mean_z12=n * sp.z12,
+        mean_qs=n * (sp.q1 + sp.q2), mean_z12=mean_z12,
         std_q1=rt * cov.std_q1, std_q2=rt * cov.std_q2,
-        std_qs=rt * cov.std_qs, std_z12=rt * math.sqrt(cov.var_z),
+        std_qs=rt * cov.std_qs, std_z12=std_z12,
+        std_z12_possible=std_z12 <= math.sqrt(
+            max(mean_z12 * (n * p.m2 - mean_z12), 0.0)),
         sigma2_method=sigma2_method, psi_convention=psi_convention,
         model=model, cov=cov)

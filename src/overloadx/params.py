@@ -190,6 +190,8 @@ class ModelParams:
         Rates must be JSON numbers and ratios strings "j/k"; r21 and kappa21
         default to r12 and kappa12.  Errors start with ``params.{key}: ``.
         """
+        if not isinstance(d, dict):
+            raise ValueError(f"params: expected a JSON object, got {d!r}")
         unknown = set(d) - {key for key, _, _ in PARAM_SCHEMA}
         if unknown:
             raise ValueError(f"params: unknown keys {sorted(unknown)}")

@@ -41,7 +41,9 @@ a complex128 row: numpy adds complex numbers as two IEEE adds, one per
 part, and a cumsum adds in sequence, so each part is the float running
 sum, every bit.  A chunk is sized from the arrivals or the time left and
 the current total rate, so that the chain routes few events past the
-stop.  ``step`` and ``apply_event`` are its oracle, one event at a time.
+stop.  ``step`` and ``apply_event`` are its oracle, one event at a time:
+its ``_route`` gives an event's code, and every state change, the
+oracle's and the ledger's, is read from the one table ``_OUTCOMES``.
 A seed's uniforms come in blocks of 2**15, of which the first 2**15 - 2
 are used.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
@@ -70,6 +72,36 @@ __all__ = [
 ]
 
 _EVENTS = ("arr1", "arr2", "ab1", "ab2", "s11", "s12", "s21", "s22")
+
+# The simulator's one code book, the outcomes of one event by code: the
+# event's index in _EVENTS and the change of (Q1, Q2, Z11, Z12, Z21, Z22).
+# ``_route`` and the jump chain give the codes; every state change is here.
+_OUTCOMES = (
+    (0, (0, 0, 1, 0, 0, 0)),      # 0  arr1, served by pool 1
+    (0, (0, 0, 0, 1, 0, 0)),      # 1  arr1, served by pool 2
+    (0, (1, 0, 0, 0, 0, 0)),      # 2  arr1, queued
+    (1, (0, 0, 0, 0, 0, 1)),      # 3  arr2, served by pool 2
+    (1, (0, 0, 0, 0, 1, 0)),      # 4  arr2, served by pool 1
+    (1, (0, 1, 0, 0, 0, 0)),      # 5  arr2, queued
+    (2, (-1, 0, 0, 0, 0, 0)),     # 6  ab1
+    (3, (0, -1, 0, 0, 0, 0)),     # 7  ab2
+    (4, (0, -1, -1, 0, 1, 0)),    # 8  s11, the agent takes queue 2
+    (4, (-1, 0, 0, 0, 0, 0)),     # 9  s11, the agent takes queue 1
+    (4, (0, 0, -1, 0, 0, 0)),     # 10 s11, the agent idles
+    (6, (0, -1, 0, 0, 0, 0)),     # 11 s21, the agent takes queue 2
+    (6, (-1, 0, 1, 0, -1, 0)),    # 12 s21, the agent takes queue 1
+    (6, (0, 0, 0, 0, -1, 0)),     # 13 s21, the agent idles
+    (5, (-1, 0, 0, 0, 0, 0)),     # 14 s12, the agent takes queue 1
+    (5, (0, -1, 0, -1, 0, 1)),    # 15 s12, the agent takes queue 2
+    (5, (0, 0, 0, -1, 0, 0)),     # 16 s12, the agent idles
+    (7, (-1, 0, 0, 1, 0, -1)),    # 17 s22, the agent takes queue 1
+    (7, (0, -1, 0, 0, 0, 0)),     # 18 s22, the agent takes queue 2
+    (7, (0, 0, 0, 0, 0, -1)),     # 19 s22, the agent idles
+)
+_CODE_EVENT = np.array([event for event, _ in _OUTCOMES])
+# The changes as three complex rows: Q1 + iQ2, Z11 + iZ12 and Z21 + iZ22.
+_DELTAS = np.array([delta for _, delta in _OUTCOMES], dtype=float).view(
+    complex).T.copy()
 
 START_MODES = ("fluid", "empty")
 
@@ -215,11 +247,12 @@ def _event_rates(sys: ScaledSystem, s: SimState) -> tuple:
 def step(sys: ScaledSystem, state: SimState, rng: np.random.Generator):
     """One transition of the CTMC; returns (new_state, event_name, dt).
 
-    Reference implementation of the event logic.  ``_simulate``, the event
+    Reference implementation of the event logic: ``apply_event`` routes
+    the drawn event to its ``_OUTCOMES`` code.  ``_simulate``, the event
     loop of ``run`` and ``indicator_integral``, inlines the same routing
     rules in its jump chain and computes the same holding times in its
     ledger, a chunk at a time; tests hold the two together on a shared
-    uniform stream, holding time by holding time.
+    uniform stream, code by code and holding time by holding time.
     """
     rates = _event_rates(sys, state)
     # added left to right, as the ledger adds them; builtin sum compensates
@@ -241,58 +274,51 @@ def step(sys: ScaledSystem, state: SimState, rng: np.random.Generator):
 
 
 def apply_event(sys: ScaledSystem, s: SimState, event: str):
-    """Apply one event's routing rules in place."""
-    if event == "arr1":
-        if s.z11 + s.z21 < sys.m1n:
-            s.z11 += 1
-        elif (s.z12 + s.z22 < sys.m2n and s.z21 == 0
-              and _d12_positive(sys, s.q1, s.q2)):
-            s.z12 += 1
-        else:
-            s.q1 += 1
-    elif event == "arr2":
-        if s.z12 + s.z22 < sys.m2n:
-            s.z22 += 1
-        elif (s.z11 + s.z21 < sys.m1n and s.z12 == 0
-              and _d21_positive(sys, s.q1, s.q2)):
-            s.z21 += 1
-        else:
-            s.q2 += 1
-    elif event == "ab1":
-        s.q1 -= 1
-    elif event == "ab2":
-        s.q2 -= 1
-    elif event in ("s11", "s21"):
-        if event == "s11":
-            s.z11 -= 1
-        else:
-            s.z21 -= 1
-        # freed pool-1 agent
-        if _d21_positive(sys, s.q1, s.q2) and s.z12 == 0 and s.q2 > 0:
-            s.z21 += 1
-            s.q2 -= 1
-        elif s.q1 > 0:
-            s.z11 += 1
-            s.q1 -= 1
-        elif s.q2 > 0 and s.z12 == 0:
-            s.z21 += 1
-            s.q2 -= 1
-    else:  # "s12" or "s22"
-        if event == "s12":
-            s.z12 -= 1
-        else:
-            s.z22 -= 1
-        # freed pool-2 agent
-        if _d12_positive(sys, s.q1, s.q2) and s.z21 == 0 and s.q1 > 0:
-            s.z12 += 1
-            s.q1 -= 1
-        elif s.q2 > 0:
-            s.z22 += 1
-            s.q2 -= 1
-        elif s.q1 > 0 and s.z21 == 0:
-            s.z12 += 1
-            s.q1 -= 1
+    """Apply one event in place: ``_route`` picks its outcome, and that
+    outcome's change in ``_OUTCOMES`` is added to the six counts."""
+    change = _OUTCOMES[_route(sys, s, event)][1]
+    s.q1, s.q2, s.z11, s.z12, s.z21, s.z22 = (
+        c + d for c, d in zip((s.q1, s.q2, s.z11, s.z12, s.z21, s.z22), change))
     return s
+
+
+def _route(sys: ScaledSystem, s: SimState, event: str) -> int:
+    """The ``_OUTCOMES`` code of ``event`` at state ``s``, by the routing
+    rules; an unknown event, or one of rate zero at ``s``, is refused."""
+    check_choice("event", event, _EVENTS)
+    i = _EVENTS.index(event)
+    if _event_rates(sys, s)[i] <= 0.0:
+        raise ValueError(f"event {event!r} has rate zero at {s}")
+    if event == "arr1":   # served by pool 1, by pool 2, or queued
+        if s.z11 + s.z21 < sys.m1n:
+            return 0
+        if (s.z12 + s.z22 < sys.m2n and s.z21 == 0
+                and _d12_positive(sys, s.q1, s.q2)):
+            return 1
+        return 2
+    if event == "arr2":   # served by pool 2, by pool 1, or queued
+        if s.z12 + s.z22 < sys.m2n:
+            return 3
+        if (s.z11 + s.z21 < sys.m1n and s.z12 == 0
+                and _d21_positive(sys, s.q1, s.q2)):
+            return 4
+        return 5
+    if i < 4:   # ab1 and ab2: codes 6 and 7
+        return i + 4
+    # a freed agent takes the other class's queue (code first), its own
+    # class's queue (first + 1), or idles (first + 2)
+    first = {"s11": 8, "s21": 11, "s12": 14, "s22": 17}[event]
+    if event in ("s11", "s21"):   # pool 1
+        if _d21_positive(sys, s.q1, s.q2) and s.z12 == 0 and s.q2 > 0:
+            return first
+        if s.q1 > 0:
+            return first + 1
+        return first if s.q2 > 0 and s.z12 == 0 else first + 2
+    if _d12_positive(sys, s.q1, s.q2) and s.z21 == 0 and s.q1 > 0:
+        return first
+    if s.q2 > 0:
+        return first + 1
+    return first if s.q1 > 0 and s.z21 == 0 else first + 2
 
 
 def _check_run(horizon_arrivals, warmup_fraction, start: str) -> float:
@@ -358,35 +384,6 @@ def _uniform_blocks(seed, uniforms=None):
 # Events between two time accountings: the jump chain records this many
 # outcome codes, then the ledger turns them into states, times and sums.
 _CHUNK = 2048
-
-# The outcomes of one event, indexed by the code the jump chain records:
-# the event's index in _EVENTS and the change of (Q1, Q2, Z11, Z12, Z21, Z22).
-_OUTCOMES = (
-    (0, (0, 0, 1, 0, 0, 0)),      # 0  arr1, served by pool 1
-    (0, (0, 0, 0, 1, 0, 0)),      # 1  arr1, served by pool 2
-    (0, (1, 0, 0, 0, 0, 0)),      # 2  arr1, queued
-    (1, (0, 0, 0, 0, 0, 1)),      # 3  arr2, served by pool 2
-    (1, (0, 0, 0, 0, 1, 0)),      # 4  arr2, served by pool 1
-    (1, (0, 1, 0, 0, 0, 0)),      # 5  arr2, queued
-    (2, (-1, 0, 0, 0, 0, 0)),     # 6  ab1
-    (3, (0, -1, 0, 0, 0, 0)),     # 7  ab2
-    (4, (0, -1, -1, 0, 1, 0)),    # 8  s11, the agent takes queue 2
-    (4, (-1, 0, 0, 0, 0, 0)),     # 9  s11, the agent takes queue 1
-    (4, (0, 0, -1, 0, 0, 0)),     # 10 s11, the agent idles
-    (6, (0, -1, 0, 0, 0, 0)),     # 11 s21, the agent takes queue 2
-    (6, (-1, 0, 1, 0, -1, 0)),    # 12 s21, the agent takes queue 1
-    (6, (0, 0, 0, 0, -1, 0)),     # 13 s21, the agent idles
-    (5, (-1, 0, 0, 0, 0, 0)),     # 14 s12, the agent takes queue 1
-    (5, (0, -1, 0, -1, 0, 1)),    # 15 s12, the agent takes queue 2
-    (5, (0, 0, 0, -1, 0, 0)),     # 16 s12, the agent idles
-    (7, (-1, 0, 0, 1, 0, -1)),    # 17 s22, the agent takes queue 1
-    (7, (0, -1, 0, 0, 0, 0)),     # 18 s22, the agent takes queue 2
-    (7, (0, 0, 0, 0, 0, -1)),     # 19 s22, the agent idles
-)
-_CODE_EVENT = np.array([event for event, _ in _OUTCOMES])
-# The changes as three complex rows: Q1 + iQ2, Z11 + iZ12 and Z21 + iZ22.
-_DELTAS = np.array([delta for _, delta in _OUTCOMES], dtype=float).view(
-    complex).T.copy()
 
 
 class _Ledger:
@@ -568,7 +565,7 @@ def _simulate(sys: ScaledSystem, state: SimState, blocks, warm_arrivals: int,
 
     Advances ``state`` in place in two stages.  The jump chain, in Python,
     only routes: it draws each event's category from the second uniform of
-    its pair, applies the rules of ``apply_event`` and records one outcome
+    its pair, applies the rules of ``_route`` and records one outcome
     code; it needs no clock, as nothing in the routing depends on time, and
     no arrival count.  It keeps the rates theta_i Q_i and mu_ij Z_ij
     between events; each outcome recomputes, as the product
@@ -821,21 +818,19 @@ def replicate(sys: ScaledSystem, R: int, horizon_arrivals: int,
 def difference_jump_rates(sys: ScaledSystem, state: SimState) -> dict:
     """Aggregate rates of each D12 jump size at a state, in D units.
 
-    Enumerates every CTMC transition at ``state``, applies the routing rules,
-    and classifies the resulting change of D12 = Q1 - k12 - r12 Q2.  Serves
-    as the cross-model oracle tying the simulator's generator to the
-    fast-process rates: at a pools-full state n*gamma the values divided by n
-    must reproduce the per-regime jump rates exactly.
+    Routes every CTMC transition of positive rate at ``state`` and reads
+    the change of D12 = Q1 - k12 - r12 Q2 off its ``_OUTCOMES`` entry.
+    Serves as the cross-model oracle tying the simulator's generator to the
+    fast-process rates: at a pools-full state n*gamma the values divided by
+    n must reproduce the per-regime jump rates exactly.
     """
     r12 = sys.parent.r12
     out: dict = {}
     for event, rate in zip(_EVENTS, _event_rates(sys, state)):
         if rate <= 0.0:
             continue
-        nxt = apply_event(
-            sys, SimState(state.q1, state.q2, state.z11, state.z12,
-                          state.z21, state.z22, 0.0), event)
-        jump = (nxt.q1 - state.q1) - r12 * (nxt.q2 - state.q2)
+        dq1, dq2 = _OUTCOMES[_route(sys, state, event)][1][:2]
+        jump = dq1 - r12 * dq2
         if jump != 0:
             out[jump] = out.get(jump, 0.0) + rate
     return out

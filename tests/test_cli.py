@@ -193,6 +193,28 @@ def test_main_diffusion(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["mean_q1"] == pytest.approx(65.56, abs=0.01)
     assert out["std_qs"] == pytest.approx(34.06, abs=0.01)
+    assert out["std_z12_possible"] is True
+
+
+def test_main_diffusion_reports_a_z12_spread_no_count_can_have(tmp_path,
+                                                              capsys):
+    # std_z12 = 15.17 is above sqrt(mean (m2 n - mean)) = 14.58; the key
+    # says so in the JSON and in the CSV, beside the unchanged values
+    path = _write_config(tmp_path, {"params": {
+        "lambda": [1.911, 0.2202], "theta": [0.0299, 0.0616],
+        "mu": [[2.882, 1.766], [0.796, 0.2666]], "m": [0.532, 0.301],
+        "r12": "1/2", "kappa12": 0.0}})
+    argv = ["--config", path, "diffusion", "--n", "100",
+            "--sigma2-method", "poisson_numeric", "--psi-convention", "plus"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["std_z12"] == pytest.approx(15.17, abs=0.01)
+    assert out["std_z12_possible"] is False
+    target = tmp_path / "diffusion.csv"
+    assert main(argv + ["--csv", str(target)]) == 0
+    rows = target.read_text().splitlines()
+    assert rows[rows.index(f"std_z12,{out['std_z12']}") + 1] == (
+        "std_z12_possible,False")
 
 
 def test_main_simulate_csv(tmp_path, capsys):
@@ -276,6 +298,18 @@ def test_main_rejects_bad_params(tmp_path, capsys, key, value):
     assert main(["--config", str(cfg_file), "stationary"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [5, None, ["lambda"], "x"])
+def test_main_rejects_params_that_are_no_object(tmp_path, capsys, params):
+    # 5 and null died with a bare TypeError from set(d); a list was read as
+    # its keys ("missing keys") and a str as its letters ("unknown keys")
+    path = _write_config(tmp_path, {**BASE_CONFIG, "params": params})
+    assert main(["--config", path, "echo-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: params: expected a JSON object, got {params!r}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [

@@ -28,8 +28,9 @@ from overloadx.fluid import (integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
 from overloadx.diffusion import (PSI_CONVENTIONS, gaussian_queue_approx,
                                  psi_mix, transient_covariance)
-from overloadx.sim import (START_MODES, indicator_integral, init_state,
-                           replicate, run)
+from overloadx.sim import (START_MODES, SimState, apply_event,
+                           difference_jump_rates, indicator_integral,
+                           init_state, replicate, run)
 
 from conftest import random_admissible_params
 
@@ -164,6 +165,33 @@ def test_a_fluid_state_coordinate_that_is_no_number_is_refused_by_name(
     with pytest.raises(ValueError) as refused:
         call(base_params)
     assert str(refused.value) == f"{name} must be a real number"
+
+
+@pytest.mark.parametrize("event, counts, message", [
+    # an unknown name was applied as s22, taking a class-2 customer from
+    # queue 2
+    ("s13", (3, 2, 5, 0, 0, 5), "unknown event 's13'"),
+    ("S11", (3, 2, 5, 0, 0, 5), "unknown event 'S11'"),
+    ("", (3, 2, 5, 0, 0, 5), "unknown event ''"),
+    (None, (3, 2, 5, 0, 0, 5), "unknown event None"),
+    # an event of rate zero was applied: ab1 at the empty state gave q1 = -1
+    ("ab1", (0, 0, 0, 0, 0, 0), "event 'ab1' has rate zero at "),
+    ("ab2", (3, 0, 5, 0, 0, 5), "event 'ab2' has rate zero at "),
+    ("s11", (3, 2, 0, 0, 0, 5), "event 's11' has rate zero at "),
+    ("s12", (3, 2, 5, 0, 0, 5), "event 's12' has rate zero at "),
+    ("s21", (3, 2, 5, 0, 0, 5), "event 's21' has rate zero at "),
+    ("s22", (3, 2, 5, 0, 0, 0), "event 's22' has rate zero at "),
+])
+def test_apply_event_refuses_an_event_it_cannot_apply(inputs, event, counts,
+                                                       message):
+    s = SimState(*counts)
+    with pytest.raises(ValueError) as refused:
+        apply_event(inputs[1], s, event)
+    assert str(refused.value).startswith(message)
+    assert (s.q1, s.q2, s.z11, s.z12, s.z21, s.z22) == counts   # untouched
+    # the rates skip each event of rate zero, and every known event of
+    # positive rate applies
+    difference_jump_rates(inputs[1], s)
 
 
 def test_the_checks_name_the_argument_and_take_numpy_scalars():
@@ -314,8 +342,8 @@ def test_fluid_and_transient_answers_stay_in_the_model_range(
        psi_convention=psi_conventions)
 def test_steady_state_answers_stay_in_the_model_range(
         p, n, sigma2_method, psi_convention):
-    # the Bhatia-Davis bound on std_z12 is not gated: it fails today at
-    # some admissible parameters
+    # the Bhatia-Davis bound on std_z12 is not gated, since it fails at
+    # some admissible parameters; std_z12_possible reports it
     sys_n = scale(p, n)
     assert sys_n.n == n and sys_n.m2n == math.floor(n * p.m2 + 0.5)
     with _answers_or_refuses():
@@ -325,6 +353,8 @@ def test_steady_state_answers_stay_in_the_model_range(
         stds = (g.std_q1, g.std_q2, g.std_qs, g.std_z12)
         assert all(math.isfinite(v) and v >= 0.0 for v in means + stds)
         assert g.mean_z12 <= n * p.m2 * (1 + 1e-12)
+        assert g.std_z12_possible == (g.std_z12 <= math.sqrt(
+            max(g.mean_z12 * (n * p.m2 - g.mean_z12), 0.0)))
         assert _psd(g.cov.matrix())
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from overloadx.params import scale
+from overloadx.params import ModelParams, scale
 from overloadx.ftsp import (SIGMA2_METHODS, FluidState, asymptotic_variance,
                             ftsp_summary, sigma2_columns)
 from overloadx.fluid import integrate_fluid, stationary_point
@@ -755,6 +755,22 @@ def test_gaussian_approx_sqrt_n_scaling(base_params):
           for n in (25, 100, 400)}
     assert gs[100].std_qs / gs[25].std_qs == pytest.approx(2.0, rel=1e-12)
     assert gs[400].std_qs / gs[100].std_qs == pytest.approx(2.0, rel=1e-12)
+
+
+def test_gaussian_approx_flags_a_z12_spread_no_count_can_have(base_params):
+    # a Z12 count lies in [0, m2 n]: its std is at most the Bhatia-Davis
+    # bound sqrt(mean (m2 n - mean)), which this overloaded case breaks
+    p = ModelParams(1.911, 0.2202, 0.0299, 0.0616, 2.882, 1.766, 0.796,
+                    0.2666, 0.532, 0.301, r12="1/2", r21="1/2")
+    g = gaussian_queue_approx(p, 100, sigma2_method="poisson_numeric",
+                              psi_convention="plus")
+    bound = math.sqrt(g.mean_z12 * (100 * p.m2 - g.mean_z12))
+    assert g.std_z12 == pytest.approx(15.17, abs=0.01)
+    assert bound == pytest.approx(14.58, abs=0.01)
+    assert not g.std_z12_possible
+    for n in (25, 100, 400):
+        assert gaussian_queue_approx(base_params, n,
+                                     **REFERENCE_FLAGS).std_z12_possible
 
 
 def test_queue_split_identity(base_params):

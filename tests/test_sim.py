@@ -14,8 +14,9 @@ import overloadx.sim
 from overloadx.params import scale
 from overloadx.ftsp import FluidState, FtspRates, ftsp_rates
 from overloadx.fluid import stationary_point
-from overloadx.sim import (_CHUNK, _OUTCOMES, SimState, _Ledger, _simulate,
-                           _uniform_blocks, aggregate_runs, apply_event,
+from overloadx.sim import (_CHUNK, _EVENTS, _OUTCOMES, START_MODES, SimState,
+                           _Ledger, _route, _simulate, _uniform_blocks,
+                           aggregate_runs, apply_event,
                            difference_jump_rates, indicator_integral,
                            init_state, replicate, run, step)
 
@@ -86,6 +87,98 @@ def test_routing_work_conserving_fallback(sys100):
     assert 5 - sys100.k12n - 0 <= 0
     out = apply_event(sys100, SimState(**{**st.__dict__}), "s22")
     assert out.z12 == 1 and out.q1 == 4
+
+
+def _parent_apply_event(sys, s, event):
+    """The routing rules branch by branch, as ``apply_event`` applied them
+    before it read ``_OUTCOMES``; D12 and D21 times their ratio's
+    denominator, in integers."""
+    r12, r21 = sys.parent.r12, sys.parent.r21
+    d12_positive = (r12.denominator * (s.q1 - sys.k12n)
+                    - r12.numerator * s.q2 > 0)
+    d21_positive = (r21.numerator * s.q2
+                    - r21.denominator * (sys.k21n + s.q1) > 0)
+    if event == "arr1":
+        if s.z11 + s.z21 < sys.m1n:
+            s.z11 += 1
+        elif s.z12 + s.z22 < sys.m2n and s.z21 == 0 and d12_positive:
+            s.z12 += 1
+        else:
+            s.q1 += 1
+    elif event == "arr2":
+        if s.z12 + s.z22 < sys.m2n:
+            s.z22 += 1
+        elif s.z11 + s.z21 < sys.m1n and s.z12 == 0 and d21_positive:
+            s.z21 += 1
+        else:
+            s.q2 += 1
+    elif event == "ab1":
+        s.q1 -= 1
+    elif event == "ab2":
+        s.q2 -= 1
+    elif event in ("s11", "s21"):
+        if event == "s11":
+            s.z11 -= 1
+        else:
+            s.z21 -= 1
+        if d21_positive and s.z12 == 0 and s.q2 > 0:
+            s.z21 += 1
+            s.q2 -= 1
+        elif s.q1 > 0:
+            s.z11 += 1
+            s.q1 -= 1
+        elif s.q2 > 0 and s.z12 == 0:
+            s.z21 += 1
+            s.q2 -= 1
+    else:
+        if event == "s12":
+            s.z12 -= 1
+        else:
+            s.z22 -= 1
+        if d12_positive and s.z21 == 0 and s.q1 > 0:
+            s.z12 += 1
+            s.q1 -= 1
+        elif s.q2 > 0:
+            s.z22 += 1
+            s.q2 -= 1
+        elif s.q1 > 0 and s.z21 == 0:
+            s.z12 += 1
+            s.q1 -= 1
+    return s
+
+
+def _counts(s):
+    return (s.q1, s.q2, s.z11, s.z12, s.z21, s.z22)
+
+
+@pytest.mark.parametrize("ratio, pairs", [("1/1", 81142), ("3/2", 81142)])
+def test_route_matches_the_rules_on_every_reachable_state(base_params, ratio,
+                                                          pairs):
+    # every state reachable at n = 5 from both starts with Q1 + Q2 <= 40,
+    # and every event of positive rate there: the code is one of the
+    # event's, its change keeps the invariants, and the state moves as the
+    # branch-by-branch rules move it
+    sysn = scale(replace(base_params, r12=ratio, r21=ratio), 5)
+    seen = {_counts(init_state(sysn, start)) for start in START_MODES}
+    todo = list(seen)
+    checked = 0
+    while todo:
+        counts = todo.pop()
+        state = SimState(*counts)
+        # arrivals always; ab1, ..., s22 while their count is positive
+        for i, event in enumerate(_EVENTS):
+            if i >= 2 and counts[i - 2] == 0:
+                continue
+            assert _OUTCOMES[_route(sysn, state, event)][0] == i
+            got = _counts(apply_event(sysn, SimState(*counts), event)
+                          .check_invariants(sysn))
+            assert got == _counts(
+                _parent_apply_event(sysn, SimState(*counts), event))
+            checked += 1
+            if got[0] + got[1] <= 40 and got not in seen:
+                seen.add(got)
+                todo.append(got)
+    assert checked == pairs
 
 
 def test_generator_matches_ftsp_rates(base_params, sys100):
@@ -208,30 +301,45 @@ class _Replay:
 def _step_run(sysn, uniforms, arrivals, start):
     """Drive the reference ``step`` until ``arrivals`` arrivals.
 
-    Returns the final state, the event names and the time integrals of Q1,
-    Q2 and Z12 with their total time.
+    Returns the final state, the event names, their ``_route`` codes and
+    the time integrals of Q1, Q2 and Z12 with their total time.
     """
     replay = _Replay(uniforms)
     st = init_state(sysn, start)
-    events = []
+    events, codes = [], []
     area = np.zeros(3)
     T = 0.0
     while arrivals > 0:
+        before = st
         q = (st.q1, st.q2, st.z12)
         st, event, dt = step(sysn, st, replay)
         st.check_invariants(sysn)
         events.append(event)
+        codes.append(_route(sysn, before, event))
         arrivals -= event in ("arr1", "arr2")
         area += np.multiply(q, dt)
         T += dt
-    return st, events, area, T
+    return st, events, codes, area, T
 
 
 def _assert_run_matches_step(sysn, uniforms, arrivals, start="fluid"):
-    stats = run(sysn, arrivals, warmup_fraction=0.0, start=start,
-                uniforms=uniforms)
-    st, events, area, T = _step_run(sysn, uniforms, arrivals, start)
+    # the jump chain's codes, as the ledger receives them
+    recorded = bytearray()
+    add = _Ledger.add
+
+    def recording_add(self, codes, ua):
+        recorded.extend(codes)
+        return add(self, codes, ua)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Ledger, "add", recording_add)
+        stats = run(sysn, arrivals, warmup_fraction=0.0, start=start,
+                    uniforms=uniforms)
+    st, events, codes, area, T = _step_run(sysn, uniforms, arrivals, start)
     assert stats.events == len(events)
+    # the chain routes to the end of its chunk: past the stop its codes
+    # are not the run's
+    assert list(recorded[:stats.events]) == codes
     assert stats.window_end == st.clock
     assert stats.final_in_system == st.in_system()
     count = {e: events.count(e) for e in ("arr1", "arr2", "ab1", "ab2",
