@@ -552,10 +552,10 @@ def _cmd_fluid(cfg: ExperimentConfig, args) -> int:
     path = integrate_fluid(cfg.params, x0, T=T, h=h)
     names = path.regime_names()
     lines = ["t,q1,q2,z12,pi,regime"]
-    for i in range(len(path.t)):
-        lines.append(f"{path.t[i]:.6f},{path.states[i,0]:.9f},"
-                     f"{path.states[i,1]:.9f},{path.states[i,2]:.9f},"
-                     f"{path.pi[i]:.9f},{names[i]}")
+    for t, (q1, q2, z12), pi, name in zip(path.t.tolist(),
+                                          path.states.tolist(),
+                                          path.pi.tolist(), names):
+        lines.append(f"{t:.6f},{q1:.9f},{q2:.9f},{z12:.9f},{pi:.9f},{name}")
     return _write_or_print(args.csv, "\n".join(lines) + "\n",
                            f"wrote {len(path.t)} rows to {args.csv}")
 

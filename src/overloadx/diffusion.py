@@ -309,7 +309,8 @@ def bou_matrices(p: ModelParams, *, sigma2_method: str,
     sp = stationary_point(p)
     z = sp.z12
     if not 0.0 < z < p.m2:
-        raise ValueError("stationary z12 must be interior to (0, m2)")
+        raise ValueError(f"stationary z12 must be interior to (0, m2): "
+                         f"z12* = {z!r} lies on the boundary, m2 = {p.m2!r}")
     p1, p2 = queue_split(p)
     pi_star = sp.pi_star
     rows, _ = _integrand_rows(p, np.array([sp.as_state()]), np.array([pi_star]),

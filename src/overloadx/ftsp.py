@@ -716,10 +716,13 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
 
     For r = 1 the path only matters through its alternating excursion
     durations (below / above the boundary), which are independent busy
-    periods; those are sampled directly, vectorized.  Other ratios fall back
-    to event-by-event simulation of the lattice walk.  Either route gives a
-    timeline of segments with 0/1 flags of D > 0, and one vectorized lookup
-    reads the positive time at every batch edge and at the horizon.
+    periods; those are sampled directly, vectorized.  Other ratios, and
+    transient states, fall back to event-by-event simulation of the
+    lattice walk on the pairs that :func:`sim.run` reads from the same
+    seed (the contract is stated in ``sim._uniform_blocks``).  Either route
+    gives a timeline of segments with 0/1 flags of D > 0, and one
+    vectorized lookup reads the positive time at every batch edge and at
+    the horizon.
     """
     check_real("horizon", horizon, "be positive and finite")
     check_real("batch_length", batch_length, "be positive and finite")
@@ -728,10 +731,10 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
     if n_batches < 2:
         raise ValueError("horizon too short for the requested batch length")
     model = ftsp_rates(p, gamma)
-    rng = np.random.default_rng(seed)
     bd_recurrent = (model.birth_death
                     and model.mu1 > model.lam1 and model.mu2 > model.lam2)
     if bd_recurrent:
+        rng = np.random.default_rng(seed)
         spent = 0.0
         # starting at the boundary state 0, the first excursion is a T2
         segs_t2, segs_t1 = [], []
@@ -756,7 +759,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
         n_cycles = int(np.searchsorted(ends[1::2], horizon, side="right"))
     else:
         # general rational r, or a transient state: walk the lattice directly
-        starts, ends, lengths, flags = _simulate_walk(model, horizon, rng)
+        from .sim import _uniform_blocks
+        starts, ends, lengths, flags = _simulate_walk(
+            model, horizon, _uniform_blocks(seed))
         n_cycles = int(np.count_nonzero(flags))   # entries into D > 0
     edges = batch_length * np.arange(n_batches + 1)
     pos_at = _positive_time(starts, ends, lengths, flags,
@@ -774,9 +779,9 @@ def simulate_ftsp(p: ModelParams, gamma: FluidState, horizon: float,
                        n_cycles=n_cycles, horizon=horizon, seed=seed)
 
 
-def _simulate_walk(lattice: FtspRates, horizon: float,
-                   rng: np.random.Generator):
-    """Event-by-event walk on the k*D lattice, cut at ``horizon``: segment
+def _simulate_walk(lattice: FtspRates, horizon: float, blocks):
+    """Event-by-event walk on the k*D lattice, on the pairs of the reader
+    ``blocks`` (``sim._uniform_blocks``), cut at ``horizon``: segment
     starts, ends, lengths and 0/1 flags of D > 0, one segment per sign."""
     pos_jumps = sorted(lattice.pos_rates.items())
     neg_jumps = sorted(lattice.neg_rates.items())
@@ -786,20 +791,15 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
     t = 0.0
     change_times = [0.0]       # times at which the sign of the state changes
     sign_positive = [False]    # sign on [change_times[i], change_times[i+1])
-    buf = rng.random(1 << 15)
-    bi = 0
     log = math.log
-    while t < horizon:
-        if bi >= buf.size - 2:
-            buf = rng.random(1 << 15)
-            bi = 0
+    pairs = (pair for h, c in blocks for pair in zip(h.tolist(), c))
+    for hold, cat in pairs:
         if state > 0:
             jumps, total = pos_jumps, pos_total
         else:
             jumps, total = neg_jumps, neg_total
-        t += -log(1.0 - buf[bi]) / total
-        u = buf[bi + 1] * total
-        bi += 2
+        t += -log(1.0 - hold) / total
+        u = cat * total
         acc = 0.0
         for jump, rate in jumps:
             acc += rate
@@ -812,6 +812,8 @@ def _simulate_walk(lattice: FtspRates, horizon: float,
             change_times.append(min(t, horizon))
             sign_positive.append(new_state > 0)
         state = new_state
+        if t >= horizon:
+            break
     times = np.array(change_times + [horizon])
     flags = np.array(sign_positive, dtype=float)
     return times[:-1], times[1:], np.diff(times), flags

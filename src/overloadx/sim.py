@@ -44,8 +44,9 @@ the current total rate, so that the chain routes few events past the
 stop.  ``step`` and ``apply_event`` are its oracle, one event at a time:
 its ``_route`` gives an event's code, and every state change, the
 oracle's and the ledger's, is read from the one table ``_OUTCOMES``.
-A seed's uniforms come in blocks of 2**15, of which the first 2**15 - 2
-are used.
+A seed's uniforms come from one reader, ``_uniform_blocks``, whose
+docstring states the stream contract; ``ftsp.simulate_ftsp``'s lattice
+walk reads the same pairs.
 ``replicate`` aggregates independent-stream runs into t-based intervals.
 The module uses two functions of ``scipy.special``: the ledger's
 logarithm ``xlogy`` and the t quantile ``stdtrit``.  Each is imported
@@ -360,12 +361,20 @@ def run(sys: ScaledSystem, horizon_arrivals: int, warmup_fraction=None,
 def _uniform_blocks(seed, uniforms=None):
     """A run's uniforms, one piece at a time, split into its event pairs.
 
-    Each piece is (holding, category): the first and second uniform of
-    every pair, as an array and as a list.  Seeded: blocks of 2**15 draws,
-    the last two unused, each drawn in pieces of one chunk's pairs, so that
-    a short run draws little past its stop.  ``Generator.random`` draws in
-    sequence, so the pieces are the whole block's stream.  A supplied
-    ``uniforms`` stream is one piece, used to its last full pair.
+    The one reader of a seed's uniforms, for ``run``,
+    ``indicator_integral`` and ``ftsp.simulate_ftsp``'s lattice walk, and
+    the one statement of their stream contract.  ``default_rng(seed)``
+    draws blocks of 2**15 uniforms.  Draws 2i and 2i + 1 of a block,
+    counted from 0, are its event i's pair (holding, category), for
+    i < 2**14 - 1: the block's 16,383 pairs end at draw 32,765, and draws
+    32,766 and 32,767 are skipped.  An event's holding time is -log(1 - u) / total, u its first
+    uniform and log libm's; its second picks its category by inverse CDF
+    over its rates.  Each piece is (holding, category): the first and
+    second uniform of every pair, as an array and as a list.  A block is
+    drawn in pieces of one chunk's pairs, so that a short run draws little
+    past its stop; ``Generator.random`` draws in sequence, so the pieces
+    are the whole block's stream.  A supplied ``uniforms`` stream is one
+    piece, used to its last full pair.
     """
     if uniforms is not None:
         u = np.asarray(uniforms, dtype=float)

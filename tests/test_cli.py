@@ -217,6 +217,25 @@ def test_main_diffusion_reports_a_z12_spread_no_count_can_have(tmp_path,
         "std_z12_possible,False")
 
 
+def test_main_diffusion_names_a_stationary_z12_on_the_boundary(tmp_path,
+                                                              capsys):
+    # an overloaded set whose stationary z12 is m2, as about half of the
+    # random overloaded sets are: the steady-state layer refuses it, naming
+    # z12* and m2
+    path = _write_config(tmp_path, {"params": {
+        "lambda": [0.34, 3.13], "theta": [0.0757, 1.39],
+        "mu": [[0.494, 0.636], [0.0233, 0.026]], "m": [0.0462, 0.229],
+        "r12": "1/1", "kappa12": 0.01}})
+    assert main(["--config", path, "diffusion", "--n", "100",
+                 "--sigma2-method", "poisson_numeric",
+                 "--psi-convention", "plus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: stationary z12 must be interior to (0, m2): z12* = 0.229 "
+        "lies on the boundary, m2 = 0.229\n")
+    assert captured.out == ""
+
+
 def test_main_simulate_csv(tmp_path, capsys):
     target = tmp_path / "sim.csv"
     code = main(["simulate", "--n", "25", "--runs", "2", "--arrivals", "5000",
