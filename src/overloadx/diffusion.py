@@ -228,37 +228,75 @@ def _noise_entries(rows: dict):
     return v11, v12, v22
 
 
-def _cumtrapz(t: np.ndarray, *ys: np.ndarray) -> np.ndarray:
-    """Trapezoidal cumulative integrals of the rows ``ys`` on the grid ``t``.
+def _cumtrapz(t: np.ndarray, ys: np.ndarray, out: np.ndarray,
+              carry: bool = False) -> None:
+    """Trapezoidal cumulative integrals of the rows of ``ys`` on ``t``.
 
-    Returns a (len(ys), len(t)) array whose rows start at 0.0.  ``np.diff(t)``
-    is formed once; each row is ``np.cumsum`` of ``0.5 * (y[1:] + y[:-1]) *
-    dt``, written in place after its zero.  One row at a time: a 2-D
-    ``cumsum`` over stacked rows is faster on short grids but slower on
-    long ones.
+    Writes into ``out``, of the shape of ``ys``, (rows, len(t)).  Each row
+    starts at 0.0 or, with ``carry``, continues from the sums that
+    ``out``'s first column holds, those of the chunk before this one.  A
+    row is ``np.cumsum`` of ``0.5 * (y[1:] + y[:-1]) * dt`` written after
+    its start, with a carried start added to the first increment.
+    ``np.cumsum`` adds in sequence along each row, so that is the add a
+    cumsum over both chunks makes, and the sums keep their bits across a
+    chunk edge.  All rows go in one 2-D cumsum: on a chunk's short grid
+    that beats one call per row.
     """
-    dt = np.diff(t)
-    out = np.empty((len(ys), len(t)))
-    out[:, 0] = 0.0
-    for y, row in zip(ys, out):
-        np.cumsum(0.5 * (y[1:] + y[:-1]) * dt, out=row[1:])
-    return out
+    inc = 0.5 * (ys[:, 1:] + ys[:, :-1]) * np.diff(t)
+    if carry:
+        inc[:, 0] += out[:, 0]
+    else:
+        out[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+
+
+# Steps per chunk of the walk along a path; a chunk's last point is the
+# next chunk's first.  The integrand rows, psi, and the steps of
+# transient_covariance (their Python floats and covariances in one flat
+# list) are held a chunk at a time, so the diffusion layer's working memory
+# does not grow with the path.
+_CHUNK = 1024
+
+
+def _integrand_chunks(p: ModelParams, path: FluidPath, n: int,
+                      sigma2_method: str, psi_convention: str):
+    """:func:`_integrand_rows` along the path's first ``n`` points.
+
+    Yields ``(lo, hi, rows, psi)`` for the points ``lo:hi``, at most
+    ``_CHUNK + 1`` of them; neighbouring chunks share their edge point, so
+    each step between two points lies in one chunk, and one point is one
+    chunk.  The rows are elementwise, so each chunk's rows are the
+    whole path's at its points, every bit.
+    """
+    for lo in range(0, max(n - 1, 1), _CHUNK):
+        hi = min(lo + _CHUNK, n - 1) + 1
+        rows, psi = _integrand_rows(p, path.states[lo:hi], path.pi[lo:hi],
+                                    sigma2_method, psi_convention)
+        yield lo, hi, rows, psi
 
 
 def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
                  psi_convention: str) -> TimeChanges:
     """Trapezoidal cumulative integrals of the seven time-change integrands.
 
-    One :func:`_cumtrapz` call integrates all seven rows on the path's grid;
-    each function is a row of its result.
+    The integrands come a chunk of points at a time from
+    :func:`_integrand_chunks`; :func:`_cumtrapz` integrates a chunk's seven
+    rows into one (7, n) array, carrying the sums from the chunk before,
+    and each function is a row of it.  So the working memory is a chunk's
+    rows, whatever the path's length.
     """
     if path.pi is None or len(path.pi) != len(path.t):
         raise ValueError("path must carry a pi value per step")
-    rows, psi = _integrand_rows(p, path.states, path.pi, sigma2_method,
-                                psi_convention)
-    cum = dict(zip(rows, _cumtrapz(path.t, *rows.values())))
-    return TimeChanges(t=path.t, **cum, psi=psi, sigma2=rows["gamma3"],
-                       sigma2_method=sigma2_method,
+    n = len(path.t)
+    cum = np.empty((7, n))   # the seven rows of _integrand_rows
+    psi, sigma2 = np.empty(n), np.empty(n)
+    for lo, hi, rows, chunk_psi in _integrand_chunks(
+            p, path, n, sigma2_method, psi_convention):
+        _cumtrapz(path.t[lo:hi], np.stack([*rows.values()]), cum[:, lo:hi],
+                  carry=lo > 0)
+        psi[lo:hi], sigma2[lo:hi] = chunk_psi, rows["gamma3"]
+    return TimeChanges(t=path.t, **dict(zip(rows, cum)), psi=psi,
+                       sigma2=sigma2, sigma2_method=sigma2_method,
                        psi_convention=psi_convention)
 
 
@@ -369,12 +407,6 @@ def solve_lyapunov(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return solve_continuous_lyapunov(M, -np.asarray(V))
 
 
-# Steps of transient_covariance per chunk: their columns are converted to
-# Python floats, and their covariances held in one flat list, a chunk at a
-# time, since whole-path lists would raise the peak memory.
-_CHUNK = 1024
-
-
 def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
                          T: float | None = None, *, sigma2_method: str,
                          psi_convention: str) -> tuple[np.ndarray, np.ndarray]:
@@ -397,14 +429,17 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     ``RuntimeError`` naming its time; the check reads each chunk's last
     step, as floats.
 
-    Per ``_CHUNK`` steps, everything that does not depend on Sigma (the
-    step sizes, A's (2,2) entry and V at each step's midpoint and end) is
-    computed first into one (steps, 11) block, by the same IEEE operations
-    as on floats; V's three entries are stacked into one (3, n) array, so
-    their midpoints are one expression per chunk.  A step's start values
-    are the previous step's end values, carried as floats.  The steps then
-    do only the RK4 arithmetic, written out, and collect the entries in a
-    flat list that is written into the result by column.
+    The steps go a chunk of :func:`_integrand_chunks` at a time, so only
+    one chunk's integrand rows are held, whatever the path's length; a
+    state outside S past a chunk that overflows is not reached.  Per chunk,
+    everything that does not depend on Sigma (the step sizes, A's (2,2)
+    entry and V at each step's midpoint and end) is computed first into
+    one (steps, 11) block, by the same IEEE operations as on floats; V's
+    three entries are stacked into one (3, points) array, so their
+    midpoints are one expression per chunk.  A step's start values are the
+    previous step's end values, carried as floats.  The steps then do only
+    the RK4 arithmetic, written out, and collect the entries in a flat list
+    that is written into the result by column.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
@@ -427,25 +462,24 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
     if n == 0:   # a NaN T keeps no point either
         raise ValueError(f"horizon T = {T!r} lies before the path's start "
-                         f"t = {path.t[0]!r}")
+                         f"t = {float(path.t[0])!r}")
     t, pis = path.t[:n], path.pi[:n]
-    noise = np.stack(_noise_entries(_integrand_rows(
-        p, path.states[:n], pis, sigma2_method, psi_convention)[0]))
     out = np.empty((n, 2, 2))
     out[0] = ((s11, s12), (s12, s22))
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
-    for lo in range(0, n - 1, _CHUNK):
-        hi = min(lo + _CHUNK, n - 1)
+    for lo, hi, rows, _ in _integrand_chunks(p, path, n, sigma2_method,
+                                             psi_convention):
         # per step: h, h/2, h/6, then A's (2,2) entry and V's entries at
         # the step's midpoint and end; a step's start values are the end
         # values of the step before, the same array elements, carried as
         # floats from the chunk's first point on
-        tt, pp = t[lo:hi + 1], pis[lo:hi + 1]
-        v0, v1 = noise[:, lo:hi], noise[:, lo + 1:hi + 1]
+        noise = np.stack(_noise_entries(rows))
+        tt, pp = t[lo:hi], pis[lo:hi]
+        v0, v1 = noise[:, :-1], noise[:, 1:]
         dt = tt[1:] - tt[:-1]
         b = a22(pp)
-        block = np.empty((hi - lo, 11))
+        block = np.empty((hi - lo - 1, 11))
         block[:, 0] = dt
         block[:, 1] = 0.5 * dt
         block[:, 2] = dt / 6.0
@@ -454,7 +488,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         block[:, 5::2] = (0.5 * (v0 + v1)).T
         block[:, 6::2] = v1.T
         b0 = float(b[0])
-        w11, w12, w22 = noise[:, lo].tolist()
+        w11, w12, w22 = noise[:, 0].tolist()
         steps = []
         for (h, h2, h6, bm, b1, m11, u11, m12, u12, m22,
              u22) in block.tolist():
@@ -481,16 +515,16 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
             s22 = s22 + h6 * (k22 + 2.0 * l22 + 2.0 * n22 + e22)
             steps += (s11, s12, s22)
             b0, w11, w12, w22 = b1, u11, u12, u22
-        rows = flat[lo + 1:hi + 1]
-        rows[:, 0] = steps[0::3]
-        rows[:, 1] = steps[1::3]
-        rows[:, 2] = rows[:, 1]
-        rows[:, 3] = steps[2::3]
+        cells = flat[lo + 1:hi]
+        cells[:, 0] = steps[0::3]
+        cells[:, 1] = steps[1::3]
+        cells[:, 2] = cells[:, 1]
+        cells[:, 3] = steps[2::3]
         # x + y is not finite when x is not, so an entry that is not
         # finite stays so: the chunk's last step stands for all of it
         if not (math.isfinite(s11) and math.isfinite(s12)
                 and math.isfinite(s22)):
-            finite = np.isfinite(rows).all(axis=1)
+            finite = np.isfinite(cells).all(axis=1)
             bad = float(t[lo + 1 + int(finite.argmin())])
             raise RuntimeError(f"covariance is not finite at t = {bad!r}")
     return t, out
@@ -521,11 +555,13 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
     qs0 = path.qs[0]
     g1t = (2.0 * (p.lambda1 + p.lambda2) * path.t
            + (qs0 - eta1 / eta2) * (1.0 - np.exp(-eta2 * path.t)))
-    rows, _ = _integrand_rows(p, path.states, path.pi, sigma2_method,
-                              psi_convention)
-    (g2t,) = _cumtrapz(path.t, _noise_entries(rows)[2])
+    g2t = np.empty((1, len(path.t)))
+    for lo, hi, rows, _ in _integrand_chunks(p, path, len(path.t),
+                                             sigma2_method, psi_convention):
+        _cumtrapz(path.t[lo:hi], _noise_entries(rows)[2][None],
+                  g2t[:, lo:hi], carry=lo > 0)
     return OuParams(eta1=eta1, eta2=eta2, nu=nu, t=path.t,
-                    gamma1_tilde=g1t, gamma2_tilde=g2t)
+                    gamma1_tilde=g1t, gamma2_tilde=g2t[0])
 
 
 def gaussian_queue_approx(p: ModelParams, n: int, *, sigma2_method: str,

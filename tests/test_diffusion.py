@@ -355,6 +355,15 @@ def test_transient_covariance_rejects_a_horizon_before_the_path(
                              psi_convention="plus")
 
 
+def test_transient_covariance_names_the_path_start_as_a_float(
+        base_params, stationary_path):
+    with pytest.raises(ValueError, match=r"^horizon T = -1\.0 lies before "
+                                         r"the path's start t = 0\.0$"):
+        transient_covariance(base_params, stationary_path, np.zeros((2, 2)),
+                             -1.0, sigma2_method="regenerative",
+                             psi_convention="plus")
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_transient_covariance_rejects_a_non_finite_start(
         base_params, stationary_path, entry):
@@ -405,15 +414,19 @@ def test_transient_covariance_names_the_first_step_that_overflows(
 
 def test_transient_covariance_names_an_overflow_past_the_first_chunk(
         base_params, stationary_path, monkeypatch):
-    # chunks of 3 steps: an infinite noise entry at point 5 makes the step
-    # that ends there the first non-finite one, the second of the second
-    # chunk
+    # chunks of 3 steps: an infinite gamma1 rate at the path's point 5
+    # (t = 0.005), in every chunk that holds it, makes the step that ends
+    # there the first non-finite one, the second of the second chunk
     import overloadx.diffusion
-    noise_entries = overloadx.diffusion._noise_entries
-    monkeypatch.setattr(overloadx.diffusion, "_noise_entries",
-                        lambda rows: [np.where(np.arange(v.size) == 5,
-                                               math.inf, v)
-                                      for v in noise_entries(rows)])
+    chunks = overloadx.diffusion._integrand_chunks
+
+    def poisoned(*args):
+        for lo, hi, rows, psi in chunks(*args):
+            at5 = np.arange(lo, hi) == 5
+            yield lo, hi, {**rows, "gamma1": np.where(
+                at5, math.inf, rows["gamma1"])}, psi
+
+    monkeypatch.setattr(overloadx.diffusion, "_integrand_chunks", poisoned)
     monkeypatch.setattr(overloadx.diffusion, "_CHUNK", 3)
     with pytest.raises(RuntimeError, match=r"at t = 0\.005$"):
         transient_covariance(base_params, stationary_path, np.eye(2), 0.1,
@@ -611,6 +624,73 @@ def test_trapezoids_on_the_shortest_paths(base_params, T):
         if len(t) == 2:
             want.append(0.5 * (y[0] + y[1]) * (t[1] - t[0]))
         assert [v.hex() for v in f.tolist()] == [v.hex() for v in want], name
+
+
+def _hexes(a):
+    return [v.hex() for v in np.ravel(a).tolist()]
+
+
+@pytest.mark.parametrize("flags", [
+    dict(sigma2_method="regenerative", psi_convention="plus"),
+    dict(sigma2_method="poisson_numeric", psi_convention="paper-sec10")])
+def test_chunk_edges_keep_every_bit(base_params, monkeypatch, flags):
+    # chunks of 3 steps against the default chunk, which holds each of
+    # these paths whole: 7 points end on a chunk edge, 41 points one step
+    # past one.  The integrand rows are elementwise and the running sums
+    # carry across the edges, so every output keeps its bits.
+    import overloadx.diffusion
+    p = replace(base_params, mu12=1.0)
+    full = integrate_fluid(p, FluidState(1.4, 0.3, 0.1), T=0.4, h=1e-2)
+
+    def outputs(path):
+        tc = time_changes(p, path, **flags)
+        got = [*tc.all_functions().values(), tc.psi, tc.sigma2,
+               pool_dependent_reduction(p, path, **flags).gamma2_tilde]
+        for T in (None, 0.045):
+            got += transient_covariance(p, path, np.eye(2), T, **flags)
+        return [_hexes(a) for a in got]
+
+    for n in (1, 2, 7, 41):
+        path = replace(full, t=full.t[:n], states=full.states[:n],
+                       pi=full.pi[:n], regime=full.regime[:n],
+                       in_A=full.in_A[:n])
+        want = outputs(path)
+        with monkeypatch.context() as mp:
+            mp.setattr(overloadx.diffusion, "_CHUNK", 3)
+            assert outputs(path) == want, n
+
+
+def test_working_memory_does_not_grow_with_the_path(base_params):
+    # 40,001 points at x*: the whole-path integrand rows and their
+    # temporaries took about 4 MiB above the results, a chunk's rows take
+    # about 0.6 MiB at any length.  A no-op profile hook, set for the
+    # measurement only, keeps CPython 3.11 off its specialised float
+    # arithmetic, which the step loop runs far slower under tracemalloc
+    # (15 s against 1.4 s on a 2-core Xeon VM)
+    import sys
+    import tracemalloc
+    from overloadx.fluid import FluidPath
+    flags = dict(sigma2_method="regenerative", psi_convention="plus")
+    sp = stationary_point(base_params)
+    n = 40_001
+    path = FluidPath(t=np.arange(n) * 1e-3,
+                     states=np.tile(sp.as_state(), (n, 1)),
+                     pi=np.full(n, sp.pi_star),
+                     regime=np.zeros(n, dtype=np.int8),
+                     in_A=np.ones(n, dtype=bool), h=1e-3, params=base_params)
+    profile = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    tracemalloc.start()
+    try:
+        tc = time_changes(base_params, path, **flags)
+        t, cov = transient_covariance(base_params, path, np.zeros((2, 2)),
+                                      **flags)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setprofile(profile)
+    assert len(tc.t) == len(t) == len(cov) == n
+    assert peak - held < 1 << 20, f"{(peak - held) / 2**20:.2f} MiB"
 
 
 def test_pool_dependent_requires_equal_rates(base_params):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -622,6 +623,34 @@ def test_xlogy_is_libm_log():
         f"scipy.special.xlogy(1.0, y) differs from math.log(y) on "
         f"{differ.size} of {y.size} inputs, first at y = {y[differ[0]]!r}; "
         "the simulator's holding times would lose their bits")
+
+
+def _hex_digest(a):
+    return hashlib.sha256(
+        " ".join(v.hex() for v in a.tolist()).encode()).hexdigest()
+
+
+def test_seeded_holding_times_are_the_stored_libm_logs():
+    # Seed 1's first piece of holding uniforms and their holding times at
+    # rate 1, -xlogy(1.0, 1.0 - u), against the digests of their stored
+    # float.hex values.  conftest runs this test first, so that on a
+    # platform whose libm rounds log differently the cause is named before
+    # the golden files fail one by one.
+    from scipy.special import xlogy
+    u, _ = next(_uniform_blocks(1))
+    assert len(u) == _CHUNK
+    assert _hex_digest(u) == (
+        "4f633fe4dc7c68b2b4168ef7597205b0438113b86319940ae2c1911d8ad7fb23"), (
+        "Generator.random of default_rng(1) no longer draws the stored "
+        "uniforms: every seeded stream changes")
+    assert _hex_digest(-xlogy(1.0, 1.0 - u)) == (
+        "2e43a1d2ab9e995a7a200c2dd63170c83cfe6bbe6d221b363f14445412075ee8"), (
+        "-xlogy(1.0, 1.0 - u) on seed 1's first holding uniforms differs "
+        "from its stored float.hex values.  The seeded streams (sim's runs "
+        "and ftsp's Monte Carlo walks) take their holding times from libm's "
+        "log, through scipy.special.xlogy and math.log, and this platform's "
+        "libm rounds log differently: sim_golden.json, ftsp_mc_golden.json "
+        "and every pinned seeded result will differ too")
 
 
 def test_complex_cumsum_is_two_float_cumsums():
