@@ -265,9 +265,12 @@ def _integrand_chunks(p: ModelParams, path: FluidPath, n: int,
     Yields ``(lo, hi, rows, psi)`` for the points ``lo:hi``, at most
     ``_CHUNK + 1`` of them; neighbouring chunks share their edge point, so
     each step between two points lies in one chunk, and one point is one
-    chunk.  The rows are elementwise, so each chunk's rows are the
-    whole path's at its points, every bit.
+    chunk.  The rows are elementwise, so each chunk's rows are the whole
+    path's at its points, every bit.  The one check of the path, before
+    any row: ``ValueError`` unless it carries one pi per point.
     """
+    if path.pi is None or len(path.pi) != len(path.t):
+        raise ValueError("path must carry a pi value per step")
     for lo in range(0, max(n - 1, 1), _CHUNK):
         hi = min(lo + _CHUNK, n - 1) + 1
         rows, psi = _integrand_rows(p, path.states[lo:hi], path.pi[lo:hi],
@@ -285,8 +288,6 @@ def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
     and each function is a row of it.  So the working memory is a chunk's
     rows, whatever the path's length.
     """
-    if path.pi is None or len(path.pi) != len(path.t):
-        raise ValueError("path must carry a pi value per step")
     n = len(path.t)
     cum = np.empty((7, n))   # the seven rows of _integrand_rows
     psi, sigma2 = np.empty(n), np.empty(n)
@@ -326,8 +327,9 @@ def sde_drift_matrix(p: ModelParams, pi: float) -> np.ndarray:
 
     At the stationary point it is the M of :func:`bou_matrices` under every
     pair of conventions but ``REFERENCE_CONVENTIONS``; there its (2,2) entry
-    equals -mu12 mu22 m2 / mix_plus.
+    equals -mu12 mu22 m2 / mix_plus.  ``pi`` must lie in [0, 1].
     """
+    check_real("pi", pi, "lie in [0, 1]")
     a11, a12, a22 = _drift_entries(p)
     return np.array([[a11, a12], [0.0, a22(pi)]])
 
@@ -463,7 +465,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     if n == 0:   # a NaN T keeps no point either
         raise ValueError(f"horizon T = {T!r} lies before the path's start "
                          f"t = {float(path.t[0])!r}")
-    t, pis = path.t[:n], path.pi[:n]
+    t = path.t[:n]
     out = np.empty((n, 2, 2))
     out[0] = ((s11, s12), (s12, s22))
     flat = out.reshape(n, 4)
@@ -475,7 +477,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         # values of the step before, the same array elements, carried as
         # floats from the chunk's first point on
         noise = np.stack(_noise_entries(rows))
-        tt, pp = t[lo:hi], pis[lo:hi]
+        tt, pp = t[lo:hi], path.pi[lo:hi]
         v0, v1 = noise[:, :-1], noise[:, 1:]
         dt = tt[1:] - tt[:-1]
         b = a22(pp)

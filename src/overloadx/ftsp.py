@@ -353,6 +353,8 @@ def busy_period_moments(lam: float, mu: float) -> BusyPeriodMoments:
 
     E[T] = m/(1-rho) and E[T^2] = 2 m^2/(1-rho)^3 with m = 1/mu, rho = lam/mu.
     """
+    check_real("lam", lam, "be finite", "be non-negative")
+    check_real("mu", mu, "be positive and finite")
     if lam >= mu:
         raise ValueError(f"busy period requires lam < mu, got {lam} >= {mu}")
     return BusyPeriodMoments(*_busy_period(lam, mu))
@@ -412,7 +414,9 @@ def pi_12(p: ModelParams, gamma: FluidState, method: str = "auto") -> float:
 
 
 def pi_from_drifts(d_plus: float, d_minus: float) -> float:
-    """pi12 from the regime drifts: the identity of :func:`pi_12`."""
+    """pi12 from finite regime drifts: the identity of :func:`pi_12`."""
+    check_real("delta_plus", d_plus, "be finite")
+    check_real("delta_minus", d_minus, "be finite")
     if d_plus < 0.0 and d_minus > 0.0:
         return d_minus / (d_minus - d_plus)
     # delta_minus >= delta_plus always, so the escape direction is
@@ -616,25 +620,18 @@ def asymptotic_variance(p: ModelParams, gamma: FluidState,
 
     ``paper_r1`` disagrees with the other three, which agree with each
     other; it exists for reproducing reference numbers.  An unknown method
-    raises before any work.
+    or a coordinate that is no number raises here; the rest is
+    :func:`sigma2_columns` on the one row gamma, checks included.
     """
     check_choice("sigma2 method", method, SIGMA2_METHODS)
-    model = ftsp_rates(p, gamma)
-    d_plus, d_minus = drift_rates(model)
-    if not (d_plus < 0.0 and d_minus > 0.0):
-        raise ValueError(_NOT_RECURRENT)
-    if method == "monte_carlo":
-        return simulate_ftsp(p, gamma, horizon=2.0e6, seed=20240901).sigma2
-    return _closed_form_sigma2(model, d_plus, d_minus, method)
-
+    gamma.validate(p)
+    return float(sigma2_columns(p, np.array([gamma], dtype=float), method)[0])
 
 
 def _closed_form_sigma2(model: FtspRates, d_plus, d_minus, method: str):
-    """The closed forms of :func:`asymptotic_variance`, at recurrent states.
-
-    Floats or arrays of rates alike, + - * / only: an array entry equals
-    the float evaluation at its state bit for bit.
-    """
+    """The closed forms of :func:`asymptotic_variance` on the rate arrays
+    of :func:`sigma2_columns`, at recurrent states: + - * / only, so an
+    entry equals the float evaluation at its state bit for bit."""
     if method in ("paper_r1", "regenerative"):
         if not model.birth_death:
             raise ValueError(f"{method} requires r = 1")
@@ -657,15 +654,11 @@ def _closed_form_sigma2(model: FtspRates, d_plus, d_minus, method: str):
 def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarray:
     """:func:`asymptotic_variance` at every row (q1, q2, z12) of ``states``.
 
-    The closed forms are one array expression over the columns;
-    ``"monte_carlo"`` simulates per row.  The first row outside S or not
-    positive recurrent raises the error of the scalar route, and an unknown
-    method raises before any work.
+    The one evaluation of sigma2.  An unknown method, then the first row
+    outside S or not positive recurrent, raises before any work; then the
+    closed forms are one array expression, ``"monte_carlo"`` one run a row.
     """
     check_choice("sigma2 method", method, SIGMA2_METHODS)
-    if method == "monte_carlo":
-        return np.array([asymptotic_variance(p, FluidState(*s), method)
-                         for s in states.tolist()])
     q1, q2, z12 = states.T
     j, k = p.r12.as_integer_ratio()
     with np.errstate(invalid="ignore"):   # rows outside S are rejected below
@@ -677,6 +670,10 @@ def sigma2_columns(p: ModelParams, states: np.ndarray, method: str) -> np.ndarra
     if not ok.all():
         FluidState(*states[np.argmin(ok)].tolist()).validate(p)
         raise ValueError(_NOT_RECURRENT)
+    if method == "monte_carlo":
+        return np.array([simulate_ftsp(p, FluidState(*s), horizon=2.0e6,
+                                       seed=20240901).sigma2
+                         for s in states.tolist()])
     return _closed_form_sigma2(model, d_plus, d_minus, method)
 
 
@@ -839,7 +836,7 @@ def ftsp_summary(p: ModelParams, gamma: FluidState,
     model = ftsp_rates(p, gamma)
     d_plus, d_minus = drift_rates(model)
     recurrent = d_plus < 0.0 and d_minus > 0.0
-    pi = pi_12(p, gamma)
+    pi = pi_from_drifts(d_plus, d_minus)   # pi_12's "auto" on this model
     et1 = et2 = vt1 = vt2 = None
     if model.birth_death and recurrent:
         bp1 = busy_period_moments(model.lam1, model.mu1)

@@ -22,12 +22,15 @@ import overloadx.sim
 from overloadx.cli import main
 from overloadx.params import (check_choice, check_count, check_real, scale)
 from overloadx.ftsp import (PI12_METHODS, SIGMA2_METHODS, FluidState,
-                            asymptotic_variance, pi_12, pi_12_stationary,
+                            asymptotic_variance, busy_period_moments, pi_12,
+                            pi_12_stationary, pi_from_drifts, sigma2_columns,
                             simulate_ftsp)
 from overloadx.fluid import (integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
 from overloadx.diffusion import (PSI_CONVENTIONS, gaussian_queue_approx,
-                                 psi_mix, transient_covariance)
+                                 pool_dependent_reduction, psi_mix,
+                                 sde_drift_matrix, time_changes,
+                                 transient_covariance)
 from overloadx.sim import (START_MODES, SimState, apply_event,
                            difference_jump_rates, indicator_integral,
                            init_state, replicate, run)
@@ -44,6 +47,7 @@ _WORK = [(overloadx.sim, "_simulate"), (overloadx.sim, "_run_one"),
          (overloadx.fluid, "_stage_kernel"), (overloadx.fluid, "drift_kernel"),
          (overloadx.fluid, "stationary_point"),
          (overloadx.ftsp, "ftsp_rates"), (np.random, "default_rng"),
+         (overloadx.ftsp, "_closed_form_sigma2"),
          (overloadx.diffusion, "stationary_point"),
          (overloadx.diffusion, "_integrand_rows")]
 
@@ -98,8 +102,13 @@ SLOTS = [
      lambda i, v: simulate_ftsp(i[0], X0, 1e4, seed=1, batch_length=v)),
     ("seed", "seed", lambda i, v: simulate_ftsp(i[0], X0, 1e4, seed=v)),
     ("pi12 method", "choice", lambda i, v: pi_12(i[0], X0, v)),
+    ("delta_plus", "real", lambda i, v: pi_from_drifts(v, 1.0)),
+    ("delta_minus", "real", lambda i, v: pi_from_drifts(-1.0, v)),
+    ("lam", "real", lambda i, v: busy_period_moments(v, 2.0)),
+    ("mu", "real", lambda i, v: busy_period_moments(1.0, v)),
     ("sigma2 method", "choice", lambda i, v: asymptotic_variance(i[0], X0, v)),
     ("psi convention", "choice", lambda i, v: psi_mix(i[0], 0.5, v)),
+    ("pi", "real", lambda i, v: sde_drift_matrix(i[0], v)),
     ("scale parameter n", "count", lambda i, v: scale(i[0], v)),
     ("scale parameter n", "count",
      lambda i, v: gaussian_queue_approx(i[0], v, **FLAGS)),
@@ -142,6 +151,21 @@ SLOTS = [
     # a str z12_star raised a bare TypeError, and True was taken as 1.0
     (lambda i: pi_12_stationary(i[0], "0.2"), "z12_star"),
     (lambda i: pi_12_stationary(i[0], True), "z12_star"),
+    # pi_from_drifts gave 1.0 for (inf, 1.0) and NaN for (-1.0, inf)
+    (lambda i: pi_from_drifts(math.inf, 1.0), "delta_plus"),
+    (lambda i: pi_from_drifts(-math.inf, 1.0), "delta_plus"),
+    (lambda i: pi_from_drifts(-1.0, math.inf), "delta_minus"),
+    (lambda i: pi_from_drifts(-1.0, -math.inf), "delta_minus"),
+    # busy_period_moments gave a mean of 0.5 for (-1.0, 1.0), all zeros
+    # for (1.0, inf) and a bare ZeroDivisionError for (-1.0, 0.0)
+    (lambda i: busy_period_moments(-1.0, 1.0), "lam"),
+    (lambda i: busy_period_moments(math.inf, 1.0), "lam"),
+    (lambda i: busy_period_moments(1.0, math.inf), "mu"),
+    (lambda i: busy_period_moments(0.0, 0.0), "mu"),
+    (lambda i: busy_period_moments(-1.0, 0.0), "lam"),
+    # sde_drift_matrix gave a (2,2) entry of -1.2 at pi = 2.0
+    (lambda i: sde_drift_matrix(i[0], 2.0), "pi"),
+    (lambda i: sde_drift_matrix(i[0], -0.5), "pi"),
 ])
 def test_each_mended_input_is_refused_by_name_before_any_work(
         inputs, call, name):
@@ -165,6 +189,42 @@ def test_a_fluid_state_coordinate_that_is_no_number_is_refused_by_name(
     with pytest.raises(ValueError) as refused:
         call(base_params)
     assert str(refused.value) == f"{name} must be a real number"
+
+
+# the three functions that walk a path's integrand rows, at parameters
+# each accepts (pool_dependent_reduction needs mu12 == mu22)
+PATH_WALKS = {
+    "time_changes": lambda p, path: time_changes(p, path, **FLAGS),
+    "transient_covariance": lambda p, path: transient_covariance(
+        p, path, np.zeros((2, 2)), **FLAGS),
+    "pool_dependent_reduction": lambda p, path: pool_dependent_reduction(
+        replace(p, mu12=p.mu22), path, **FLAGS),
+}
+
+
+@pytest.mark.parametrize("walk", PATH_WALKS)
+@pytest.mark.parametrize("pi", ["none", "one short"])
+def test_a_path_without_one_pi_per_point_is_refused_before_any_row(
+        inputs, walk, pi):
+    # transient_covariance and pool_dependent_reduction raised a bare
+    # TypeError for no pi and numpy's broadcast error for one pi short
+    p, _, path = inputs
+    path = replace(path, pi=None if pi == "none" else path.pi[:-1])
+    with _no_work_allowed(), pytest.raises(ValueError) as refused:
+        PATH_WALKS[walk](p, path)
+    assert str(refused.value) == "path must carry a pi value per step"
+
+
+def test_sigma2_columns_checks_every_row_before_any_simulation(base_params):
+    # monte_carlo simulated x* for 2e6 time units before it reached the
+    # row outside S
+    p = base_params
+    states = np.array([stationary_point(p).as_state(), (0.6, 0.5, 2 * p.m2)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(overloadx.ftsp, "simulate_ftsp", _no_work)
+        with pytest.raises(ValueError) as refused:
+            sigma2_columns(p, states, "monte_carlo")
+    assert str(refused.value).startswith("z12 must lie in [0, m2=1.0]")
 
 
 @pytest.mark.parametrize("event, counts, message", [
