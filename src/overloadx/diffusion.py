@@ -251,11 +251,14 @@ def _cumtrapz(t: np.ndarray, ys: np.ndarray, out: np.ndarray,
 
 
 # Steps per chunk of the walk along a path; a chunk's last point is the
-# next chunk's first.  The integrand rows, psi, and the steps of
-# transient_covariance (their Python floats and covariances in one flat
-# list) are held a chunk at a time, so the diffusion layer's working memory
-# does not grow with the path.
+# next chunk's first.  The integrand rows, psi, and the steps' input block
+# in transient_covariance are held a chunk at a time, so the diffusion
+# layer's working memory does not grow with the path.
 _CHUNK = 1024
+# Steps per slice of a chunk in transient_covariance: the Python floats of
+# the steps (their inputs and covariances) are held a slice at a time, at
+# most _SLICE steps of them instead of a chunk's.
+_SLICE = 128
 
 
 def _integrand_chunks(p: ModelParams, path: FluidPath, n: int,
@@ -266,16 +269,27 @@ def _integrand_chunks(p: ModelParams, path: FluidPath, n: int,
     ``_CHUNK + 1`` of them; neighbouring chunks share their edge point, so
     each step between two points lies in one chunk, and one point is one
     chunk.  The rows are elementwise, so each chunk's rows are the whole
-    path's at its points, every bit.  The one check of the path, before
-    any row: ``ValueError`` unless it carries one pi per point.
+    path's at its points, every bit.  The one check of the path is made
+    when this is called, before any row: ``ValueError`` unless the path
+    holds a point, its states are shaped (len(t), 3) and it carries one pi
+    per point.
     """
-    if path.pi is None or len(path.pi) != len(path.t):
+    m = len(path.t)
+    if m == 0:
+        raise ValueError("path must hold at least one point")
+    if np.shape(path.states) != (m, 3):
+        raise ValueError(f"path states must be shaped (len(t), 3) = ({m}, 3),"
+                         f" got {np.shape(path.states)}")
+    if path.pi is None or len(path.pi) != m:
         raise ValueError("path must carry a pi value per step")
-    for lo in range(0, max(n - 1, 1), _CHUNK):
-        hi = min(lo + _CHUNK, n - 1) + 1
-        rows, psi = _integrand_rows(p, path.states[lo:hi], path.pi[lo:hi],
-                                    sigma2_method, psi_convention)
-        yield lo, hi, rows, psi
+
+    def chunks():
+        for lo in range(0, max(n - 1, 1), _CHUNK):
+            hi = min(lo + _CHUNK, n - 1) + 1
+            rows, psi = _integrand_rows(p, path.states[lo:hi], path.pi[lo:hi],
+                                        sigma2_method, psi_convention)
+            yield lo, hi, rows, psi
+    return chunks()
 
 
 def time_changes(p: ModelParams, path: FluidPath, sigma2_method: str,
@@ -439,9 +453,11 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     one (steps, 11) block, by the same IEEE operations as on floats; V's
     three entries are stacked into one (3, points) array, so their
     midpoints are one expression per chunk.  A step's start values are the
-    previous step's end values, carried as floats.  The steps then do only
-    the RK4 arithmetic, written out, and collect the entries in a flat list
-    that is written into the result by column.
+    previous step's end values, carried as floats.  The steps then take the
+    block as Python floats a slice of at most ``_SLICE`` steps at a time,
+    do only the RK4 arithmetic, written out, and collect a slice's entries
+    in a flat list that is written into the result by column before the
+    next slice; the carried floats cross a slice edge as they cross a step.
 
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
@@ -462,6 +478,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         raise ValueError("initial covariance must be positive semidefinite")
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
+    chunks = _integrand_chunks(p, path, n, sigma2_method, psi_convention)
     if n == 0:   # a NaN T keeps no point either
         raise ValueError(f"horizon T = {T!r} lies before the path's start "
                          f"t = {float(path.t[0])!r}")
@@ -470,8 +487,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     out[0] = ((s11, s12), (s12, s22))
     flat = out.reshape(n, 4)
     a11, a12, a22 = _drift_entries(p)
-    for lo, hi, rows, _ in _integrand_chunks(p, path, n, sigma2_method,
-                                             psi_convention):
+    for lo, hi, rows, _ in chunks:
         # per step: h, h/2, h/6, then A's (2,2) entry and V's entries at
         # the step's midpoint and end; a step's start values are the end
         # values of the step before, the same array elements, carried as
@@ -491,37 +507,39 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
         block[:, 6::2] = v1.T
         b0 = float(b[0])
         w11, w12, w22 = noise[:, 0].tolist()
-        steps = []
-        for (h, h2, h6, bm, b1, m11, u11, m12, u12, m22,
-             u22) in block.tolist():
-            # RK4 stages: entries (1,1), (1,2), (2,2) of
-            # A Sigma + Sigma A^T + V, summed in that order, for
-            # A = [[a11, a12], [0, b]] and symmetric Sigma
-            k11 = 2.0 * (a11 * s11 + a12 * s12) + w11
-            k12 = a11 * s12 + a12 * s22 + b0 * s12 + w12
-            k22 = 2.0 * (b0 * s22) + w22
-            x11, x12, x22 = s11 + h2 * k11, s12 + h2 * k12, s22 + h2 * k22
-            l11 = 2.0 * (a11 * x11 + a12 * x12) + m11
-            l12 = a11 * x12 + a12 * x22 + bm * x12 + m12
-            l22 = 2.0 * (bm * x22) + m22
-            x11, x12, x22 = s11 + h2 * l11, s12 + h2 * l12, s22 + h2 * l22
-            n11 = 2.0 * (a11 * x11 + a12 * x12) + m11
-            n12 = a11 * x12 + a12 * x22 + bm * x12 + m12
-            n22 = 2.0 * (bm * x22) + m22
-            x11, x12, x22 = s11 + h * n11, s12 + h * n12, s22 + h * n22
-            e11 = 2.0 * (a11 * x11 + a12 * x12) + u11
-            e12 = a11 * x12 + a12 * x22 + b1 * x12 + u12
-            e22 = 2.0 * (b1 * x22) + u22
-            s11 = s11 + h6 * (k11 + 2.0 * l11 + 2.0 * n11 + e11)
-            s12 = s12 + h6 * (k12 + 2.0 * l12 + 2.0 * n12 + e12)
-            s22 = s22 + h6 * (k22 + 2.0 * l22 + 2.0 * n22 + e22)
-            steps += (s11, s12, s22)
-            b0, w11, w12, w22 = b1, u11, u12, u22
         cells = flat[lo + 1:hi]
-        cells[:, 0] = steps[0::3]
-        cells[:, 1] = steps[1::3]
-        cells[:, 2] = cells[:, 1]
-        cells[:, 3] = steps[2::3]
+        for part in range(0, hi - lo - 1, _SLICE):
+            steps = []
+            for (h, h2, h6, bm, b1, m11, u11, m12, u12, m22,
+                 u22) in block[part:part + _SLICE].tolist():
+                # RK4 stages: entries (1,1), (1,2), (2,2) of
+                # A Sigma + Sigma A^T + V, summed in that order, for
+                # A = [[a11, a12], [0, b]] and symmetric Sigma
+                k11 = 2.0 * (a11 * s11 + a12 * s12) + w11
+                k12 = a11 * s12 + a12 * s22 + b0 * s12 + w12
+                k22 = 2.0 * (b0 * s22) + w22
+                x11, x12, x22 = s11 + h2 * k11, s12 + h2 * k12, s22 + h2 * k22
+                l11 = 2.0 * (a11 * x11 + a12 * x12) + m11
+                l12 = a11 * x12 + a12 * x22 + bm * x12 + m12
+                l22 = 2.0 * (bm * x22) + m22
+                x11, x12, x22 = s11 + h2 * l11, s12 + h2 * l12, s22 + h2 * l22
+                n11 = 2.0 * (a11 * x11 + a12 * x12) + m11
+                n12 = a11 * x12 + a12 * x22 + bm * x12 + m12
+                n22 = 2.0 * (bm * x22) + m22
+                x11, x12, x22 = s11 + h * n11, s12 + h * n12, s22 + h * n22
+                e11 = 2.0 * (a11 * x11 + a12 * x12) + u11
+                e12 = a11 * x12 + a12 * x22 + b1 * x12 + u12
+                e22 = 2.0 * (b1 * x22) + u22
+                s11 = s11 + h6 * (k11 + 2.0 * l11 + 2.0 * n11 + e11)
+                s12 = s12 + h6 * (k12 + 2.0 * l12 + 2.0 * n12 + e12)
+                s22 = s22 + h6 * (k22 + 2.0 * l22 + 2.0 * n22 + e22)
+                steps += (s11, s12, s22)
+                b0, w11, w12, w22 = b1, u11, u12, u22
+            cut = cells[part:part + _SLICE]
+            cut[:, 0] = steps[0::3]
+            cut[:, 1] = steps[1::3]
+            cut[:, 2] = cut[:, 1]
+            cut[:, 3] = steps[2::3]
         # x + y is not finite when x is not, so an entry that is not
         # finite stays so: the chunk's last step stands for all of it
         if not (math.isfinite(s11) and math.isfinite(s12)
@@ -550,6 +568,8 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
     """
     if not math.isclose(p.mu12, p.mu22, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("pool-dependent reduction requires mu12 == mu22")
+    chunks = _integrand_chunks(p, path, len(path.t), sigma2_method,
+                               psi_convention)
     nu = p.mu22
     p1, p2 = queue_split(p)
     eta1 = p.lambda1 + p.lambda2 - p.m1 * p.mu11 - p.m2 * nu
@@ -558,8 +578,7 @@ def pool_dependent_reduction(p: ModelParams, path: FluidPath, *,
     g1t = (2.0 * (p.lambda1 + p.lambda2) * path.t
            + (qs0 - eta1 / eta2) * (1.0 - np.exp(-eta2 * path.t)))
     g2t = np.empty((1, len(path.t)))
-    for lo, hi, rows, _ in _integrand_chunks(p, path, len(path.t),
-                                             sigma2_method, psi_convention):
+    for lo, hi, rows, _ in chunks:
         _cumtrapz(path.t[lo:hi], _noise_entries(rows)[2][None],
                   g2t[:, lo:hi], carry=lo > 0)
     return OuParams(eta1=eta1, eta2=eta2, nu=nu, t=path.t,

@@ -203,16 +203,27 @@ PATH_WALKS = {
 
 
 @pytest.mark.parametrize("walk", PATH_WALKS)
-@pytest.mark.parametrize("pi", ["none", "one short"])
+@pytest.mark.parametrize("cut, message", [
+    (lambda path: replace(path, pi=None), "path must carry a pi value per step"),
+    (lambda path: replace(path, pi=path.pi[:-1]),
+     "path must carry a pi value per step"),
+    (lambda path: replace(path, t=path.t[:0], states=path.states[:0],
+                          pi=path.pi[:0]),
+     "path must hold at least one point"),
+    (lambda path: replace(path, t=path.t[:5], states=path.states[:4],
+                          pi=path.pi[:5]),
+     "path states must be shaped (len(t), 3) = (5, 3), got (4, 3)"),
+], ids=["none", "one short", "no point", "one state short"])
 def test_a_path_without_one_pi_per_point_is_refused_before_any_row(
-        inputs, walk, pi):
+        inputs, walk, cut, message):
     # transient_covariance and pool_dependent_reduction raised a bare
-    # TypeError for no pi and numpy's broadcast error for one pi short
+    # TypeError for no pi and numpy's broadcast error for one pi short;
+    # all three raised a bare IndexError for no point, and ran the sigma2
+    # work before numpy's broadcast error for 4 states at 5 times
     p, _, path = inputs
-    path = replace(path, pi=None if pi == "none" else path.pi[:-1])
     with _no_work_allowed(), pytest.raises(ValueError) as refused:
-        PATH_WALKS[walk](p, path)
-    assert str(refused.value) == "path must carry a pi value per step"
+        PATH_WALKS[walk](p, cut(path))
+    assert str(refused.value) == message
 
 
 def test_sigma2_columns_checks_every_row_before_any_simulation(base_params):
@@ -332,7 +343,11 @@ def test_every_entry_refuses_a_bad_scalar_by_name_before_any_work(
                       else never_valid)
     with _no_work_allowed(), pytest.raises(ValueError) as refused:
         call(inputs, value)
-    assert name in str(refused.value)
+    # the name is the message's subject, not a word somewhere in it: a
+    # check_* message, or transient_covariance's cut, which a NaN horizon
+    # T leaves with no point ("horizon T = nan lies before ...")
+    assert str(refused.value).startswith(
+        (f"{name} must ", f"unknown {name} ", f"{name} = "))
 
 
 def _in_S(p, states):

@@ -634,39 +634,48 @@ def _hexes(a):
     dict(sigma2_method="regenerative", psi_convention="plus"),
     dict(sigma2_method="poisson_numeric", psi_convention="paper-sec10")])
 def test_chunk_edges_keep_every_bit(base_params, monkeypatch, flags):
-    # chunks of 3 steps against the default chunk, which holds each of
-    # these paths whole: 7 points end on a chunk edge, 41 points one step
-    # past one.  The integrand rows are elementwise and the running sums
-    # carry across the edges, so every output keeps its bits.
+    # chunks of 3 steps, or transient_covariance's slices of 2, against
+    # the defaults, which hold each of these paths whole: 7 points end on
+    # a chunk edge, 41 points one step past one, and both cross slice
+    # edges, as does the cut at T = 0.045.  The integrand rows are
+    # elementwise and the running sums and the steps' carried floats
+    # cross the edges, so every output keeps its bits.  At mu12 = mu22
+    # (pool_dependent_reduction's case) A's (2,2) entry is constant; at
+    # base_params it moves with pi, which leaves 1 at the 41-point path's
+    # point 33.
     import overloadx.diffusion
     p = replace(base_params, mu12=1.0)
-    full = integrate_fluid(p, FluidState(1.4, 0.3, 0.1), T=0.4, h=1e-2)
 
-    def outputs(path):
-        tc = time_changes(p, path, **flags)
-        got = [*tc.all_functions().values(), tc.psi, tc.sigma2,
-               pool_dependent_reduction(p, path, **flags).gamma2_tilde]
+    def outputs(q, path):
+        tc = time_changes(q, path, **flags)
+        got = [*tc.all_functions().values(), tc.psi, tc.sigma2]
+        if q is p:
+            got.append(pool_dependent_reduction(q, path, **flags).gamma2_tilde)
         for T in (None, 0.045):
-            got += transient_covariance(p, path, np.eye(2), T, **flags)
+            got += transient_covariance(q, path, np.eye(2), T, **flags)
         return [_hexes(a) for a in got]
 
-    for n in (1, 2, 7, 41):
-        path = replace(full, t=full.t[:n], states=full.states[:n],
-                       pi=full.pi[:n], regime=full.regime[:n],
-                       in_A=full.in_A[:n])
-        want = outputs(path)
-        with monkeypatch.context() as mp:
-            mp.setattr(overloadx.diffusion, "_CHUNK", 3)
-            assert outputs(path) == want, n
+    for q in (p, base_params):
+        full = integrate_fluid(q, FluidState(1.4, 0.3, 0.1), T=0.4, h=1e-2)
+        for n in (1, 2, 7, 41):
+            path = replace(full, t=full.t[:n], states=full.states[:n],
+                           pi=full.pi[:n], regime=full.regime[:n],
+                           in_A=full.in_A[:n])
+            want = outputs(q, path)
+            for cut in (("_CHUNK", 3), ("_SLICE", 2)):
+                with monkeypatch.context() as mp:
+                    mp.setattr(overloadx.diffusion, *cut)
+                    assert outputs(q, path) == want, (q is p, n, cut)
 
 
 def test_working_memory_does_not_grow_with_the_path(base_params):
     # 40,001 points at x*: the whole-path integrand rows and their
-    # temporaries took about 4 MiB above the results, a chunk's rows take
-    # about 0.6 MiB at any length.  A no-op profile hook, set for the
-    # measurement only, keeps CPython 3.11 off its specialised float
-    # arithmetic, which the step loop runs far slower under tracemalloc
-    # (15 s against 1.4 s on a 2-core Xeon VM)
+    # temporaries took about 4 MiB above the results, a chunk's rows with
+    # its steps' Python floats 0.69 MiB, and with the floats taken a slice
+    # at a time it is 0.35 MiB at any length.  A no-op profile hook, set
+    # for the measurement only, keeps CPython 3.11 off its specialised
+    # float arithmetic, which the step loop runs far slower under
+    # tracemalloc (15 s against 1.4 s on a 2-core Xeon VM)
     import sys
     import tracemalloc
     from overloadx.fluid import FluidPath
@@ -690,7 +699,7 @@ def test_working_memory_does_not_grow_with_the_path(base_params):
         tracemalloc.stop()
         sys.setprofile(profile)
     assert len(tc.t) == len(t) == len(cov) == n
-    assert peak - held < 1 << 20, f"{(peak - held) / 2**20:.2f} MiB"
+    assert peak - held < 1 << 19, f"{(peak - held) / 2**20:.2f} MiB"
 
 
 def test_pool_dependent_requires_equal_rates(base_params):
