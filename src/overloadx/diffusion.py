@@ -439,9 +439,9 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     start of the steps and the part checked for finiteness and positive
     semidefiniteness (smallest eigenvalue, in closed form, at least
     -1e-12).  The checks and the symmetric part's ``0.5 * (x + y)`` run on
-    sigma0's four entries as Python floats.  The path is cut at ``T``; a
-    non-real ``T``, NaN or one before the path's first time raises
-    ``ValueError``.  A step whose covariance is not finite raises
+    sigma0's four entries as Python floats.  The path is cut at ``T``
+    (``inf`` keeps it whole); a non-real or NaN ``T``, or one before the
+    path's first time, raises ``ValueError``.  A step whose covariance is not finite raises
     ``RuntimeError`` naming its time; the check reads each chunk's last
     step, as floats.
 
@@ -462,7 +462,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     Returns times and an (n, 2, 2) array of covariance matrices.
     """
     if T is not None:
-        check_real("horizon T", T)
+        check_real("horizon T", T, "be a real number", "not be NaN")
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (2, 2):
         raise ValueError("initial covariance must be a 2x2 matrix")
@@ -479,7 +479,7 @@ def transient_covariance(p: ModelParams, path: FluidPath, sigma0: np.ndarray,
     # the path is cut at T before the integrands cost a sigma2 solve each
     n = len(path.t) if T is None else int(np.count_nonzero(path.t <= T + 1e-12))
     chunks = _integrand_chunks(p, path, n, sigma2_method, psi_convention)
-    if n == 0:   # a NaN T keeps no point either
+    if n == 0:
         raise ValueError(f"horizon T = {T!r} lies before the path's start "
                          f"t = {float(path.t[0])!r}")
     t = path.t[:n]

@@ -29,8 +29,7 @@ import numpy as np
 from .params import ModelParams, check_real
 # ftsp_rates and pi_12 are not called here; they stay bound for callers
 # that look the FTSP up on this module
-from .ftsp import (FluidState, drift_kernel, ftsp_rates, pi_12,
-                   pi_12_stationary)
+from .ftsp import FluidState, ftsp_rates, pi_12, pi_12_stationary
 
 __all__ = [
     "FluidPath", "StationaryPoint", "ode_rhs", "integrate_fluid",
@@ -112,7 +111,7 @@ def _rhs_on_floats(p: ModelParams):
 
     Returns ``rhs(q1, q2, z12, pi) -> (dq1, dq2, dz12)``.  This is the
     definition of the ODE: :func:`ode_rhs` wraps it, the integrator's steps
-    call it directly, and :func:`_stage_kernel` repeats its operations.
+    call it directly, and :func:`_point_kernel` repeats its operations.
     """
     m2, mu12, mu22 = p.m2, p.mu12, p.mu22
     net1 = p.lambda1 - p.m1 * p.mu11
@@ -128,39 +127,36 @@ def _rhs_on_floats(p: ModelParams):
     return rhs
 
 
-def _stage_kernel(p: ModelParams):
-    """One reduced RK4 stage of the averaging-principle step, on floats.
+def _point_kernel(p: ModelParams):
+    """The FTSP drifts, pi12 and the reduced fluid slopes at one state.
 
-    Returns ``stage(qs, z12) -> (dqs, dz12, pi, q1, q2, d_plus, d_minus)``:
-    the queues (q1, q2) from the manifold d = 0 at q1 + q2 = qs, with q2
-    and z12 clamped into S; then the drifts of :func:`drift_kernel`, pi12
-    by the rule of :func:`pi_from_drifts` and :func:`_rhs_on_floats` at
-    that state, in one call.  theta1 q1, theta2 q2 and pool2 are formed once;
-    every operation is the one the composition makes, in its order, so each
-    value is equal to it bit for bit.  A state outside S raises
-    drift_kernel's ``ValueError``.  One closure per ratio family:
-    birth-death at r = 1, the lattice sums at r = j/k != 1.
+    Returns ``point(q1, q2, z12) -> (dqs, dz12, pi, d_plus, d_minus)`` on
+    Python floats: the regime drifts of ``drift_rates(ftsp_rates(p, ...))``,
+    pi12 by the rule of :func:`pi_from_drifts`, and dq1 + dq2 and dz12 of
+    :func:`_rhs_on_floats` at that pi, equal to them bit for bit.  No
+    state, :class:`FtspRates` or rate dict is built; theta1 q1, theta2 q2
+    and pool2 are formed once, and every operation is the one the
+    composition makes, in its order.  A state outside S raises the
+    ``ValueError`` of :meth:`FluidState.validate`.  One closure per ratio
+    family: birth-death at r = 1, where the drifts are lam1 - mu1 and
+    mu2 - lam2 of the merged rates, and the lattice sums of the jumps k,
+    -k, j, -j at r = j/k != 1.
     """
     j, k = p.r12.as_integer_ratio()
-    kappa, m2, r1, inf = p.kappa12, p.m2, 1.0 + float(p.r12), math.inf
+    m2, inf = p.m2, math.inf
     lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
     pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
     net1 = p.lambda1 - p.m1 * p.mu11
-    # the clamps are integrate_fluid's comparisons, which pass -0.0 and nan
     if j != k:
-        # the constants of drift_kernel's lattice closure
+        # jump * rate multiplies the rate by the jump as a float, and the
+        # sum starts from the int 0, which adds nothing to a float; the
+        # products of the constant rates are taken once.  Zero rates, which
+        # ftsp_rates leaves out, add exact zeros.
         fj, fk = float(j), float(k)
         up1_k, mk, down2_mj = fk * lambda1, -fk, -fj * lambda2
 
-        def lattice_stage(qs, z):
-            q2 = (qs - kappa) / r1
-            if 0.0 > q2:
-                q2 = 0.0
-            if 0.0 > z:
-                z = 0.0
-            if m2 < z:
-                z = m2
-            q1 = qs - q2
+        def lattice_point(q1, q2, z):
+            # FluidState.validate's comparisons; the state is built to raise
             if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z <= m2):
                 FluidState(q1, q2, z).validate(p)
             out1, up2, z22 = theta1 * q1, theta2 * q2, m2 - z
@@ -175,24 +171,16 @@ def _stage_kernel(p: ModelParams):
             return ((net1 - pi * pool2 - out1)
                     + (lambda2 - (1.0 - pi) * pool2 - up2),
                     pi * z22 * mu22 - (1.0 - pi) * z * mu12,
-                    pi, q1, q2, d_plus, d_minus)
+                    pi, d_plus, d_minus)
 
-        return lattice_stage
+        return lattice_point
 
-    def birth_death_stage(qs, z):
-        q2 = (qs - kappa) / r1
-        if 0.0 > q2:
-            q2 = 0.0
-        if 0.0 > z:
-            z = 0.0
-        if m2 < z:
-            z = m2
-        q1 = qs - q2
+    def birth_death_point(q1, q2, z):
         if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z <= m2):
             FluidState(q1, q2, z).validate(p)
         out1, out2, z22 = theta1 * q1, theta2 * q2, m2 - z
         pool2 = mu12 * z + mu22 * z22
-        # drift_kernel's up and down
+        # lam1 = up, mu1 = down + pool2, mu2 = up + pool2 and lam2 = down
         up = lambda1 + out2
         down = out1 + pool1 + lambda2
         d_plus = up - (down + pool2)
@@ -204,13 +192,41 @@ def _stage_kernel(p: ModelParams):
         return ((net1 - pi * pool2 - out1)
                 + (lambda2 - (1.0 - pi) * pool2 - out2),
                 pi * z22 * mu22 - (1.0 - pi) * z * mu12,
-                pi, q1, q2, d_plus, d_minus)
+                pi, d_plus, d_minus)
 
-    return birth_death_stage
+    return birth_death_point
+
+
+def _manifold_stage(p: ModelParams, point):
+    """One reduced RK4 stage of the averaging-principle step.
+
+    Returns ``stage(qs, z12)``: ``point`` at the queues (q1, q2) of the
+    manifold d = 0 at q1 + q2 = qs, with q2 and z12 clamped into S by
+    integrate_fluid's comparisons, which pass -0.0 and NaN.
+    """
+    kappa, m2, r1 = p.kappa12, p.m2, 1.0 + float(p.r12)
+
+    def stage(qs, z):
+        q2 = (qs - kappa) / r1
+        if 0.0 > q2:
+            q2 = 0.0
+        if 0.0 > z:
+            z = 0.0
+        if m2 < z:
+            z = m2
+        return point(qs - q2, q2, z)
+
+    return stage
 
 
 def ode_rhs(p: ModelParams, gamma: FluidState, pi: float) -> np.ndarray:
-    """Right-hand side of the fluid ODE for a given indicator mean pi."""
+    """Right-hand side of the fluid ODE for a given indicator mean pi.
+
+    Each coordinate of ``gamma`` must be a real number, not a bool; its
+    range is not checked, so that RK4 stages past the edge of S evaluate.
+    """
+    for name, value in zip(FluidState._fields, gamma):
+        check_real(name, value)
     check_real("pi", pi, "lie in [0, 1]")
     return np.array(_rhs_on_floats(p)(gamma.q1, gamma.q2, gamma.z12, pi))
 
@@ -274,21 +290,22 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     which is T only when T is a whole number of steps (T < h/2 gives the
     one point t = 0); the ``overloadx fluid`` command refuses such a T.
 
-    The steps run on Python floats, and each point is evaluated once.
-    Outside the band one :func:`drift_kernel` call gives the recurrence
-    test.  Inside it one :func:`_stage_kernel` call at the manifold state
-    of q1 + q2 gives the stored pi and queues, the drifts and the step's
-    first reduced stage, equal bit for bit to the composition of the
-    projection, the clamps, drift_kernel, :func:`pi_from_drifts` and
-    :func:`_rhs_on_floats`.  Its drifts are the point's own when the
-    projection leaves (q1, q2) equal (``==``); otherwise ``in_A`` takes one
-    drift_kernel call, and stage 1 is run again if the stored queues add up
-    to another q1 + q2.  A manifold step thus makes four calls.  Rows are
-    buffered ``_CHUNK`` at a time in one flat list.  An h or T outside
-    (0, inf), a negative or NaN ``tol_manifold``, or a grid of T/h + 1 points
-    that cannot be allocated, raises ``ValueError``.  A step that leaves S
-    by more than 10h, a stored q1 + q2 past the exact path's bound, or a
-    state a kernel rejects raises ``RuntimeError``: reduce the step size.
+    The steps run on Python floats, and each point is evaluated once, by
+    the one kernel of :func:`_point_kernel`.  Outside the band its drifts
+    at the point give the recurrence test.  Inside it the point is
+    projected onto the manifold state of q1 + q2, which the row stores when
+    the FTSP is recurrent, and one kernel call there gives the stored pi,
+    the drifts and the step's first reduced stage.  Its drifts are the
+    point's own when the projection leaves (q1, q2) equal (``==``);
+    otherwise ``in_A`` takes one more call at the point itself.  Stages
+    2-4, and stage 1 again if the stored queues add up to another q1 + q2,
+    go through :func:`_manifold_stage`, so a manifold step makes four
+    calls.  Rows are buffered ``_CHUNK`` at a time in one flat list.  An h
+    or T outside (0, inf), a negative or NaN ``tol_manifold``, or a grid of
+    T/h + 1 points that cannot be allocated, raises ``ValueError``.  A step
+    that leaves S by more than 10h, a stored q1 + q2 past the exact path's
+    bound, or a state the kernel rejects raises ``RuntimeError``: reduce
+    the step size.
     """
     check_real("step size h", h, "be positive and finite")
     check_real("horizon T", T, "be positive and finite")
@@ -307,7 +324,8 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
         raise ValueError(f"the fluid grid of T/h + 1 = {T / h + 1:.0f} points "
                          f"does not fit in memory; raise h or lower T") from None
     escape = 10.0 * h
-    rhs, drifts, stage = _rhs_on_floats(p), drift_kernel(p), _stage_kernel(p)
+    rhs, point = _rhs_on_floats(p), _point_kernel(p)
+    stage = _manifold_stage(p, point)
     kappa, m2, r1 = p.kappa12, p.m2, 1.0 + r
     # terms of the total event rate, which sets the default band
     arrivals, pool1 = p.lambda1 + p.lambda2, p.mu11 * p.m1
@@ -321,7 +339,7 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
     # 0.0 > x and min(x, m2) is x unless m2 < x, so -0.0 and nan pass.
 
     q1, q2, z = float(x0.q1), float(x0.q2), float(x0.z12)
-    # x0 passed validate(), so a state the drift kernel rejects inside
+    # x0 passed validate(), so a state the point kernel rejects inside
     # the loop, a stored point or an RK4 stage, was produced by a step
     try:
         for lo in range(0, n_steps + 1, _CHUNK):
@@ -332,18 +350,23 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     band_per_rate * (arrivals + theta1 * q1 + theta2 * q2
                                      + pool1 + mu12 * z + mu22 * (m2 - z)))
                 if d > band or d < -band:
-                    d_plus, d_minus = drifts(q1, q2, z)
+                    _, _, _, d_plus, d_minus = point(q1, q2, z)
                     recurrent = d_plus < 0.0 and d_minus > 0.0
                     on_manifold = False
                     pi, regime = ((1.0, REGIME_PI_ONE) if d > band
                                   else (0.0, REGIME_PI_ZERO))
                 else:
                     # stage 1 of the reduced step, at the manifold state
+                    # (z is in S already)
                     qs, regime = q1 + q2, REGIME_AP
-                    k1s, k1z, pi, q1_m, q2_m, d_plus, d_minus = stage(qs, z)
+                    q2_m = (qs - kappa) / r1
+                    if 0.0 > q2_m:
+                        q2_m = 0.0
+                    q1_m = qs - q2_m
+                    k1s, k1z, pi, d_plus, d_minus = point(q1_m, q2_m, z)
                     if q1_m != q1 or q2_m != q2:
                         # in_A records recurrence at the state itself
-                        d_plus, d_minus = drifts(q1, q2, z)
+                        _, _, _, d_plus, d_minus = point(q1, q2, z)
                     recurrent = on_manifold = d_plus < 0.0 and d_minus > 0.0
                     if recurrent:
                         q1, q2 = q1_m, q2_m
@@ -357,10 +380,10 @@ def integrate_fluid(p: ModelParams, x0: FluidState, T: float, h: float,
                     if q1 + q2 != qs:
                         # the projected queues may add up to another qs
                         qs = q1 + q2
-                        k1s, k1z, _, _, _, _, _ = stage(qs, z)
-                    k2s, k2z, _, _, _, _, _ = stage(qs + h2 * k1s, z + h2 * k1z)
-                    k3s, k3z, _, _, _, _, _ = stage(qs + h2 * k2s, z + h2 * k2z)
-                    k4s, k4z, _, _, _, _, _ = stage(qs + h * k3s, z + h * k3z)
+                        k1s, k1z, _, _, _ = stage(qs, z)
+                    k2s, k2z, _, _, _ = stage(qs + h2 * k1s, z + h2 * k1z)
+                    k3s, k3z, _, _, _ = stage(qs + h2 * k2s, z + h2 * k2z)
+                    k4s, k4z, _, _, _ = stage(qs + h * k3s, z + h * k3z)
                     qs = qs + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                     z_new = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
                     if 0.0 > qs:

@@ -24,6 +24,11 @@ completions routed to class 1), and sigma2(gamma), the asymptotic variance
 of the time-integrated centered positivity indicator.  Both are closed forms
 in the first two jump moments of each regime, for every rational r; the
 lattice solves, busy-period forms and Monte Carlo are kept as cross-checks.
+
+The drifts have two routes: :func:`drift_rates` over the rate dicts of
+:func:`ftsp_rates`, and the fluid integrator's float kernel
+``fluid._point_kernel``, which writes the same operations out once per
+ratio family and gives the same bits.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from .params import ModelParams, check_choice, check_real, check_seed
 
 __all__ = [
     "FluidState", "FtspRates", "FtspSummary", "FtspMcStats",
-    "BusyPeriodMoments", "ftsp_rates", "drift_rates", "drift_kernel",
-    "is_positive_recurrent", "busy_period_moments", "pi_12", "pi_from_drifts",
-    "pi_12_stationary", "asymptotic_variance", "sigma2_columns",
-    "simulate_ftsp", "ftsp_summary",
+    "BusyPeriodMoments", "ftsp_rates", "drift_rates", "is_positive_recurrent",
+    "busy_period_moments", "pi_12", "pi_from_drifts", "pi_12_stationary",
+    "asymptotic_variance", "sigma2_columns", "simulate_ftsp", "ftsp_summary",
 ]
 
 
@@ -49,8 +53,9 @@ class FluidState(NamedTuple):
     """A point of the fluid state space S = [0, inf)^2 x [0, m2].
 
     A named tuple, built about twice as fast as a frozen dataclass.  The
-    path integrators build none per FTSP evaluation (see
-    :func:`drift_kernel`).
+    fluid integrator builds none per FTSP evaluation: its one float kernel
+    per ratio family, ``fluid._point_kernel``, runs :meth:`validate`'s
+    comparisons and builds a state only to raise.
     """
 
     q1: float
@@ -287,55 +292,6 @@ def drift_rates(model: FtspRates) -> tuple[float, float]:
     """
     return tuple(_left_sum(jump * rate for jump, rate in rates.items())
                  / model.k for rates in (model.pos_rates, model.neg_rates))
-
-
-def drift_kernel(p: ModelParams):
-    """``drifts(q1, q2, z12) -> (delta_plus, delta_minus)`` on Python floats.
-
-    Equal bit for bit to ``drift_rates(ftsp_rates(p, FluidState(...)))``,
-    with no state, :class:`FtspRates` or rate dict built at any ratio: the
-    fluid integrator calls it at points outside the switching band, and its
-    fused reduced stages repeat its operations.  The closure spells out
-    :func:`_regime_terms` and the rates of :func:`_lattice_rates`: at
-    r = 1, lam1 - mu1 and mu2 - lam2 of the merged sums; at r = j/k != 1,
-    the sums of :func:`drift_rates` over the dicts, jumps k, -k, j, -j,
-    left to right.  The same operations run in the same order.  A state
-    outside S raises the ``ValueError`` of :meth:`FluidState.validate`.
-    """
-    j, k = p.r12.as_integer_ratio()
-    m2, inf = p.m2, math.inf
-    lambda1, lambda2, theta1, theta2 = p.lambda1, p.lambda2, p.theta1, p.theta2
-    pool1, mu12, mu22 = p.mu11 * p.m1, p.mu12, p.mu22
-    if j != k:
-        # jump * rate multiplies the rate by the jump as a float, and the
-        # sum starts from the int 0, which adds nothing to a float; the
-        # products of the constant rates are taken once.  Zero rates, which
-        # ftsp_rates leaves out, add exact zeros.
-        fj, fk = float(j), float(k)
-        up1_k, mk, down2_mj = fk * lambda1, -fk, -fj * lambda2
-
-        def lattice_drifts(q1, q2, z12):
-            # FluidState.validate's comparisons; the state is built to raise
-            if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
-                FluidState(q1, q2, z12).validate(p)
-            down1 = theta1 * q1 + pool1
-            up2 = theta2 * q2
-            pool2 = mu12 * z12 + mu22 * (m2 - z12)
-            return ((up1_k + mk * (down1 + pool2) + fj * up2 + down2_mj) / fk,
-                    (up1_k + mk * down1 + fj * (up2 + pool2) + down2_mj) / fk)
-
-        return lattice_drifts
-
-    def birth_death_drifts(q1, q2, z12):
-        if not (0.0 <= q1 < inf and 0.0 <= q2 < inf and 0.0 <= z12 <= m2):
-            FluidState(q1, q2, z12).validate(p)
-        # lam1 = up, mu1 = down + pool2, mu2 = up + pool2 and lam2 = down
-        up = lambda1 + theta2 * q2
-        down = theta1 * q1 + pool1 + lambda2
-        pool2 = mu12 * z12 + mu22 * (m2 - z12)
-        return up - (down + pool2), up + pool2 - down
-
-    return birth_death_drifts
 
 
 def is_positive_recurrent(p: ModelParams, gamma: FluidState) -> bool:

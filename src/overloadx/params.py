@@ -63,6 +63,7 @@ def check_count(name: str, value, least: int = 1, unit: str = "") -> None:
 # check_real's rules, by the words of its message; every range is False for NaN
 REAL_RANGES = {
     "be a real number": lambda x: True,   # no range: NaN passes
+    "not be NaN": lambda x: x == x,   # inf passes
     "be finite": lambda x: abs(x) <= sys.float_info.max,   # no int past a float
     "be positive and finite": lambda x: 0.0 < x < math.inf,
     "be positive": lambda x: x > 0.0,

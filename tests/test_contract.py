@@ -44,7 +44,7 @@ CONTRACT = settings(derandomize=True, database=None, deadline=None,
 # the work each entry does after its checks; the checks must come first
 _WORK = [(overloadx.sim, "_simulate"), (overloadx.sim, "_run_one"),
          (overloadx.sim, "stationary_point"),
-         (overloadx.fluid, "_stage_kernel"), (overloadx.fluid, "drift_kernel"),
+         (overloadx.fluid, "_point_kernel"),
          (overloadx.fluid, "stationary_point"),
          (overloadx.ftsp, "ftsp_rates"), (np.random, "default_rng"),
          (overloadx.ftsp, "_closed_form_sigma2"),
@@ -145,6 +145,12 @@ SLOTS = [
     (lambda i: time_to_stationarity(i[2], True), "tolerance tol"),
     (lambda i: transient_covariance(i[0], i[2], np.zeros((2, 2)), True,
                                     **FLAGS), "horizon T"),
+    # said "horizon T = nan lies before the path's start t = 0.0"
+    (lambda i: transient_covariance(i[0], i[2], np.zeros((2, 2)), math.nan,
+                                    **FLAGS), "horizon T"),
+    # ode_rhs took True as 1.0 and raised a bare TypeError for a str
+    (lambda i: ode_rhs(i[0], FluidState(True, 0.5, 0.2), 0.5), "q1"),
+    (lambda i: ode_rhs(i[0], FluidState(0.6, "0.5", 0.2), 0.5), "q2"),
     # ModelParams kept a bool rate and raised a bare TypeError for a str one
     (lambda i: replace(i[0], lambda1=True), "lambda1"),
     (lambda i: replace(i[0], mu21="0.8"), "mu21"),
@@ -344,10 +350,8 @@ def test_every_entry_refuses_a_bad_scalar_by_name_before_any_work(
     with _no_work_allowed(), pytest.raises(ValueError) as refused:
         call(inputs, value)
     # the name is the message's subject, not a word somewhere in it: a
-    # check_* message, or transient_covariance's cut, which a NaN horizon
-    # T leaves with no point ("horizon T = nan lies before ...")
-    assert str(refused.value).startswith(
-        (f"{name} must ", f"unknown {name} ", f"{name} = "))
+    # check_real, check_count or check_seed message, or check_choice's
+    assert str(refused.value).startswith((f"{name} must ", f"unknown {name} "))
 
 
 def _in_S(p, states):

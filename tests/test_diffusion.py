@@ -329,7 +329,7 @@ def test_transient_covariance_matches_reference_loop(base_params, sigma0, T):
 def test_transient_covariance_chunk_edges_are_prefixes(base_params):
     # cuts that end on either side of the 1,024-step chunks' edges, where
     # the steps' start values are taken afresh, are prefixes of the full
-    # run, bit for bit
+    # run, bit for bit; an infinite horizon keeps the whole path
     h = 1e-3
     path = integrate_fluid(base_params, FluidState(1.0, 0.2, 0.0),
                            T=2049 * h, h=h)
@@ -339,17 +339,22 @@ def test_transient_covariance_chunk_edges_are_prefixes(base_params):
     _, full = transient_covariance(base_params, path, sigma0, **flags)
     assert np.array_equal(full[0], 0.5 * (sigma0 + sigma0.T))
     assert full[:, 0, 1].tobytes() == full[:, 1, 0].tobytes()
-    for points in (1024, 1025, 1026, 2048, 2049, 2050):
-        t, cov = transient_covariance(base_params, path, sigma0,
-                                      (points - 1) * h, **flags)
+    cuts = [((points - 1) * h, points)
+            for points in (1024, 1025, 1026, 2048, 2049, 2050)]
+    for T, points in cuts + [(math.inf, 2050)]:
+        t, cov = transient_covariance(base_params, path, sigma0, T, **flags)
         assert len(t) == points
         assert cov.tobytes() == full[:points].tobytes()
 
 
-@pytest.mark.parametrize("T", [math.nan, -0.1, -1e-9])
+@pytest.mark.parametrize("T, message", [
+    # a NaN T is refused by its check, not by the cut it would empty
+    pytest.param(math.nan, "^horizon T must not be NaN$", id="nan"),
+    pytest.param(-0.1, "before the path's start", id="-0.1"),
+    pytest.param(-1e-9, "before the path's start", id="-1e-09")])
 def test_transient_covariance_rejects_a_horizon_before_the_path(
-        base_params, stationary_path, T):
-    with pytest.raises(ValueError, match="before the path's start"):
+        base_params, stationary_path, T, message):
+    with pytest.raises(ValueError, match=message):
         transient_covariance(base_params, stationary_path, np.zeros((2, 2)),
                              T, sigma2_method="regenerative",
                              psi_convention="plus")

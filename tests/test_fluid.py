@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import overloadx.fluid
-from overloadx.ftsp import (FluidState, drift_kernel, drift_rates, ftsp_rates,
-                            pi_12, pi_from_drifts)
+from overloadx.ftsp import (FluidState, drift_rates, ftsp_rates, pi_12,
+                            pi_from_drifts)
 from overloadx.fluid import (REGIME_AP, REGIME_PI_ONE, REGIME_PI_ZERO,
                              integrate_fluid, ode_rhs, stationary_point,
                              time_to_stationarity)
@@ -194,31 +194,25 @@ def test_integrate_runaway_step_raises(base_params):
 @pytest.mark.parametrize("ratio", ["1/1", "3/2"])
 def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
                                                    ratio):
-    # every row costs one evaluation: the drift kernel for its regime test
-    # outside the band, inside it the stage kernel's call at the manifold
-    # state, which is also the step's first reduced stage, so a recurrent
-    # AP step adds stages 2-4 only.  Entering the band moves the state
-    # once, which costs one drift evaluation more for in_A at the state
-    # itself.  A reduced stage evaluates the drifts inside its one call, so
-    # the stage kernel's calls count as evaluations too.
+    # every row costs one evaluation: the point kernel at the row outside
+    # the band, inside it at the manifold state, which is also the step's
+    # first reduced stage, so a recurrent AP step adds stages 2-4 only.
+    # Entering the band moves the state once, which costs one evaluation
+    # more for in_A at the state itself.  The reduced stages call the same
+    # kernel, so they count too.
     calls = []
+    build = overloadx.fluid._point_kernel
 
-    def counting(build):
-        def counting_build(p):
-            kernel = build(p)
+    def counting_build(p):
+        kernel = build(p)
 
-            def counted(*args):
-                calls.append(args)
-                return kernel(*args)
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
 
-            return counted
+        return counted
 
-        return counting_build
-
-    monkeypatch.setattr(overloadx.fluid, "drift_kernel",
-                        counting(drift_kernel))
-    monkeypatch.setattr(overloadx.fluid, "_stage_kernel",
-                        counting(overloadx.fluid._stage_kernel))
+    monkeypatch.setattr(overloadx.fluid, "_point_kernel", counting_build)
     p = replace(base_params, r12=ratio, r21=ratio)
     x0 = FluidState(1.0, 0.2, 0.0)
     path = integrate_fluid(p, x0, T=2.0, h=1e-2)
@@ -232,24 +226,30 @@ def test_integrate_evaluates_drifts_once_per_point(base_params, monkeypatch,
 
 
 def _stage_by_composition(p, qs, z):
-    """A reduced stage as rhs(pi_from_drifts(drift_kernel)) at the manifold
-    state of qs, with q2 and z12 clamped into S by the builtins; returns
-    (dqs, dz12, pi, q1, q2, d_plus, d_minus), the stage's values."""
+    """A reduced stage as rhs(pi_from_drifts(drift_rates(ftsp_rates))) at
+    the manifold state of qs, with q2 and z12 clamped into S by the
+    builtins; returns (dqs, dz12, pi, d_plus, d_minus), the stage's
+    values."""
     q2 = max((qs - p.kappa12) / (1.0 + float(p.r12)), 0.0)
     q1, z = qs - q2, min(max(z, 0.0), p.m2)
-    d_plus, d_minus = drift_kernel(p)(q1, q2, z)
+    d_plus, d_minus = drift_rates(ftsp_rates(p, FluidState(q1, q2, z)))
     pi = pi_from_drifts(d_plus, d_minus)
     dq1, dq2, dz = overloadx.fluid._rhs_on_floats(p)(q1, q2, z, pi)
-    return dq1 + dq2, dz, pi, q1, q2, d_plus, d_minus
+    return dq1 + dq2, dz, pi, d_plus, d_minus
+
+
+def _stage(p):
+    """The reduced stage that integrate_fluid builds."""
+    return overloadx.fluid._manifold_stage(p, overloadx.fluid._point_kernel(p))
 
 
 @pytest.mark.parametrize("ratio", ["1/1", "3/2", "2/1", "5/3"])
 def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
-    # every value the stage returns: both slopes, pi, the projected q1 and
-    # q2 and both drifts, at q1 + q2 of every state of ftsp_golden.json,
-    # and at z12 below 0 and above m2, which the stage clamps; theta1 or
-    # theta2 raised tenfold makes the FTSP transient on the manifold, for
-    # pi = 0 and pi = 1
+    # every value the stage returns: both slopes, pi and both drifts, at
+    # q1 + q2 of every state of ftsp_golden.json, whose empty state is
+    # below the manifold's q2 = 0 end, and at z12 below 0 and above m2,
+    # which the stage clamps; theta1 or theta2 raised tenfold makes the
+    # FTSP transient on the manifold, for pi = 0 and pi = 1
     golden = json.loads(
         (Path(__file__).parent / "ftsp_golden.json").read_text())
     states = next(case["states"] for case in golden if case["ratio"] == ratio)
@@ -257,12 +257,12 @@ def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
     pis = set()
     for params in (p, replace(p, theta1=10.0 * p.theta1),
                    replace(p, theta2=10.0 * p.theta2)):
-        stage = overloadx.fluid._stage_kernel(params)
+        stage = _stage(params)
         for q1, q2, z in states:
             for z12 in (z, -0.25, params.m2 + 0.25):
                 want = _stage_by_composition(params, q1 + q2, z12)
                 got = stage(q1 + q2, z12)
-                assert len(got) == 7
+                assert len(got) == 5
                 assert [v.hex() for v in got] == [v.hex() for v in want], (
                     params, q1 + q2, z12)
                 pis.add(want[2])
@@ -272,18 +272,18 @@ def test_stage_kernel_matches_composition_bit_for_bit(base_params, ratio):
 @pytest.mark.parametrize("ratio", ["1/1", "3/2"])
 @pytest.mark.parametrize("qs, z", [
     (math.nan, 0.3), (0.5, math.nan), (math.inf, 0.3), (-1.0, 0.3)])
-def test_stage_kernel_rejects_states_as_drift_kernel_does(base_params, ratio,
-                                                          qs, z):
-    # the stage's state check raises drift_kernel's ValueError at the
-    # projected state: NaN, inf (q1 = inf - inf) and q1 < 0 (qs < 0)
+def test_stage_kernel_rejects_states_as_ftsp_rates_does(base_params, ratio,
+                                                        qs, z):
+    # the stage's state check raises FluidState.validate's ValueError at
+    # the projected state: NaN, inf (q1 = inf - inf) and q1 < 0 (qs < 0)
     p = replace(base_params, r12=Fraction(ratio), r21=Fraction(ratio))
     q2 = (qs - p.kappa12) / (1.0 + float(p.r12))
     if 0.0 > q2:
         q2 = 0.0
     with pytest.raises(ValueError) as want:
-        drift_kernel(p)(qs - q2, q2, z)
+        ftsp_rates(p, FluidState(qs - q2, q2, z))
     with pytest.raises(ValueError) as got:
-        overloadx.fluid._stage_kernel(p)(qs, z)
+        _stage(p)(qs, z)
     assert str(got.value) == str(want.value)
 
 

@@ -14,12 +14,12 @@ from overloadx.ftsp import (FluidState, FtspRates, _busy_period_batch,
                             _stationary_truncated,
                             _truncated_solve,
                             asymptotic_variance, busy_period_moments,
-                            drift_kernel, drift_rates, ftsp_rates,
+                            drift_rates, ftsp_rates,
                             ftsp_summary, is_positive_recurrent,
                             PI12_METHODS, pi_12, pi_12_stationary, pi_from_drifts,
                             sigma2_columns, simulate_ftsp)
 
-from overloadx.fluid import stationary_point
+from overloadx.fluid import _point_kernel, stationary_point
 
 from conftest import random_admissible_params
 
@@ -118,17 +118,17 @@ _COORD = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 4.0))
        ratio=strategies.sampled_from(["1/1", "3/2", "2/1", "5/3", "2/3",
                                       "1/2", "3/4"]),
        q1=_COORD, q2=_COORD, z_frac=strategies.floats(0.0, 1.0))
-def test_drift_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
+def test_point_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
                                                     z_frac):
-    # the float kernel of the path integrators against FtspRates, bit for
-    # bit, anywhere in S: recurrent states and both escape directions
+    # the fluid integrator's float kernel against FtspRates, bit for bit,
+    # anywhere in S: recurrent states and both escape directions
     p = random_admissible_params(np.random.default_rng(param_seed), 1,
                                  ratio=ratio)[0]
     g = FluidState(q1, q2, z_frac * p.m2)
-    got = drift_kernel(p)(*g)
+    _, _, pi, *got = _point_kernel(p)(*g)
     assert [d.hex() for d in got] == [
         d.hex() for d in drift_rates(ftsp_rates(p, g))]
-    assert pi_from_drifts(*got).hex() == pi_12(p, g).hex()
+    assert pi.hex() == pi_from_drifts(*got).hex() == pi_12(p, g).hex()
 
 
 @pytest.mark.parametrize("ratio", ["1/1", "3/2", "2/3"])
@@ -136,12 +136,12 @@ def test_drift_kernel_matches_public_route_property(param_seed, ratio, q1, q2,
     (-0.1, 0.5, 0.2), (0.5, -1e-12, 0.2), (0.5, 0.5, 1.5),
     (math.nan, 0.5, 0.2), (0.5, 0.5, math.nan), (0.5, math.inf, 0.2),
 ])
-def test_drift_kernel_rejects_states_outside_S(base_params, ratio, state):
+def test_point_kernel_rejects_states_outside_S(base_params, ratio, state):
     p = replace(base_params, r12=ratio, r21=ratio)
     with pytest.raises(ValueError) as want:
         ftsp_rates(p, FluidState(*state))
     with pytest.raises(ValueError) as got:
-        drift_kernel(p)(*state)
+        _point_kernel(p)(*state)
     assert str(got.value) == str(want.value)
 
 
@@ -610,11 +610,12 @@ def _float_or_error(f, *args):
 
 def _ftsp_golden_record(p, states):
     """The lattice routes at each state of ``states`` (see
-    ``ftsp_golden.json``): rate maps in key order, drifts, ``drift_kernel``,
-    pi12 by every method, the closed-form sigma2 and the Poisson-equation
-    oracle, floats by ``float.hex``; then ``sigma2_columns`` over the
-    recurrent states."""
-    kernel = drift_kernel(p)
+    ``ftsp_golden.json``): rate maps in key order, drifts, the drifts of
+    the fluid integrator's point kernel (the record's ``"drift_kernel"``,
+    named after the closure they were first recorded from), pi12 by every
+    method, the closed-form sigma2 and the Poisson-equation oracle, floats
+    by ``float.hex``; then ``sigma2_columns`` over the recurrent states."""
+    kernel = _point_kernel(p)
     sigma2_forms = ("paper_r1", "regenerative", "poisson_numeric")
     record, recurrent = [], []
     for state in states:
@@ -625,7 +626,7 @@ def _ftsp_golden_record(p, states):
                  "neg_rates": [[jump, rate.hex()]
                                for jump, rate in model.neg_rates.items()],
                  "drifts": [d.hex() for d in drift_rates(model)],
-                 "drift_kernel": [d.hex() for d in kernel(*state)],
+                 "drift_kernel": [d.hex() for d in kernel(*state)[3:]],
                  "pi12": {m: _float_or_error(pi_12, p, g, m)
                           for m in PI12_METHODS},
                  "sigma2": {m: _float_or_error(asymptotic_variance, p, g, m)
